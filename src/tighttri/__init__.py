@@ -10,8 +10,8 @@ tight neighbourly handle quotients from stacked spheres.
 from .catalog import (boundary_simplex, builtin, complete_bipartite, complete_graph,
                       cycle_complex, icosahedron, moebius_band_5, projective_plane_6,
                       subdivided_k33_graph, suspension, torus_7)
-from .complexes import (Complex, Face, MalformedComplexError, PreconditionError,
-                        UnknownVertexError, UnsupportedDimensionError, Verdict,
+from .complexes import (Complex, Face, InternalInconsistencyError, MalformedComplexError,
+                        PreconditionError, UnknownVertexError, UnsupportedDimensionError, Verdict,
                         connected_sum, from_facets, is_isomorphic, verify_closed_manifold)
 from .construct import (AdmissibilityError, AdmissibleK, Certificate, HandleStep,
                         TopologyClass, admissible_k, candidate_handle_sites,
@@ -25,7 +25,7 @@ from .stacked import (CycleWitness, HypothesisViolationError, SummandList,
                       decompose_ti, induced_cycles, is_locally_stacked,
                       is_stacked_sphere, mod3_obstruction, triangle_bound_check,
                       verify_moebius, verify_stacked_certificate)
-from .tightness import (CrossValidation, InternalInconsistencyError, SurfaceFVector,
+from .tightness import (CrossValidation, SurfaceFVector,
                         TightnessReport, cross_validate, is_tight_bruteforce,
                         is_tight_fast_3manifold, is_tight_surface,
                         surface_fvector_bounds)

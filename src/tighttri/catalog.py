@@ -42,7 +42,7 @@ SUBDIVIDED_K33_EDGES = (
 def boundary_simplex(d: int) -> Complex:
     """Boundary of the d-simplex on vertices 0..d (a triangulated (d-1)-sphere)."""
     if d < 1:
-        raise ValueError("boundary_simplex needs d >= 1")
+        raise MalformedComplexError("boundary_simplex needs d >= 1")
     verts = range(d + 1)
     return Complex.from_facets(itertools.combinations(verts, d))
 
@@ -61,13 +61,13 @@ def moebius_band_5() -> Complex:
 
 def cycle_complex(n: int) -> Complex:
     if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
+        raise MalformedComplexError("cycles need at least 3 vertices")
     return Complex.from_facets([(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Complex:
     if n < 1:
-        raise ValueError("complete graphs need at least one vertex")
+        raise MalformedComplexError("complete graphs need at least one vertex")
     if n == 1:
         return Complex.from_facets([(0,)])
     return Complex.from_facets(itertools.combinations(range(n), 2))
@@ -75,7 +75,7 @@ def complete_graph(n: int) -> Complex:
 
 def complete_bipartite(m: int, n: int) -> Complex:
     if m < 1 or n < 1:
-        raise ValueError("both parts must be nonempty")
+        raise MalformedComplexError("both parts must be nonempty")
     return Complex.from_facets([(i, m + j) for i in range(m) for j in range(n)])
 
 

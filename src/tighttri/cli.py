@@ -38,6 +38,19 @@ class InputError(ValueError):
     """User-facing input problem (exit code 2)."""
 
 
+def _int_at_least(low: int, what: str):
+    """argparse type for an integer option with a lower bound."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 # -- complex files -------------------------------------------------------------
 
 def parse_field(text: str) -> FieldSpec:
@@ -395,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("--field", default="q")
     p.add_argument("--mode", choices=["auto", "fast", "brute"], default="brute")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_int_at_least(1, "the worker count"), default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--i-know-this-is-exponential", action="store_true",
                    dest="i_know_this_is_exponential")
@@ -430,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="chordless cycles of the 1-skeleton")
     p.add_argument("complex")
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_int_at_least(3, "a cycle length"), default=None)
     p.add_argument("--mod3", action="store_true",
                    help="only check the length-1-mod-3 obstruction")
     p.add_argument("--json", action="store_true")
@@ -458,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--field", default="2")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=_int_at_least(1, "the restart budget"), default=10_000)
+    p.add_argument("--jobs", type=_int_at_least(1, "the worker count"), default=1)
     p.set_defaults(func=_cmd_search_tight)
 
     p = sub.add_parser("classify", help="homeomorphism type of a certified quotient")

@@ -30,6 +30,19 @@ class PreconditionError(ValueError):
     """An operation was called on input outside its stated domain."""
 
 
+class InternalInconsistencyError(RuntimeError):
+    """An internal invariant failed: a bug in tighttri, never bad input.
+
+    When the two tightness deciders disagree, ``brute`` and ``fast`` hold
+    their reports; otherwise both are ``None``.
+    """
+
+    def __init__(self, message: str, brute=None, fast=None):
+        super().__init__(message)
+        self.brute = brute
+        self.fast = fast
+
+
 @dataclass(frozen=True)
 class Verdict:
     """A boolean decision together with a machine-checkable witness.
@@ -316,7 +329,10 @@ def connected_sum(x: Complex, y: Complex, facet_x: Iterable[int],
             continue
         new_facets.append(tuple(sorted(rename[u] for u in f)))
     out = Complex.from_facets(new_facets)
-    assert out.num_vertices == x.num_vertices + y.num_vertices - (d + 1)
+    if out.num_vertices != x.num_vertices + y.num_vertices - (d + 1):
+        raise InternalInconsistencyError(
+            f"connected sum has {out.num_vertices} vertices, expected "
+            f"{x.num_vertices} + {y.num_vertices} - {d + 1}")
     return out
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .complexes import Complex, PreconditionError, UnknownVertexError, Verdict, verify_closed_manifold
+from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
+                        UnknownVertexError, Verdict, verify_closed_manifold)
 from .linalg import FMatrix, FieldSpec, row_basis
 
 
@@ -170,9 +171,11 @@ def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -
         bx = cdx.boundary_rowspace(k)
         joint = bx.copy()
         for r in z_emb.rows:
-            joint.add(r if field.char == 2 else list(r))
+            joint.add(r)
         inter_dim = z_emb.nrows + bx.dim - joint.dim
-        assert inter_dim >= by_rank
+        if inter_dim < by_rank:
+            raise InternalInconsistencyError(
+                f"degree {k}: Z(Y) ∩ B(X) has dimension {inter_dim} < dim B(Y) = {by_rank}")
         if inter_dim == by_rank:
             continue
         # extract a witness cycle: in Z_k(Y) and B_k(X) but not in B_k(Y)
@@ -183,12 +186,14 @@ def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -
         by_basis = by_emb.rowspace_basis()
         witness_vec = None
         for v in inter.rows:
-            resid = by_basis.reduce(v if field.char == 2 else list(v))
+            resid = by_basis.reduce(v)
             nonzero = resid != 0 if field.char == 2 else any(resid)
             if nonzero:
                 witness_vec = v
                 break
-        assert witness_vec is not None
+        if witness_vec is None:
+            raise InternalInconsistencyError(
+                f"degree {k}: no cycle of Z(Y) ∩ B(X) outside B(Y) despite the dimension gap")
         chain = _decode_chain(witness_vec, x.faces(k), field)
         return Verdict(False, witness=(k, chain),
                        detail=f"a {k}-cycle of the subcomplex bounds in the complex but not in the subcomplex")

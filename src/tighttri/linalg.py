@@ -1,14 +1,18 @@
 """Exact dense linear algebra over Q and prime fields.
 
-Rationals use ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms); GF(p) entries are ints in ``[0, p)``; GF(2) rows are bit-packed into
-Python ints and eliminated with word-parallel XOR.
+Rational matrices hold ints, or ``fractions.Fraction`` for non-integral
+input, and are eliminated fraction-free on primitive integer rows; results
+read out of an elimination are exact rationals, a plain int wherever the
+value is integral.  GF(p) entries are ints in ``[0, p)``; GF(2) rows are
+bit-packed into Python ints and eliminated with word-parallel XOR.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, List, Optional
 
 
@@ -100,8 +104,9 @@ class _RowBasisGF2:
         return True
 
 
-class _RowBasisGeneric:
-    """Reduced basis over Q or GF(p), rows stored as lists of scalars."""
+class _RowBasisGFp:
+    """Reduced basis over GF(p), p odd: rows are lists of ints in ``[0, p)``
+    with pivot entry 1."""
 
     __slots__ = ("ncols", "char", "rows", "pivots")
 
@@ -111,8 +116,8 @@ class _RowBasisGeneric:
         self.rows: List[list] = []
         self.pivots: List[int] = []
 
-    def copy(self) -> "_RowBasisGeneric":
-        c = _RowBasisGeneric(self.ncols, self.char)
+    def copy(self) -> "_RowBasisGFp":
+        c = _RowBasisGFp(self.ncols, self.char)
         c.rows = [list(r) for r in self.rows]
         c.pivots = list(self.pivots)
         return c
@@ -127,14 +132,9 @@ class _RowBasisGeneric:
         for piv, b in zip(self.pivots, self.rows):
             c = row[piv]
             if c:
-                if p_:
-                    for j in range(piv, self.ncols):
-                        if b[j]:
-                            row[j] = (row[j] - c * b[j]) % p_
-                else:
-                    for j in range(piv, self.ncols):
-                        if b[j]:
-                            row[j] = row[j] - c * b[j]
+                for j in range(piv, self.ncols):
+                    if b[j]:
+                        row[j] = (row[j] - c * b[j]) % p_
         return row
 
     def add(self, row: list) -> bool:
@@ -142,24 +142,134 @@ class _RowBasisGeneric:
         piv = next((j for j, c in enumerate(r) if c), None)
         if piv is None:
             return False
-        lead = r[piv]
-        if self.char:
-            inv = pow(lead, -1, self.char)
-            r = [(c * inv) % self.char for c in r]
-        else:
-            r = [Fraction(c, 1) / lead for c in r]
+        p_ = self.char
+        inv = pow(r[piv], -1, p_)
+        r = [(c * inv) % p_ for c in r]
         for i, b in enumerate(self.rows):
             c = b[piv]
             if c:
-                if self.char:
-                    self.rows[i] = [(bc - c * rc) % self.char for bc, rc in zip(b, r)]
-                else:
-                    self.rows[i] = [bc - c * rc for bc, rc in zip(b, r)]
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < piv:
-            idx += 1
+                self.rows[i] = [(bc - c * rc) % p_ for bc, rc in zip(b, r)]
+        idx = bisect_left(self.pivots, piv)
         self.pivots.insert(idx, piv)
         self.rows.insert(idx, r)
+        return True
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def _integral(row) -> list:
+    """``row`` as a new list of ints: a row with rational entries is scaled
+    by the lcm of its denominators, which keeps its direction."""
+    x = list(row)
+    if _INT_ONLY.issuperset(map(type, x)):
+        return x
+    den = lcm(*[v.denominator for v in x])
+    return [v.numerator * (den // v.denominator) for v in x]
+
+
+def _rational(c):
+    """An input entry as an exact rational: an int when it is integral."""
+    f = Fraction(c)
+    return f.numerator if f.denominator == 1 else f
+
+
+def _ratio(a: int, b: int):
+    """a/b exactly: a plain int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+class _RowBasisQ:
+    """Reduced basis over Q without fractions.
+
+    Each stored row is primitive (its entries have gcd 1) with a positive
+    pivot entry, and is zero in every other row's pivot column, so it is a
+    positive integer multiple of the matching row of the reduced row echelon
+    form.  Rows are sparse ``{column: entry}`` dicts.  They combine by
+    cross-multiplication, ``bp*x - c*b``, over the nonzero entries of the
+    basis row, and are divided by their gcd whenever a scale factor other
+    than 1 entered.  Fractions appear only when :attr:`rows` reads the
+    echelon form out.
+    """
+
+    __slots__ = ("ncols", "pivots", "_ints")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivots: List[int] = []
+        self._ints: List[dict] = []
+
+    def copy(self) -> "_RowBasisQ":
+        c = _RowBasisQ(self.ncols)
+        c.pivots = list(self.pivots)
+        c._ints = list(self._ints)  # rows are replaced, never mutated
+        return c
+
+    @property
+    def dim(self) -> int:
+        return len(self._ints)
+
+    @property
+    def rows(self) -> List[list]:
+        """The reduced row echelon form: pivot entries 1, entries exact."""
+        out = []
+        for piv, b in zip(self.pivots, self._ints):
+            bp = b[piv]
+            r = [0] * self.ncols
+            for j, v in b.items():
+                r[j] = v if bp == 1 else _ratio(v, bp)
+            out.append(r)
+        return out
+
+    def reduce(self, row) -> list:
+        """A positive integer multiple of the residual of ``row`` against
+        the basis; it is zero exactly when ``row`` lies in the row space."""
+        x = _integral(row)
+        for piv, b in zip(self.pivots, self._ints):
+            c = x[piv]
+            if c:
+                bp = b[piv]
+                if bp != 1:
+                    x = [bp * v for v in x]
+                for j, v in b.items():
+                    x[j] -= c * v
+                if bp != 1:
+                    g = gcd(*x)
+                    if g > 1:
+                        x = [v // g for v in x]
+        return x
+
+    def add(self, row) -> bool:
+        xd = {j: v for j, v in enumerate(self.reduce(row)) if v}
+        if not xd:
+            return False
+        piv = next(iter(xd))  # keys are in column order
+        g = gcd(*xd.values())
+        if xd[piv] < 0:
+            g = -g
+        if g != 1:
+            xd = {j: v // g for j, v in xd.items()}
+        xp = xd[piv]
+        pivots, ints = self.pivots, self._ints
+        for i in [i for i, b in enumerate(ints) if piv in b]:
+            b = ints[i]
+            c = b[piv]
+            nb = dict(b) if xp == 1 else {j: xp * v for j, v in b.items()}
+            for j, v in xd.items():
+                nv = nb.get(j, 0) - c * v
+                if nv:
+                    nb[j] = nv
+                else:
+                    del nb[j]
+            if nb[pivots[i]] != 1:
+                g = gcd(*nb.values())
+                if g > 1:
+                    nb = {j: v // g for j, v in nb.items()}
+            ints[i] = nb
+        idx = bisect_left(pivots, piv)
+        pivots.insert(idx, piv)
+        ints.insert(idx, xd)
         return True
 
 
@@ -167,15 +277,17 @@ def row_basis(field: FieldSpec, ncols: int):
     """Fresh empty reduced row basis for the given field."""
     if field.char == 2:
         return _RowBasisGF2(ncols)
-    return _RowBasisGeneric(ncols, field.char)
+    if field.char:
+        return _RowBasisGFp(ncols, field.char)
+    return _RowBasisQ(ncols)
 
 
 class FMatrix:
     """Dense matrix over a :class:`FieldSpec`.
 
     For GF(2) the rows are ints with bit j = column j; otherwise each row is
-    a list of exact scalars.  Instances are immutable in practice: no method
-    mutates ``self``.
+    a list of exact scalars: ints mod p, or over Q ints and Fractions.
+    Instances are immutable in practice: no method mutates ``self``.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_rank")
@@ -207,7 +319,8 @@ class FMatrix:
         if field.char:
             p = field.char
             return cls(field, len(data), ncols, [[int(c) % p for c in r] for r in data])
-        return cls(field, len(data), ncols, [[Fraction(c) for c in r] for r in data])
+        return cls(field, len(data), ncols,
+                   [[c if type(c) is int else _rational(c) for c in r] for r in data])
 
     @classmethod
     def from_bitrows(cls, masks: Iterable[int], ncols: int) -> "FMatrix":
@@ -219,8 +332,7 @@ class FMatrix:
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FMatrix":
         if field.char == 2:
             return cls(field, nrows, ncols, [0] * nrows)
-        zero = 0 if field.char else Fraction(0)
-        return cls(field, nrows, ncols, [[zero] * ncols for _ in range(nrows)])
+        return cls(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
 
     def entry(self, i: int, j: int):
         if self.field.char == 2:
@@ -238,7 +350,7 @@ class FMatrix:
     def rowspace_basis(self):
         basis = row_basis(self.field, self.ncols)
         for r in self.rows:
-            basis.add(r if self.field.char == 2 else list(r))
+            basis.add(r)
         return basis
 
     def stack(self, other: "FMatrix") -> "FMatrix":
@@ -277,7 +389,7 @@ class FMatrix:
         p = self.field.char
         out_rows = []
         for r in self.rows:
-            acc = [0 if p else Fraction(0)] * other.ncols
+            acc = [0] * other.ncols
             for j, c in enumerate(r):
                 if c:
                     orow = other.rows[j]
@@ -309,11 +421,12 @@ class FMatrix:
                 vectors.append(x)
             return FMatrix(self.field, len(vectors), self.ncols, vectors)
         p_ = self.field.char
+        rows = basis.rows
         vectors = []
         for f in free:
-            x = [0 if p_ else Fraction(0)] * self.ncols
-            x[f] = 1 if p_ else Fraction(1)
-            for piv, brow in zip(basis.pivots, basis.rows):
+            x = [0] * self.ncols
+            x[f] = 1
+            for piv, brow in zip(basis.pivots, rows):
                 c = brow[f]
                 if c:
                     x[piv] = (-c) % p_ if p_ else -c
@@ -339,11 +452,9 @@ class FMatrix:
                     rr &= rr - 1
                 out.append(m)
             return FMatrix(self.field, self.nrows, new_ncols, out)
-        p = self.field.char
-        zero = 0 if p else Fraction(0)
         out_rows = []
         for r in self.rows:
-            x = [zero] * new_ncols
+            x = [0] * new_ncols
             for j, c in enumerate(r):
                 if c:
                     x[col_map[j]] = c
@@ -351,7 +462,7 @@ class FMatrix:
         return FMatrix(self.field, self.nrows, new_ncols, out_rows)
 
     def rowspace_intersection(self, other: "FMatrix") -> "FMatrix":
-        """Basis of rowspace(self) âˆ© rowspace(other) via the split-block trick.
+        """Basis of rowspace(self) ∩ rowspace(other) via the split-block trick.
 
         Reduce rows (a | a) for a in self and (b | 0) for b in other; basis
         rows whose left block vanished carry intersection vectors in the
@@ -369,11 +480,10 @@ class FMatrix:
             low = (1 << c) - 1
             vecs = [r >> c for r in basis.rows if not (r & low)]
             return FMatrix(self.field, len(vecs), c, vecs)
-        zero = 0 if self.field.char else Fraction(0)
         for a in self.rows:
             basis.add(list(a) + list(a))
         for b in other.rows:
-            basis.add(list(b) + [zero] * c)
+            basis.add(list(b) + [0] * c)
         vecs = [r[c:] for r in basis.rows if not any(r[:c])]
         return FMatrix(self.field, len(vecs), c, vecs)
 
@@ -388,5 +498,5 @@ def dim_sum(a: FMatrix, b: FMatrix) -> int:
         raise ValueError("dim_sum requires matching fields and column counts")
     basis = a.rowspace_basis()
     for r in b.rows:
-        basis.add(r if b.field.char == 2 else list(r))
+        basis.add(r)
     return basis.dim

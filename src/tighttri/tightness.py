@@ -19,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import Complex, PreconditionError, verify_closed_manifold
+from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
+                        verify_closed_manifold)
 from .homology import betti, chain_data, induced_map_injective
 from .linalg import FieldSpec
 
@@ -27,16 +28,6 @@ BRUTE_FORCE_VERTEX_CAP = 30
 # Below this many subsets a parallel scan costs more than it saves.
 PARALLEL_MIN_SUBSETS = 1 << 14
 _CHUNK = 2048
-
-
-class InternalInconsistencyError(RuntimeError):
-    """The two tightness deciders disagreed; carries both reports."""
-
-    def __init__(self, brute: "TightnessReport", fast: "TightnessReport"):
-        super().__init__(
-            f"tightness deciders disagree: brute={brute.verdict} fast={fast.verdict}")
-        self.brute = brute
-        self.fast = fast
 
 
 @dataclass(frozen=True)
@@ -240,5 +231,7 @@ def cross_validate(x: Complex, field: FieldSpec, *,
     fast = is_tight_fast_3manifold(x, field)
     brute = is_tight_bruteforce(x, field, allow_exponential=allow_exponential, jobs=jobs)
     if fast.verdict != brute.verdict:
-        raise InternalInconsistencyError(brute, fast)
+        raise InternalInconsistencyError(
+            f"tightness deciders disagree: brute={brute.verdict} fast={fast.verdict}",
+            brute, fast)
     return CrossValidation(brute.verdict, brute, fast)

@@ -100,6 +100,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "homology", "/nonexistent/file.json")
         assert code == 2
 
+    def test_bad_builtin_argument(self, capsys):
+        code, out, err = run(capsys, "homology", "builtin:cycle:1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cycles", "builtin:icosahedron", "--max-len", "-3"),
+        ("search", "tight", "--budget", "-5"),
+        ("search", "tight", "--jobs", "0"),
+        ("check", "tight", "builtin:rp2-6", "--jobs", "0"),
+    ])
+    def test_out_of_range_option(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error: argument" in err and "Traceback" not in err
+
 
 class TestCheckCommands:
     def test_tight_fast_mode_on_3_manifold(self, capsys, tmp_path):

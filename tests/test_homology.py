@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tighttri import (Complex, PreconditionError, betti, boundary_matrix,
-                      catalog, chain_data, from_facets, induced_map_injective,
-                      is_orientable)
-from tighttri.linalg import GF2, QQ, FieldSpec, dim_sum
+from tighttri import (Complex, InternalInconsistencyError, PreconditionError, betti,
+                      boundary_matrix, catalog, chain_data, from_facets,
+                      induced_map_injective, is_orientable)
+from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, dim_sum
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5)]
 
@@ -163,6 +163,14 @@ class TestInducedMapInjective:
         assert not any(amb.reduce(vec))  # bounds in the ambient complex
         y = x.induced((0, 1, 3))
         assert y.dim == 1  # no triangles: nothing bounds inside
+
+    def test_missing_witness_cycle_is_an_internal_error(self, monkeypatch):
+        # the dimension count says a witness exists; an intersection that
+        # yields none is a bug, reported even under python -O
+        monkeypatch.setattr(FMatrix, "rowspace_intersection",
+                            lambda self, other: FMatrix.zeros(QQ, 0, self.ncols))
+        with pytest.raises(InternalInconsistencyError):
+            induced_map_injective(catalog.projective_plane_6(), (0, 1, 3), QQ)
 
     def test_disconnected_subset_of_connected_complex(self):
         x = catalog.cycle_complex(6)

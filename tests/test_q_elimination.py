@@ -1,0 +1,198 @@
+"""Exact Q elimination against a plain ``Fraction`` oracle.
+
+The library eliminates over Q on primitive integer rows and reads results
+out as exact rationals.  The oracle below is the textbook reduced row echelon
+form (RREF) in ``Fraction`` arithmetic.  The RREF of a row space is unique,
+so every result that the library reads out of an elimination must equal the
+oracle's value for value, not merely span the same space.
+"""
+
+import json
+from bisect import bisect_left
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tighttri import (boundary_matrix, catalog, induced_map_injective,
+                      is_tight_bruteforce, linalg)
+from tighttri.linalg import QQ, FMatrix, dim_sum
+
+WITNESSES = json.loads((Path(__file__).parent / "q_witnesses.json").read_text())
+
+
+# -- the oracle ----------------------------------------------------------------
+
+def ref_rref(rows):
+    """(pivots, rows) of the RREF of the span of ``rows``, in Fractions."""
+    pivots, basis = [], []
+    for r in rows:
+        r = [Fraction(c) for c in r]
+        for piv, b in zip(pivots, basis):
+            c = r[piv]
+            if c:
+                r = [u - c * v for u, v in zip(r, b)]
+        piv = next((j for j, c in enumerate(r) if c), None)
+        if piv is None:
+            continue
+        r = [c / r[piv] for c in r]
+        basis = [[u - b[piv] * v for u, v in zip(b, r)] for b in basis]
+        idx = bisect_left(pivots, piv)
+        pivots.insert(idx, piv)
+        basis.insert(idx, r)
+    return pivots, basis
+
+
+def ref_right_nullspace(rows, ncols):
+    """One vector per free column f: 1 at f, minus the RREF's column f at
+    the pivots."""
+    pivots, basis = ref_rref(rows)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for piv, b in zip(pivots, basis):
+            x[piv] = -b[f]
+        out.append(x)
+    return out
+
+
+def ref_left_nullspace(rows):
+    return ref_right_nullspace([list(col) for col in zip(*rows)], len(rows))
+
+
+def ref_intersection(a, b, ncols):
+    """Right halves of the RREF rows of [(a | a); (b | 0)] whose left half is zero."""
+    _, basis = ref_rref([list(r) + list(r) for r in a] + [list(r) + [0] * ncols for r in b])
+    return [r[ncols:] for r in basis if not any(r[:ncols])]
+
+
+def assert_exact(got, want):
+    """Equal values, and integral values come back as plain ints."""
+    assert got == want
+    for row in got:
+        for v in row:
+            assert type(v) is int or v.denominator != 1
+
+
+def check_against_oracle(m: FMatrix, other: FMatrix = None):
+    rows, n = m.rows, m.ncols
+    pivots, rref = ref_rref(rows)
+    assert m.rank() == len(pivots)
+    basis = m.rowspace_basis()
+    assert basis.pivots == pivots
+    assert_exact(basis.rows, rref)
+    assert_exact(m.right_nullspace().rows, ref_right_nullspace(rows, n))
+    assert_exact(m.left_nullspace().rows, ref_left_nullspace(rows))
+    if other is not None:
+        assert dim_sum(m, other) == len(ref_rref(rows + other.rows)[0])
+        assert_exact(m.rowspace_intersection(other).rows,
+                     ref_intersection(rows, other.rows, n))
+
+
+# -- drawn matrices ------------------------------------------------------------
+
+rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+wide_int = st.integers(-30, 30)
+
+
+def matrix_pair(entries):
+    return st.integers(1, 6).flatmap(lambda c: st.tuples(*(
+        st.lists(st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=6)
+        for _ in range(2))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pair(rational))
+def test_rational_matrices_match_oracle(pair):
+    a, b = (FMatrix.from_rows(QQ, rows) for rows in pair)
+    check_against_oracle(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pair(wide_int))
+def test_integer_matrices_match_oracle(pair):
+    a, b = (FMatrix.from_rows(QQ, rows) for rows in pair)
+    check_against_oracle(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_pair(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])))
+def test_sparse_rank_deficient_matrices_match_oracle(pair):
+    # few distinct small entries make dependent rows and non-unit pivots common
+    a, b = (FMatrix.from_rows(QQ, rows) for rows in pair)
+    check_against_oracle(a, b)
+
+
+def test_reduce_vanishes_exactly_on_the_row_space():
+    m = FMatrix.from_rows(QQ, [[2, 4, 6, 1], [0, 3, 5, Fraction(1, 2)]])
+    basis = m.rowspace_basis()
+    inside = [2 * u - Fraction(1, 3) * v for u, v in zip(m.rows[0], m.rows[1])]
+    assert not any(basis.reduce(inside))
+    assert any(basis.reduce([0, 0, 1, 0]))
+
+
+def test_elimination_builds_no_fraction(monkeypatch):
+    hilbert = FMatrix.from_rows(QQ, [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)])
+    monkeypatch.setattr(linalg, "Fraction", None)  # constructing one in linalg now fails
+    basis = hilbert.rowspace_basis()
+    assert basis.dim == 5
+    probe = FMatrix.from_rows(QQ, [[1, 2, 3, 4, 5]]).rows[0]
+    assert all(type(v) is int for v in basis.reduce(probe))
+
+
+# -- boundary matrices of the corpus -------------------------------------------
+
+def test_corpus_boundary_matrices_match_oracle(corpus3):
+    surfaces = [("rp2-6", catalog.projective_plane_6()), ("torus-7", catalog.torus_7())]
+    for name, x in corpus3[::3] + surfaces:
+        for k in range(1, x.dim + 1):
+            check_against_oracle(boundary_matrix(x, k, QQ))
+
+
+def members(corpus3):
+    out = dict(corpus3)
+    out["rp2-6"] = catalog.projective_plane_6()
+    return out
+
+
+def test_corpus_witness_intersections_match_oracle(corpus3):
+    """The witness computation's own inputs: cycles of the induced subcomplex,
+    embedded in the ambient faces, against the ambient boundaries."""
+    complexes = members(corpus3)
+    by_degree = [key for key in WITNESSES if "/deg" in key]
+    keys = by_degree[::3] + ["susp-octahedron/deg1", "rp2-6/deg1"]  # the oracle is slow
+    for key in keys:
+        rec = WITNESSES[key]
+        x = complexes[key.split("/")[0]]
+        k = rec["degree"]
+        y = x.induced(rec["subset"])
+        col_map = [x.faces(k).index(f) for f in y.faces(k)]
+        z = boundary_matrix(y, k, QQ).left_nullspace().embed_columns(len(x.faces(k)), col_map)
+        bx = boundary_matrix(x, k + 1, QQ) if k < x.dim else FMatrix.zeros(QQ, 0, len(x.faces(k)))
+        check_against_oracle(z, bx)
+
+
+# -- witness chains, recorded with Fraction-based elimination ------------------
+
+def test_q_witness_chains_are_pinned(corpus3):
+    """``q_witnesses.json`` holds Q witnesses of ``induced_map_injective``
+    recorded while Q elimination still ran on Fractions: under a member's
+    name, its first failing subset in scan order; under ``name/degK``, its
+    first subset failing in degree K >= 1; under ``name/<subset>``, every
+    subset of rp2-6 and of the seed-0 quotient failing in degree >= 1.  The
+    witnesses must not change: same degree, faces, order and coefficients."""
+    complexes = members(corpus3)
+    for key, rec in WITNESSES.items():
+        x = complexes[key.split("/")[0]]
+        v = induced_map_injective(x, rec["subset"], QQ)
+        assert not v.ok, key
+        degree, chain = v.witness
+        want = [(tuple(f), Fraction(c)) for f, c in rec["chain"]]
+        assert (degree, list(chain)) == (rec["degree"], want), key
+        if "/" not in key:
+            scan = is_tight_bruteforce(x, QQ, jobs=1)
+            assert scan.witness == (tuple(rec["subset"]), rec["degree"]), key

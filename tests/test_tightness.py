@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from tighttri import (Complex, PreconditionError, catalog, cross_validate,
+from tighttri import (Complex, InternalInconsistencyError, PreconditionError, catalog, cross_validate,
                       from_facets, is_tight_bruteforce, is_tight_fast_3manifold,
                       is_tight_surface, surface_fvector_bounds)
 from tighttri.homology import induced_map_injective
@@ -151,6 +153,14 @@ class TestCrossValidate:
     def test_agree_true(self):
         cv = cross_validate(catalog.boundary_simplex(4), GF2)
         assert cv.verdict and cv.brute.verdict and cv.fast.verdict
+
+    def test_disagreement_raises_with_both_reports(self, monkeypatch):
+        real = tightness.is_tight_fast_3manifold
+        monkeypatch.setattr(tightness, "is_tight_fast_3manifold",
+                            lambda x, f: dataclasses.replace(real(x, f), verdict=False))
+        with pytest.raises(InternalInconsistencyError) as info:
+            cross_validate(catalog.boundary_simplex(4), GF2)
+        assert info.value.brute.verdict and not info.value.fast.verdict
 
     def test_agree_false_on_suspension(self):
         x = catalog.suspension(catalog.boundary_simplex(3))
