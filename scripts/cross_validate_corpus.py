@@ -3,8 +3,8 @@
 
 Builds stacked spheres, searched handle quotients and non-tight
 perturbations (all on at most 12 vertices), runs the definitional scan and
-the polynomial criterion over GF(2) and Q on each, and prints one line per
-(complex, field) pair.  Any disagreement raises.
+the polynomial criterion over GF(2), GF(3) and Q on each, and prints one
+line per (complex, field) pair.  Any disagreement raises.
 
 Usage: python scripts/cross_validate_corpus.py [--quotients N]
 """
@@ -15,7 +15,9 @@ import time
 
 from tighttri import (Complex, catalog, cross_validate, search_tight,
                       stacked_sphere)
-from tighttri.linalg import GF2, QQ
+from tighttri.linalg import GF2, QQ, FieldSpec
+
+FIELDS = (GF2, FieldSpec.gf(3), QQ)
 
 
 def subdivide_first_facet(x: Complex) -> Complex:
@@ -53,13 +55,13 @@ def main() -> int:
     t0 = time.perf_counter()
     tight = 0
     for name, x in corpus:
-        for field in (GF2, QQ):
+        for field in FIELDS:
             cv = cross_validate(x, field)
             tight += cv.verdict
             print(f"{name:28s} {str(field):6s} tight={str(cv.verdict):5s} "
                   f"scan={cv.brute.subsets_scanned:4d} subsets "
                   f"({cv.brute.elapsed:.3f}s)")
-    print(f"\n{len(corpus)} complexes x 2 fields, {tight} tight verdicts, "
+    print(f"\n{len(corpus)} complexes x {len(FIELDS)} fields, {tight} tight verdicts, "
           f"all decider pairs agree ({time.perf_counter() - t0:.1f}s)")
     return 0
 

@@ -20,7 +20,7 @@ import time
 from typing import Optional, Tuple
 
 from . import catalog
-from .complexes import Complex, MalformedComplexError, PreconditionError, Verdict
+from .complexes import Complex, MalformedComplexError, PreconditionError
 from .complexes import verify_closed_manifold
 from .construct import (Certificate, admissible_k, classify_topology,
                         handle_addition, search_tight, stacked_sphere)
@@ -165,22 +165,13 @@ def _cmd_check_tight(args) -> int:
     name, x = load_complex(args.complex)
     field = parse_field(args.field)
     mode = args.mode
-    if mode == "auto":
-        man = verify_closed_manifold(x) if x.dim <= 3 else Verdict(False)
-        if man.ok and x.dim == 3:
-            mode = "fast"
-        elif man.ok and x.dim == 2:
-            mode = "fast"
-        else:
-            mode = "brute"
-    if mode == "fast":
-        man = verify_closed_manifold(x) if x.dim <= 3 else Verdict(False)
-        if man.ok and x.dim == 3:
-            report = is_tight_fast_3manifold(x, field)
-        elif man.ok and x.dim == 2:
-            report = is_tight_surface(x, field)
-        else:
+    if mode != "brute":
+        closed = x.dim in (2, 3) and verify_closed_manifold(x).ok
+        if mode == "fast" and not closed:
             raise InputError("fast mode needs a closed 2- or 3-manifold triangulation")
+        mode = "fast" if closed else "brute"
+    if mode == "fast":
+        report = (is_tight_fast_3manifold if x.dim == 3 else is_tight_surface)(x, field)
     else:
         report = is_tight_bruteforce(x, field, allow_exponential=args.i_know_this_is_exponential,
                                      jobs=args.jobs)
@@ -272,7 +263,8 @@ def _cmd_cycles(args) -> int:
                                               "length": v.witness.length})}
         _emit(args, doc, f"{name}: no chordless cycle of length 1 mod 3 = {v.ok}")
         return 0 if v.ok else 1
-    cycles = induced_cycles(g, max_len)
+    # the default bound, the vertex count, is below 3 only on graphs without cycles
+    cycles = induced_cycles(g, max_len) if max_len >= 3 else []
     doc = {"name": name, "max_len": max_len,
            "cycles": [{"vertices": list(c.vertices), "length": c.length,
                        "residue": c.residue} for c in cycles]}
@@ -408,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("--field", default="q")
     p.add_argument("--mode", choices=["auto", "fast", "brute"], default="brute")
-    p.add_argument("--jobs", type=_int_at_least(1, "the worker count"), default=None)
+    p.add_argument("--jobs", type=_int_at_least(1, "the worker count"), default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--i-know-this-is-exponential", action="store_true",
                    dest="i_know_this_is_exponential")

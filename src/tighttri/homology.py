@@ -2,10 +2,13 @@
 
 Boundary matrices have rows indexed by k-faces and columns by (k-1)-faces,
 with alternating signs taken from the global ascending vertex order.  A
-k-chain is a row vector, so cycle spaces are left null spaces and boundary
-spaces are row spaces of the next boundary matrix.  Because an induced
-subcomplex shares its faces with the ambient complex literally, its chains
-embed by the identity on faces and no sign correction is ever needed.
+k-chain is a row vector, and the k-boundaries are the row space of the
+next boundary matrix.  An induced subcomplex shares its faces, and so its
+boundary matrices, with the ambient complex literally: they are the rows
+of the ambient matrices at the subcomplex's faces, no sign correction
+needed.  The injectivity test therefore never builds the subcomplex's chain
+complex; it takes ranks of ambient rows and of the cached reduced basis of
+the ambient boundaries.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ def boundary_matrix(x: Complex, k: int, field: FieldSpec) -> FMatrix:
 
 
 class ChainData:
-    """Per-(complex, field) chain complex: face indexes, boundaries, row bases."""
+    """Per-(complex, field) chain complex: face indexes, boundaries, and the
+    reduced echelon forms of the boundary spaces."""
 
     def __init__(self, x: Complex, field: FieldSpec):
         self.complex = x
@@ -35,23 +39,20 @@ class ChainData:
             {f: i for i, f in enumerate(x.faces(k))} for k in range(x.dim + 1)
         ]
         self._boundaries: dict = {}
-        self._bases: dict = {}
+        self._rrefs: dict = {}
 
     def boundary(self, k: int) -> FMatrix:
         if k not in self._boundaries:
             self._boundaries[k] = _build_boundary(self.complex, k, self.field, self.index)
         return self._boundaries[k]
 
-    def boundary_rowspace(self, k: int):
-        """Reduced basis of the space of k-boundaries (rows of boundary(k+1))."""
-        if k not in self._bases:
-            x = self.complex
-            if k >= x.dim:
-                basis = row_basis(self.field, len(x.faces(k)))
-            else:
-                basis = self.boundary(k + 1).rowspace_basis()
-            self._bases[k] = basis
-        return self._bases[k]
+    def boundary_rref(self, k: int):
+        """(pivots, rows) of the reduced row echelon form of the k-boundaries,
+        the row space of boundary(k + 1), for k < dim."""
+        if k not in self._rrefs:
+            basis = self.boundary(k + 1).rowspace_basis()
+            self._rrefs[k] = (basis.pivots, basis.rows)
+        return self._rrefs[k]
 
 
 def _build_boundary(x: Complex, k: int, field: FieldSpec, index: Sequence[dict]) -> FMatrix:
@@ -136,12 +137,14 @@ def _component_injectivity(x: Complex, y: Complex, field: FieldSpec):
 def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -> Verdict:
     """Is H_*(x[subset]) -> H_*(x) injective in every degree?
 
-    In degree k >= 1 the map is injective iff the cycles of the subcomplex
-    that bound in the ambient complex already bound in the subcomplex:
-    dim(Z_k(Y) n B_k(X)) == dim B_k(Y), computed through the face-identity
-    embedding of chains.  On failure the witness is ``(k, chain)`` where
-    ``chain`` is a k-cycle of the subcomplex (as (face, coefficient) pairs)
-    that bounds in ``x`` but not in the subcomplex.
+    In degree k >= 1 the map is injective iff the k-chains of the
+    subcomplex Y that bound in the ambient complex X already bound in Y.
+    Such a chain is automatically a cycle of Y, so the test compares
+    dim(C_k(Y) n B_k(X)) with dim B_k(Y), all read off rows of the ambient
+    boundary matrices and of the cached reduced basis of B_k(X).  On
+    failure the witness is ``(k, chain)``: the first row of the reduced
+    echelon form of C_k(Y) n B_k(X) outside B_k(Y), as (face, coefficient)
+    pairs.
     """
     w = frozenset(subset)
     if not w <= x.vertex_set:
@@ -156,48 +159,64 @@ def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -
         return Verdict(False, witness=(0, bad),
                        detail="two components of the subcomplex meet the same ambient component")
 
-    cdx = _chain_data(x, field)
-    cdy = ChainData(y, field)
-    for k in range(1, y.dim + 1):
-        zy = cdy.boundary(k).left_nullspace()
-        if zy.nrows == 0:
-            continue
-        by_rank = cdy.boundary(k + 1).rank() if k < y.dim else 0
-        if zy.nrows == by_rank:
+    cd = _chain_data(x, field)
+    # B_d(X) = 0, so the top degree of x never fails
+    top = min(y.dim, x.dim - 1)
+    rows_of = {k: [cd.index[k][f] for f in y.faces(k)] for k in range(1, top + 2)}
+    # rank of d_k on Y's k-faces; d_1's is |Y_0| minus Y's component count
+    rank_k = y.f_vector[0] - len(y.components())
+    for k in range(1, top + 1):
+        by = _rows_basis(cd, k + 1, rows_of[k + 1])  # B_k(Y)
+        cycles_dim, rank_k = len(rows_of[k]) - rank_k, by.dim
+        if cycles_dim == by.dim:
             continue  # H_k(Y) = 0
-        col_map = [cdx.index[k][f] for f in y.faces(k)]
-        n_xk = len(x.faces(k))
-        z_emb = zy.embed_columns(n_xk, col_map)
-        bx = cdx.boundary_rowspace(k)
-        joint = bx.copy()
-        for r in z_emb.rows:
-            joint.add(r)
-        inter_dim = z_emb.nrows + bx.dim - joint.dim
-        if inter_dim < by_rank:
+        # an element of B_k(X) is a combination of its reduced basis rows
+        # with coefficients its entries at the pivots; it is supported on
+        # Y's faces iff only rows pivoting there enter and their parts
+        # outside Y's faces cancel
+        pivots, rref = cd.boundary_rref(k)
+        ycols = set(rows_of[k])
+        meet_rows = [r for p, r in zip(pivots, rref) if p in ycols]
+        n = len(cd.index[k])
+        outside = _drop_columns(field, meet_rows, ycols, n)
+        meet_dim = len(meet_rows) - outside.rank()
+        if meet_dim < by.dim:
             raise InternalInconsistencyError(
-                f"degree {k}: Z(Y) ∩ B(X) has dimension {inter_dim} < dim B(Y) = {by_rank}")
-        if inter_dim == by_rank:
+                f"degree {k}: C(Y) ∩ B(X) has dimension {meet_dim} < dim B(Y) = {by.dim}")
+        if meet_dim == by.dim:
             continue
-        # extract a witness cycle: in Z_k(Y) and B_k(X) but not in B_k(Y)
-        bx_mat = cdx.boundary(k + 1) if k < x.dim else FMatrix.zeros(field, 0, n_xk)
-        inter = z_emb.rowspace_intersection(bx_mat)
-        by_emb = (cdy.boundary(k + 1) if k < y.dim
-                  else FMatrix.zeros(field, 0, len(y.faces(k)))).embed_columns(n_xk, col_map)
-        by_basis = by_emb.rowspace_basis()
-        witness_vec = None
-        for v in inter.rows:
-            resid = by_basis.reduce(v)
-            nonzero = resid != 0 if field.char == 2 else any(resid)
-            if nonzero:
-                witness_vec = v
-                break
-        if witness_vec is None:
-            raise InternalInconsistencyError(
-                f"degree {k}: no cycle of Z(Y) ∩ B(X) outside B(Y) despite the dimension gap")
-        chain = _decode_chain(witness_vec, x.faces(k), field)
-        return Verdict(False, witness=(k, chain),
-                       detail=f"a {k}-cycle of the subcomplex bounds in the complex but not in the subcomplex")
+        # the combinations whose parts outside Y cancel, applied to the rows
+        ambient = FMatrix(field, len(meet_rows), n, meet_rows)
+        meet = outside.left_nullspace().matmul(ambient).rowspace_basis()
+        for v in meet.rows:
+            resid = by.reduce(v)
+            if resid != 0 if field.char == 2 else any(resid):
+                chain = _decode_chain(v, x.faces(k), field)
+                return Verdict(False, witness=(k, chain),
+                               detail=f"a {k}-cycle of the subcomplex bounds in the complex but not in the subcomplex")
+        raise InternalInconsistencyError(
+            f"degree {k}: no cycle of C(Y) ∩ B(X) outside B(Y) despite the dimension gap")
     return Verdict(True)
+
+
+def _rows_basis(cd: ChainData, k: int, rows: Sequence[int]):
+    """Reduced basis of the span of the given rows of boundary(k)."""
+    bk = cd.boundary(k)
+    basis = row_basis(cd.field, bk.ncols)
+    for i in rows:
+        basis.add(bk.rows[i])
+    return basis
+
+
+def _drop_columns(field: FieldSpec, rows: list, cols: set, ncols: int) -> FMatrix:
+    """The rows with the given columns removed (zeroed, for GF(2))."""
+    if field.char == 2:
+        mask = 0
+        for j in cols:
+            mask |= 1 << j
+        return FMatrix(field, len(rows), ncols, [r & ~mask for r in rows])
+    keep = [j for j in range(ncols) if j not in cols]
+    return FMatrix(field, len(rows), len(keep), [[r[j] for j in keep] for r in rows])
 
 
 def _decode_chain(vec, faces: tuple, field: FieldSpec) -> tuple:

@@ -72,12 +72,6 @@ class _RowBasisGF2:
         self.rows: List[int] = []
         self.pivots: List[int] = []
 
-    def copy(self) -> "_RowBasisGF2":
-        c = _RowBasisGF2(self.ncols)
-        c.rows = list(self.rows)
-        c.pivots = list(self.pivots)
-        return c
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -115,12 +109,6 @@ class _RowBasisGFp:
         self.char = char
         self.rows: List[list] = []
         self.pivots: List[int] = []
-
-    def copy(self) -> "_RowBasisGFp":
-        c = _RowBasisGFp(self.ncols, self.char)
-        c.rows = [list(r) for r in self.rows]
-        c.pivots = list(self.pivots)
-        return c
 
     @property
     def dim(self) -> int:
@@ -199,12 +187,6 @@ class _RowBasisQ:
         self.ncols = ncols
         self.pivots: List[int] = []
         self._ints: List[dict] = []
-
-    def copy(self) -> "_RowBasisQ":
-        c = _RowBasisQ(self.ncols)
-        c.pivots = list(self.pivots)
-        c._ints = list(self._ints)  # rows are replaced, never mutated
-        return c
 
     @property
     def dim(self) -> int:
@@ -353,12 +335,6 @@ class FMatrix:
             basis.add(r)
         return basis
 
-    def stack(self, other: "FMatrix") -> "FMatrix":
-        if self.ncols != other.ncols or self.field != other.field:
-            raise ValueError("stack requires matching fields and column counts")
-        return FMatrix(self.field, self.nrows + other.nrows, self.ncols,
-                       list(self.rows) + list(other.rows))
-
     def transpose(self) -> "FMatrix":
         if self.field.char == 2:
             cols = []
@@ -437,55 +413,6 @@ class FMatrix:
         """Basis (as rows) of {c : c M = 0}."""
         return self.transpose().right_nullspace()
 
-    def embed_columns(self, new_ncols: int, col_map: list) -> "FMatrix":
-        """Scatter columns into a wider matrix: old column j becomes col_map[j]."""
-        if len(col_map) != self.ncols:
-            raise ValueError("column map length mismatch")
-        if self.field.char == 2:
-            out = []
-            for r in self.rows:
-                m = 0
-                rr = r
-                while rr:
-                    j = (rr & -rr).bit_length() - 1
-                    m |= 1 << col_map[j]
-                    rr &= rr - 1
-                out.append(m)
-            return FMatrix(self.field, self.nrows, new_ncols, out)
-        out_rows = []
-        for r in self.rows:
-            x = [0] * new_ncols
-            for j, c in enumerate(r):
-                if c:
-                    x[col_map[j]] = c
-            out_rows.append(x)
-        return FMatrix(self.field, self.nrows, new_ncols, out_rows)
-
-    def rowspace_intersection(self, other: "FMatrix") -> "FMatrix":
-        """Basis of rowspace(self) ∩ rowspace(other) via the split-block trick.
-
-        Reduce rows (a | a) for a in self and (b | 0) for b in other; basis
-        rows whose left block vanished carry intersection vectors in the
-        right block.
-        """
-        if self.ncols != other.ncols or self.field != other.field:
-            raise ValueError("intersection requires matching fields and column counts")
-        c = self.ncols
-        basis = row_basis(self.field, 2 * c)
-        if self.field.char == 2:
-            for a in self.rows:
-                basis.add(a | (a << c))
-            for b in other.rows:
-                basis.add(b)
-            low = (1 << c) - 1
-            vecs = [r >> c for r in basis.rows if not (r & low)]
-            return FMatrix(self.field, len(vecs), c, vecs)
-        for a in self.rows:
-            basis.add(list(a) + list(a))
-        for b in other.rows:
-            basis.add(list(b) + [0] * c)
-        vecs = [r[c:] for r in basis.rows if not any(r[:c])]
-        return FMatrix(self.field, len(vecs), c, vecs)
 
 
 def rank(m: FMatrix) -> int:

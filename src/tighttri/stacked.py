@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .catalog import boundary_simplex, icosahedron
 from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
                         Verdict, is_isomorphic, verify_closed_manifold)
-from .planarity import KuratowskiWitness, find_kuratowski_subdivision  # noqa: F401  (re-export)
 
 
 class HypothesisViolationError(ValueError):
@@ -103,6 +102,8 @@ def induced_cycles(g: Complex, max_len: int) -> List[CycleWitness]:
     """
     if g.dim > 1:
         raise PreconditionError("induced_cycles expects a graph (dimension <= 1)")
+    if max_len < 3:
+        raise PreconditionError(f"a cycle has at least 3 vertices, so max_len {max_len} < 3 is meaningless")
     adj: Dict[int, Set[int]] = {v: set(g.neighbors(v)) for v in g.vertices}
     found: List[CycleWitness] = []
     for s in g.vertices:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -78,15 +77,16 @@ def _scan_chunk(chunk: list) -> Optional[tuple]:
 
 def is_tight_bruteforce(x: Complex, field: FieldSpec, *,
                         allow_exponential: bool = False,
-                        jobs: Optional[int] = None) -> TightnessReport:
+                        jobs: int = 1) -> TightnessReport:
     """Definitional tightness: connectivity plus injectivity for every induced
     subcomplex on 2 <= |W| < f0 vertices (the full vertex set is trivially
     injective, singletons are automatic).
 
-    Refuses more than 30 vertices unless ``allow_exponential`` is set.  With
-    ``jobs`` > 1 large scans are sharded across processes; the merge keeps
-    the first failure in enumeration order, so results do not depend on the
-    worker count.
+    Refuses more than 30 vertices unless ``allow_exponential`` is set.  The
+    scan runs serially unless ``jobs`` > 1, which shards scans of 2**14 or
+    more subsets across that many processes; the merge keeps the first
+    failure in enumeration order, so results do not depend on the worker
+    count.
     """
     t0 = time.perf_counter()
     n = x.num_vertices
@@ -103,9 +103,8 @@ def is_tight_bruteforce(x: Complex, field: FieldSpec, *,
                                elapsed=time.perf_counter() - t0)
     chain_data(x, field)
     total = (1 << n) - n - 2 if n >= 2 else 0
-    workers = jobs if jobs is not None else (os.cpu_count() or 1)
-    if workers > 1 and total >= PARALLEL_MIN_SUBSETS:
-        failure = _scan_parallel(x, field, workers)
+    if jobs > 1 and total >= PARALLEL_MIN_SUBSETS:
+        failure = _scan_parallel(x, field, jobs)
     else:
         failure = None
         for i, w in enumerate(_subsets(x.vertices)):
@@ -224,7 +223,7 @@ class CrossValidation:
 
 def cross_validate(x: Complex, field: FieldSpec, *,
                    allow_exponential: bool = False,
-                   jobs: Optional[int] = None) -> CrossValidation:
+                   jobs: int = 1) -> CrossValidation:
     """Run the definitional and the fast decider on a closed 3-manifold and
     demand identical verdicts.  A disagreement raises — it would mean a bug,
     never a mathematical possibility."""

@@ -77,6 +77,14 @@ def corpus3(quotient_bank):
 
 
 @pytest.fixture(scope="session")
+def pinned_members(corpus3):
+    """The corpus by name plus rp2-6: the complexes of the pinned witnesses."""
+    out = dict(corpus3)
+    out["rp2-6"] = catalog.projective_plane_6()
+    return out
+
+
+@pytest.fixture(scope="session")
 def sphere_skeletons():
     """Fifty 2-sphere triangulations (stacked family plus the two prime types)."""
     out = [("tetrahedron", catalog.boundary_simplex(3)),

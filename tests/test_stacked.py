@@ -120,6 +120,12 @@ class TestInducedCycles:
         with pytest.raises(PreconditionError):
             induced_cycles(catalog.boundary_simplex(3), 5)
 
+    def test_rejects_length_bounds_below_three(self):
+        g = catalog.icosahedron().one_skeleton()
+        for max_len in (-3, 2):
+            with pytest.raises(PreconditionError):
+                induced_cycles(g, max_len)
+
 
 class TestMod3Obstruction:
     def test_tetrahedron_boundary(self):

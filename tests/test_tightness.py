@@ -71,6 +71,15 @@ class TestBruteForce:
         assert seq.verdict and par.verdict
         assert seq.subsets_scanned == par.subsets_scanned
 
+    def test_large_scans_are_serial_by_default(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(tightness, "ProcessPoolExecutor", no_pool)
+        x = catalog.cycle_complex(15)  # 2**15 - 17 subsets, above the parallel threshold
+        report = is_tight_bruteforce(x, GF2)
+        assert not report.verdict
+        assert report.witness == ((0, 2), 0) and report.subsets_scanned == 2
+
 
 class TestFast3Manifold:
     def test_boundary_delta4(self):
