@@ -280,6 +280,10 @@ class Complex:
     def is_connected(self) -> bool:
         return len(self._components) <= 1
 
+    @cached_property
+    def _closed_manifold_verdict(self) -> "Verdict":
+        return _check_closed_manifold(self)
+
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -336,20 +340,61 @@ def connected_sum(x: Complex, y: Complex, facet_x: Iterable[int],
     return out
 
 
-def _is_single_cycle(g: Complex) -> bool:
-    if g.dim != 1 or g.num_vertices < 3:
-        return False
-    if any(len(g.neighbors(v)) != 2 for v in g.vertices):
-        return False
-    return g.is_connected()
+def vertex_links(x: Complex) -> dict:
+    """The link of every vertex, from one pass over the faces.
+
+    A face with m vertices adds one (m-1)-vertex face to the link of each of
+    its vertices.  Each link equals ``x.link(v)``: removing a vertex common
+    to two sorted faces keeps their lexicographic order, so every link
+    bucket comes out sorted.
+    """
+    by_vertex = {v: [[] for _ in range(x.dim)] for v in x.vertices}
+    for k in range(1, x.dim + 1):
+        for f in x.faces(k):
+            # combinations(f, k) drops the vertices of f from the last to the first
+            for v, rest in zip(reversed(f), itertools.combinations(f, k)):
+                by_vertex[v][k - 1].append(rest)
+    return {v: Complex(tuple(tuple(b) for b in buckets if b), _closed=True)
+            for v, buckets in by_vertex.items()}
+
+
+def _opposite_edges(s: Complex) -> dict:
+    """For each vertex, the edge opposite it in each triangle containing it:
+    the edges of its link, when ``s`` is pure of dimension 2."""
+    opposite: dict = {v: [] for v in s.vertices}
+    for a, b, c in s.faces(2):
+        opposite[a].append((b, c))
+        opposite[b].append((a, c))
+        opposite[c].append((a, b))
+    return opposite
+
+
+def _walks_one_cycle(vertices: frozenset, edges: list) -> bool:
+    """Whether the simple graph on ``vertices`` (each an endpoint of some
+    edge) with these edges is a single cycle: every vertex lies on exactly
+    two edges, and the walk from one vertex visits all before it returns."""
+    nbrs: dict = {v: [] for v in vertices}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    for n in nbrs.values():
+        if len(n) != 2:
+            return False
+    start = next(iter(vertices))
+    prev, cur, steps = start, nbrs[start][0], 1
+    while cur != start:
+        a, b = nbrs[cur]
+        prev, cur = cur, (b if a == prev else a)
+        steps += 1
+    return steps == len(nbrs)
 
 
 def _two_sphere_check(s: Complex) -> tuple:
-    """(ok, reason) for the combinatorial 2-sphere test."""
-    if s.dim != 2:
-        return False, "link is not 2-dimensional"
-    if any(len(f) != 3 for f in s.facets):
-        return False, "link is not pure"
+    """(ok, reason) for the combinatorial 2-sphere test of a vertex link.
+
+    ``s`` is the link of a vertex in a complex whose facets are all
+    tetrahedra, so it is nonempty and pure of dimension 2.
+    """
     if not s.is_connected():
         return False, "link is disconnected"
     tri_count = {e: 0 for e in s.faces(1)}
@@ -360,8 +405,9 @@ def _two_sphere_check(s: Complex) -> tuple:
     for e, c in tri_count.items():
         if c != 2:
             return False, f"edge {e} lies in {c} triangles"
+    opposite = _opposite_edges(s)
     for v in s.vertices:
-        if not _is_single_cycle(s.link(v)):
+        if not _walks_one_cycle(s.neighbors(v), opposite[v]):
             return False, f"link of {v} inside the link is not a single cycle"
     f = s.f_vector
     if f[0] - f[1] + f[2] != 2:
@@ -372,11 +418,20 @@ def _two_sphere_check(s: Complex) -> tuple:
 def verify_closed_manifold(x: Complex) -> Verdict:
     """Decide whether the complex triangulates a closed manifold (dimension <= 3).
 
-    Links are checked recursively: in dimension 1 every vertex must lie on
-    exactly two edges, in dimension 2 every vertex link must be a single
-    cycle, and in dimension 3 every vertex link must pass the combinatorial
-    2-sphere test.  The witness on failure is the offending vertex or facet.
+    After a purity check on the facets, dimension 1 needs every vertex on
+    exactly two edges.  Dimension 2 collects, in one pass over the
+    triangles, the edges opposite each vertex, and needs them to form a
+    single cycle through the vertex's neighbours.  Dimension 3 builds every
+    vertex link in one pass over the faces (:func:`vertex_links`) and needs
+    each to pass the combinatorial 2-sphere test, whose links inside the
+    link are again cycle walks.  The witness on failure is the offending
+    vertex or facet.  The verdict is kept on the complex, which is
+    immutable, so checking the same object again costs nothing.
     """
+    return x._closed_manifold_verdict
+
+
+def _check_closed_manifold(x: Complex) -> Verdict:
     d = x.dim
     if d > 3:
         raise UnsupportedDimensionError(f"closed-manifold check supports dimension <= 3, got {d}")
@@ -393,12 +448,14 @@ def verify_closed_manifold(x: Complex) -> Verdict:
                 return Verdict(False, witness=v, detail=f"vertex {v} does not lie on exactly two edges")
         return Verdict(True, detail="closed 1-manifold (disjoint union of cycles)")
     if d == 2:
+        opposite = _opposite_edges(x)
         for v in x.vertices:
-            if not _is_single_cycle(x.link(v)):
+            if not _walks_one_cycle(x.neighbors(v), opposite[v]):
                 return Verdict(False, witness=v, detail=f"link of vertex {v} is not a single cycle")
         return Verdict(True, detail="closed 2-manifold")
+    links = vertex_links(x)
     for v in x.vertices:
-        ok, reason = _two_sphere_check(x.link(v))
+        ok, reason = _two_sphere_check(links[v])
         if not ok:
             return Verdict(False, witness=v, detail=f"link of vertex {v} is not a 2-sphere: {reason}")
     return Verdict(True, detail="closed 3-manifold")

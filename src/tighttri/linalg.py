@@ -316,14 +316,6 @@ class FMatrix:
             return cls(field, nrows, ncols, [0] * nrows)
         return cls(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
 
-    def entry(self, i: int, j: int):
-        if self.field.char == 2:
-            return (self.rows[i] >> j) & 1
-        return self.rows[i][j]
-
-    def to_lists(self) -> list:
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
-
     def rank(self) -> int:
         if self._rank is None:
             self._rank = self.rowspace_basis().dim
@@ -376,11 +368,6 @@ class FMatrix:
                 acc = [c % p for c in acc]
             out_rows.append(acc)
         return FMatrix(self.field, self.nrows, other.ncols, out_rows)
-
-    def is_zero(self) -> bool:
-        if self.field.char == 2:
-            return all(r == 0 for r in self.rows)
-        return all(not c for r in self.rows for c in r)
 
     def right_nullspace(self) -> "FMatrix":
         """Basis (as rows) of {x : M x = 0}."""

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .catalog import boundary_simplex, icosahedron
 from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
-                        Verdict, is_isomorphic, verify_closed_manifold)
+                        Verdict, is_isomorphic, verify_closed_manifold, vertex_links)
 
 
 class HypothesisViolationError(ValueError):
@@ -202,8 +202,9 @@ def is_locally_stacked(m: Complex) -> Verdict:
     man = verify_closed_manifold(m)
     if not man.ok or m.dim != 3:
         raise PreconditionError(f"not a closed 3-manifold: {man.detail or 'wrong dimension'}")
+    links = vertex_links(m)
     for v in m.vertices:
-        if not is_stacked_sphere(m.link(v), 2).ok:
+        if not is_stacked_sphere(links[v], 2).ok:
             return Verdict(False, witness=v, detail=f"link of vertex {v} is not stacked")
     return Verdict(True)
 

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tighttri import catalog, stacked_sphere
 from tighttri.cli import complex_document, dumps, load_complex, main, parse_field
@@ -336,3 +342,55 @@ class TestDeterminism:
         d1.pop("wall_time_s"); d2.pop("wall_time_s")
         d1["report"].pop("wall_time_s"); d2["report"].pop("wall_time_s")
         assert d1 == d2
+
+
+# Every subcommand that reads a complex, with the options each needs; the
+# placeholders become the drawn file, a facet-index pair, a bijection and
+# a certificate file.
+FUZZ_COMMANDS = [
+    ["check", "tight", "{x}", "--mode", "brute", "--field", "2"],
+    ["check", "tight", "{x}", "--mode", "auto", "--field", "q"],
+    ["check", "tight", "{x}", "--mode", "fast", "--field", "3", "--json"],
+    ["check", "manifold", "{x}", "--json"],
+    ["check", "stacked-sphere", "{x}"],
+    ["check", "stacked-sphere", "{x}", "--dim", "2"],
+    ["check", "locally-stacked", "{x}"],
+    ["homology", "{x}", "--field", "q"],
+    ["decompose", "{x}", "--json"],
+    ["cycles", "{x}", "--json"],
+    ["cycles", "{x}", "--mod3"],
+    ["gen", "handle", "{x}", "--facets", "{facets}", "--bijection", "{bijection}"],
+    ["classify", "{x}", "--cert", "{cert}"],
+]
+
+small_facets = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5),
+                        min_size=1, max_size=12)
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(facets=small_facets, as_json=st.booleans(),
+           pair=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+           bijection=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                              min_size=1, max_size=4))
+    def test_no_traceback_on_small_files(self, tight9, facets, as_json, pair, bijection):
+        """Exit 0, 1 or 2 on any small facet file, never an exception."""
+        _, cert = tight9
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.json" if as_json else "x.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                if as_json:
+                    json.dump({"facets": facets}, fh)
+                else:
+                    fh.write("".join(" ".join(map(str, f)) + "\n" for f in facets))
+            cert_path = os.path.join(tmp, "cert.json")
+            with open(cert_path, "w", encoding="utf-8") as fh:
+                json.dump(cert.to_dict(), fh)
+            fill = {"x": path, "facets": f"{pair[0]},{pair[1]}", "cert": cert_path,
+                    "bijection": ",".join(f"{a}:{b}" for a, b in bijection)}
+            for command in FUZZ_COMMANDS:
+                argv = [arg.format(**fill) for arg in command]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 1, 2), argv

@@ -16,6 +16,17 @@ from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, dim_sum
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5)]
 
 
+def entries(m: FMatrix) -> list:
+    """The entries of a matrix as dense lists (GF(2) rows are bitmasks)."""
+    if m.field.char == 2:
+        return [[(r >> j) & 1 for j in range(m.ncols)] for r in m.rows]
+    return [list(r) for r in m.rows]
+
+
+def is_zero(m: FMatrix) -> bool:
+    return all(c == 0 for row in entries(m) for c in row)
+
+
 @st.composite
 def small_complexes(draw, max_vertices=6):
     n = draw(st.integers(min_value=1, max_value=max_vertices))
@@ -31,15 +42,15 @@ class TestBoundaryMatrix:
         m = boundary_matrix(x, 1, QQ)
         # columns follow the sorted vertex order (3), (7); dropping the first
         # vertex carries the positive sign
-        assert m.to_lists() == [[-1, 1]]
-        assert boundary_matrix(x, 1, GF2).to_lists() == [[1, 1]]
+        assert entries(m) == [[-1, 1]]
+        assert entries(boundary_matrix(x, 1, GF2)) == [[1, 1]]
 
     def test_boundary_of_boundary_is_zero(self):
         x = catalog.boundary_simplex(3)
         for field in FIELDS:
             d2 = boundary_matrix(x, 2, field)
             d1 = boundary_matrix(x, 1, field)
-            assert d2.matmul(d1).is_zero()
+            assert is_zero(d2.matmul(d1))
 
     def test_projective_plane_d2_rank_over_gf2(self):
         # chi = 1 with beta_0 = beta_2 = 1 over GF(2) forces rank 9
@@ -55,7 +66,7 @@ class TestBoundaryMatrix:
         for k in range(2, x.dim + 1):
             dk = boundary_matrix(x, k, field)
             dk1 = boundary_matrix(x, k - 1, field)
-            assert dk.matmul(dk1).is_zero()
+            assert is_zero(dk.matmul(dk1))
 
 
 class TestBetti:

@@ -1,0 +1,194 @@
+"""Differential tests of the closed-manifold check against the link-by-link
+reference it replaced: every input must give the same (ok, witness, detail)."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tighttri import Complex, catalog, from_facets, stacked_sphere, verify_closed_manifold
+from tighttri import complexes
+from tighttri.complexes import UnsupportedDimensionError, Verdict, vertex_links
+
+
+# -- reference: one Complex.link call per vertex and per vertex of each link --
+
+def _ref_is_single_cycle(g: Complex) -> bool:
+    if g.dim != 1 or g.num_vertices < 3:
+        return False
+    if any(len(g.neighbors(v)) != 2 for v in g.vertices):
+        return False
+    return g.is_connected()
+
+
+def _ref_two_sphere_check(s: Complex) -> tuple:
+    if s.dim != 2:
+        return False, "link is not 2-dimensional"
+    if any(len(f) != 3 for f in s.facets):
+        return False, "link is not pure"
+    if not s.is_connected():
+        return False, "link is disconnected"
+    tri_count = {e: 0 for e in s.faces(1)}
+    for t in s.faces(2):
+        tri_count[t[:2]] += 1
+        tri_count[t[::2]] += 1
+        tri_count[t[1:]] += 1
+    for e, c in tri_count.items():
+        if c != 2:
+            return False, f"edge {e} lies in {c} triangles"
+    for v in s.vertices:
+        if not _ref_is_single_cycle(s.link(v)):
+            return False, f"link of {v} inside the link is not a single cycle"
+    f = s.f_vector
+    if f[0] - f[1] + f[2] != 2:
+        return False, "Euler characteristic differs from 2"
+    return True, ""
+
+
+def reference_verify_closed_manifold(x: Complex) -> Verdict:
+    d = x.dim
+    if d > 3:
+        raise UnsupportedDimensionError(f"closed-manifold check supports dimension <= 3, got {d}")
+    if d < 0:
+        return Verdict(False, detail="empty complex")
+    if d == 0:
+        return Verdict(True, detail="closed 0-manifold (finite point set)")
+    for f in x.facets:
+        if len(f) != d + 1:
+            return Verdict(False, witness=f, detail=f"not pure: maximal face {f} has dimension {len(f) - 1}")
+    if d == 1:
+        for v in x.vertices:
+            if len(x.neighbors(v)) != 2:
+                return Verdict(False, witness=v, detail=f"vertex {v} does not lie on exactly two edges")
+        return Verdict(True, detail="closed 1-manifold (disjoint union of cycles)")
+    if d == 2:
+        for v in x.vertices:
+            if not _ref_is_single_cycle(x.link(v)):
+                return Verdict(False, witness=v, detail=f"link of vertex {v} is not a single cycle")
+        return Verdict(True, detail="closed 2-manifold")
+    for v in x.vertices:
+        ok, reason = _ref_two_sphere_check(x.link(v))
+        if not ok:
+            return Verdict(False, witness=v, detail=f"link of vertex {v} is not a 2-sphere: {reason}")
+    return Verdict(True, detail="closed 3-manifold")
+
+
+def check_against_reference(facets) -> Verdict:
+    """Compare on fresh complexes, so neither side sees a kept verdict."""
+    got = verify_closed_manifold(Complex.from_facets(facets))
+    want = reference_verify_closed_manifold(Complex.from_facets(facets))
+    assert (got.ok, got.witness, got.detail) == (want.ok, want.witness, want.detail)
+    return got
+
+
+def shifted(x: Complex, k: int) -> list:
+    return [tuple(v + k for v in f) for f in x.facets]
+
+
+# One input per failure reason of the 3-dimensional check (the facet-level
+# reasons are reached by the drawn complexes below).
+PINNED = [
+    ("two copies of the boundary of the 4-simplex sharing vertex 4",
+     shifted(catalog.boundary_simplex(4), 0) + shifted(catalog.boundary_simplex(4), 4),
+     4, "link of vertex 4 is not a 2-sphere: link is disconnected"),
+    ("cone over two tetrahedron boundaries sharing vertex 4",
+     [(0,) + f for f in shifted(catalog.boundary_simplex(3), 1) + shifted(catalog.boundary_simplex(3), 4)],
+     0, "link of vertex 0 is not a 2-sphere: link of 4 inside the link is not a single cycle"),
+    ("cone over the 7-vertex torus",
+     [(0,) + f for f in shifted(catalog.torus_7(), 1)],
+     0, "link of vertex 0 is not a 2-sphere: Euler characteristic differs from 2"),
+    ("suspension of the 7-vertex torus",
+     catalog.suspension(catalog.torus_7()).facets,
+     7, "link of vertex 7 is not a 2-sphere: Euler characteristic differs from 2"),
+    ("two tetrahedra sharing a triangle",
+     [(0, 1, 2, 3), (1, 2, 3, 4)],
+     0, "link of vertex 0 is not a 2-sphere: edge (1, 2) lies in 1 triangles"),
+]
+
+
+@pytest.mark.parametrize("facets,witness,detail", [p[1:] for p in PINNED],
+                         ids=[p[0] for p in PINNED])
+def test_pinned_three_dimensional_failures(facets, witness, detail):
+    v = check_against_reference(facets)
+    assert (v.ok, v.witness, v.detail) == (False, witness, detail)
+
+
+def test_corpus_and_spheres(corpus3, sphere_skeletons):
+    for _, x in corpus3 + sphere_skeletons:
+        assert check_against_reference(x.facets).ok
+
+
+@pytest.mark.parametrize("x", [catalog.torus_7(), catalog.projective_plane_6(),
+                               catalog.moebius_band_5(), catalog.icosahedron()]
+                         + [catalog.cycle_complex(n) for n in (3, 4, 7)],
+                         ids=["torus-7", "rp2-6", "moebius-5", "icosahedron",
+                              "cycle-3", "cycle-4", "cycle-7"])
+def test_catalog_members(x):
+    check_against_reference(x.facets)
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes of dimension 1 to 3 on at most 9 vertices."""
+    n = draw(st.integers(2, 9))
+    d = draw(st.integers(1, min(3, n - 1)))
+    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=d + 1, unique=True)
+    facets = draw(st.lists(facet, min_size=1, max_size=24))
+    facets.append(draw(st.lists(st.integers(0, n - 1), min_size=d + 1, max_size=d + 1, unique=True)))
+    return facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_complexes())
+def test_drawn_complexes(facets):
+    check_against_reference(facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 6), st.integers(0, 10**6))
+def test_perturbed_stacked_spheres(d, extra, seed):
+    """Stacked spheres with facets removed, added or relabelled, so that most
+    of them fail somewhere inside the vertex links."""
+    rng = random.Random(seed)
+    n = d + 2 + extra
+    facets = [list(f) for f in stacked_sphere(n, d, seed=seed).facets]
+    for _ in range(rng.randint(1, 3)):
+        move = rng.randrange(3)
+        if move == 0 and len(facets) > 1:
+            facets.pop(rng.randrange(len(facets)))
+        elif move == 1:
+            facets.append(rng.sample(range(n + 1), d + 1))
+        else:
+            f = rng.choice(facets)
+            f[rng.randrange(d + 1)] = rng.choice([v for v in range(n + 1) if v not in f])
+    check_against_reference(facets)
+
+
+def test_vertex_links_match_link():
+    for x in (catalog.boundary_simplex(4), catalog.torus_7(), catalog.cycle_complex(5),
+              from_facets([(0, 1, 2, 3), (3, 4), (5,), (2, 6, 7)]), stacked_sphere(9, 3, seed=2)):
+        links = vertex_links(x)
+        assert list(links) == list(x.vertices)
+        for v in x.vertices:
+            assert links[v] == x.link(v)
+
+
+def test_verdict_is_kept_on_the_complex(monkeypatch):
+    x = stacked_sphere(8, 3, seed=1)
+    first = verify_closed_manifold(x)
+
+    def fail(_):
+        raise AssertionError("the verdict was recomputed")
+
+    monkeypatch.setattr(complexes, "_check_closed_manifold", fail)
+    assert verify_closed_manifold(x) is first
+    with pytest.raises(AssertionError):
+        verify_closed_manifold(stacked_sphere(8, 3, seed=1))
+
+
+def test_dimension_cap_is_raised_on_every_call():
+    x = from_facets([range(5)])
+    for _ in range(2):
+        with pytest.raises(UnsupportedDimensionError):
+            verify_closed_manifold(x)
