@@ -14,9 +14,9 @@ from .complexes import (Complex, Face, InternalInconsistencyError, MalformedComp
                         PreconditionError, UnknownVertexError, UnsupportedDimensionError, Verdict,
                         connected_sum, from_facets, is_isomorphic, verify_closed_manifold)
 from .construct import (AdmissibilityError, AdmissibleK, Certificate, HandleStep,
-                        TopologyClass, admissible_k, candidate_handle_sites,
-                        classify_topology, find_admissible_handle, handle_addition,
-                        search_tight, stacked_sphere)
+                        MalformedCertificateError, TopologyClass, admissible_k,
+                        candidate_handle_sites, classify_topology, find_admissible_handle,
+                        handle_addition, search_tight, stacked_sphere)
 from .homology import (ChainData, betti, boundary_matrix, chain_data,
                        induced_map_injective, is_orientable)
 from .linalg import GF2, QQ, FMatrix, FieldSpec, dim_sum, rank
@@ -36,7 +36,8 @@ __all__ = [
     "AdmissibilityError", "AdmissibleK", "Certificate", "ChainData", "Complex",
     "CrossValidation", "CycleWitness", "FMatrix", "Face", "FieldSpec", "GF2",
     "HandleStep", "HypothesisViolationError", "InternalInconsistencyError",
-    "KuratowskiWitness", "MalformedComplexError", "PreconditionError", "QQ",
+    "KuratowskiWitness", "MalformedCertificateError", "MalformedComplexError",
+    "PreconditionError", "QQ",
     "SummandList", "SurfaceFVector", "TightnessReport", "TopologyClass",
     "UnknownVertexError", "UnsupportedDimensionError", "Verdict", "admissible_k",
     "betti", "boundary_matrix", "boundary_simplex", "builtin",

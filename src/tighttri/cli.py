@@ -350,7 +350,7 @@ def _cmd_classify(args) -> int:
         raise InputError(f"cannot read {args.cert}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"invalid certificate JSON: {e}") from None
-    if "certificate" in cert_doc:  # accept whole `search tight` outputs
+    if isinstance(cert_doc, dict) and "certificate" in cert_doc:  # a whole `search tight` output
         cert_doc = cert_doc["certificate"]
     try:
         cert = Certificate.from_dict(cert_doc)

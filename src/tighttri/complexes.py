@@ -109,12 +109,6 @@ class Complex:
         faces = tuple(tuple(sorted(by_dim[k])) for k in dims)
         return cls(faces, _closed=True)
 
-    @classmethod
-    def _from_closed_faces(cls, faces_by_dim: Iterable[Iterable[Face]]) -> "Complex":
-        """Fast path for face sets already known to be downward closed."""
-        faces = tuple(tuple(sorted(bucket)) for bucket in faces_by_dim if bucket)
-        return cls(faces, _closed=True)
-
     # -- basic queries ------------------------------------------------------
 
     @property

@@ -33,6 +33,22 @@ class AdmissibilityError(ValueError):
     """A handle addition request violates its gluing constraints."""
 
 
+class MalformedCertificateError(ValueError):
+    """A certificate document does not have the shape ``to_dict`` writes."""
+
+
+def _ints(value, field: str) -> tuple:
+    if isinstance(value, (list, tuple)) and all(type(v) is int for v in value):
+        return tuple(value)
+    raise MalformedCertificateError(f"certificate field {field!r} must be a list of integers")
+
+
+def _int_lists(value, field: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise MalformedCertificateError(f"certificate field {field!r} must be a list of lists")
+    return tuple(_ints(v, field) for v in value)
+
+
 @dataclass(frozen=True)
 class HandleStep:
     """One elementary handle addition: two disjoint facets and the vertex
@@ -83,16 +99,22 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Certificate":
-        steps = tuple(
-            HandleStep(tuple(s["facet1"]), tuple(s["facet2"]),
-                       tuple(tuple(p) for p in s["bijection"]))
-            for s in doc.get("steps", ())
-        )
+        """Inverse of :meth:`to_dict`; a document of any other shape raises
+        :class:`MalformedCertificateError` (a missing field, ``KeyError``)."""
+        if not isinstance(doc, dict):
+            raise MalformedCertificateError("a certificate must be a JSON object")
+        steps = doc.get("steps", ())
         params = doc.get("seed_params")
+        if not isinstance(steps, (list, tuple)) or not all(isinstance(s, dict) for s in steps):
+            raise MalformedCertificateError("certificate field 'steps' must be a list of objects")
+        if params is not None and not isinstance(params, (list, tuple)):
+            raise MalformedCertificateError("certificate field 'seed_params' must be a list")
         return cls(
-            seed_facets=tuple(tuple(f) for f in doc["seed_facets"]),
-            steps=steps,
-            final_f_vector=tuple(doc["final_f_vector"]),
+            seed_facets=_int_lists(doc["seed_facets"], "seed_facets"),
+            steps=tuple(HandleStep(_ints(s["facet1"], "facet1"), _ints(s["facet2"], "facet2"),
+                                   _int_lists(s["bijection"], "bijection"))
+                        for s in steps),
+            final_f_vector=_ints(doc["final_f_vector"], "final_f_vector"),
             rng_seed=doc.get("rng_seed"),
             seed_params=tuple(params) if params else None,
         )

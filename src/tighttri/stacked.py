@@ -73,7 +73,8 @@ def is_stacked_sphere(s: Complex, d: int) -> Verdict:
         pick = None
         replacement = None
         for v in current.vertices:
-            link_vertices = tuple(sorted(current.link(v).vertex_set))
+            # current stays a closed manifold, so v's link spans its neighbours
+            link_vertices = tuple(sorted(current.neighbors(v)))
             if len(link_vertices) != d + 1:
                 continue
             if current.has_face(link_vertices):
@@ -227,60 +228,35 @@ def _empty_triangle(s: Complex) -> Optional[tuple]:
 
 
 def _split_at_triangle(s: Complex, tri: tuple) -> Tuple[Complex, Complex]:
-    """Cut a 2-sphere along an empty triangle into its two closed sides."""
-    cut_edges = {tri[:2], tri[::2], tri[1:]}
-    edge_to_facets: Dict[tuple, List[tuple]] = {}
-    for f in s.facets:
-        for e in (f[:2], f[::2], f[1:]):
-            edge_to_facets.setdefault(e, []).append(f)
-    facets = list(s.facets)
-    comp_of: Dict[tuple, int] = {}
-    comp_id = 0
-    for start in facets:
-        if start in comp_of:
-            continue
-        stack = [start]
-        comp_of[start] = comp_id
-        while stack:
-            f = stack.pop()
-            for e in (f[:2], f[::2], f[1:]):
-                if e in cut_edges:
-                    continue
-                for g in edge_to_facets[e]:
-                    if g not in comp_of:
-                        comp_of[g] = comp_id
-                        stack.append(g)
-        comp_id += 1
-    if comp_id != 2:
+    """Cut a 2-sphere along an empty triangle into its two closed sides.
+
+    Without the triangle's vertices the sphere falls into the interiors of
+    the two disks the triangle bounds, ordered by least vertex; each side is
+    the subcomplex induced on one interior and the triangle, plus the
+    triangle as a facet.
+    """
+    interiors = s.induced(s.vertex_set - set(tri)).components()
+    if len(interiors) != 2:
         raise HypothesisViolationError(
-            f"empty triangle {tri} does not separate the facets into two sides",
+            f"empty triangle {tri} does not separate the sphere into two sides",
             witness=tri)
-    sides = [[], []]
-    for f, c in comp_of.items():
-        sides[c].append(f)
-    side_complexes = []
-    vertex_sets = []
-    for part in sides:
-        part.append(tri)
-        side = Complex.from_facets(part)
-        side_complexes.append(side)
-        vertex_sets.append(side.vertex_set)
-    if vertex_sets[0] & vertex_sets[1] != set(tri):
-        raise HypothesisViolationError(
-            f"sides of the cut at {tri} share vertices beyond the triangle",
-            witness=tri)
-    side_complexes.sort(key=lambda c: min(c.vertex_set - set(tri)))
-    return side_complexes[0], side_complexes[1]
+    left, right = (Complex.from_facets(s.induced(c | set(tri)).faces(2) + (tri,))
+                   for c in interiors)
+    return left, right
 
 
 def decompose_ti(s: Complex) -> SummandList:
     """Decompose a 2-sphere into tetrahedron/icosahedron boundary summands.
 
-    Requires the sphere to have no chordless cycle of length = 1 (mod 3)
-    (checked up front; cut sides inherit the property).  Cuts are made at
-    the lexicographically first empty triangle; a prime piece isomorphic to
-    neither summand type raises, since the decomposition theorem rules that
-    out for admissible input.
+    Cuts are made at the lexicographically first empty triangle until every
+    piece is prime.  A chordless cycle of length >= 4 cannot cross an empty
+    triangle (two triangle vertices on it would form a chord), and each
+    piece's graph is induced from the sphere's, so the sphere's chordless
+    cycles of length = 1 (mod 3) are exactly those of its prime pieces; T
+    and I have none.  Only pieces that are neither are searched: the least
+    such cycle in (length, vertices) order raises, and otherwise the first
+    unrecognised piece does, since the decomposition theorem rules both out
+    for admissible input.
     """
     man = verify_closed_manifold(s)
     if not man.ok or s.dim != 2 or not s.is_connected():
@@ -288,13 +264,9 @@ def decompose_ti(s: Complex) -> SummandList:
     f = s.f_vector
     if f[0] - f[1] + f[2] != 2:
         raise PreconditionError("not a 2-sphere: Euler characteristic differs from 2")
-    obstruction = mod3_obstruction(s)
-    if not obstruction.ok:
-        raise HypothesisViolationError(
-            f"sphere has a chordless cycle of length = 1 (mod 3): {obstruction.witness.vertices}",
-            witness=obstruction.witness)
     counts: Counter = Counter()
     cuts: List[tuple] = []
+    unrecognised: List[Complex] = []
     stack = [s]
     tetra = boundary_simplex(3)
     icosa = icosahedron()
@@ -307,14 +279,22 @@ def decompose_ti(s: Complex) -> SummandList:
             elif is_isomorphic(piece, icosa) is not None:
                 counts["I"] += 1
             else:
-                raise HypothesisViolationError(
-                    f"prime summand with f-vector {piece.f_vector} is neither "
-                    "the tetrahedron nor the icosahedron boundary")
+                unrecognised.append(piece)
             continue
         left, right = _split_at_triangle(piece, tri)
         cuts.append((tri, (tuple(sorted(left.vertex_set)), tuple(sorted(right.vertex_set)))))
         stack.append(right)
         stack.append(left)
+    violations = [v.witness for v in map(mod3_obstruction, unrecognised) if not v.ok]
+    if violations:
+        witness = min(violations, key=lambda c: (c.length, c.vertices))
+        raise HypothesisViolationError(
+            f"sphere has a chordless cycle of length = 1 (mod 3): {witness.vertices}",
+            witness=witness)
+    if unrecognised:
+        raise HypothesisViolationError(
+            f"prime summand with f-vector {unrecognised[0].f_vector} is neither "
+            "the tetrahedron nor the icosahedron boundary")
     return SummandList(counts["T"], counts["I"], tuple(cuts))
 
 

@@ -301,6 +301,14 @@ class TestSearchAndClassify:
         code, _, err = run(capsys, "classify", str(other), "--cert", str(certpath))
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["[]", '{"seed_facets": 5, "final_f_vector": [1]}'])
+    def test_classify_wrongly_shaped_certificate(self, capsys, tmp_path, text):
+        certpath = tmp_path / "cert.json"
+        certpath.write_text(text)
+        code, out, err = run(capsys, "classify", "builtin:boundary-delta4", "--cert", str(certpath))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestAdmissibleK:
     def test_table(self, capsys):
@@ -366,15 +374,28 @@ FUZZ_COMMANDS = [
 small_facets = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5),
                         min_size=1, max_size=12)
 
+# Any small JSON value, with the certificate's own field names among the keys
+# so that drawn objects reach the field checks.
+CERT_FIELDS = ["certificate", "seed_facets", "steps", "facet1", "facet2", "bijection",
+               "final_f_vector", "rng_seed", "seed_params"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(CERT_FIELDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=16)
+
 
 class TestFuzz:
     @settings(max_examples=60, deadline=None)
     @given(facets=small_facets, as_json=st.booleans(),
            pair=st.tuples(st.integers(0, 9), st.integers(0, 9)),
            bijection=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
-                              min_size=1, max_size=4))
-    def test_no_traceback_on_small_files(self, tight9, facets, as_json, pair, bijection):
-        """Exit 0, 1 or 2 on any small facet file, never an exception."""
+                              min_size=1, max_size=4),
+           drawn_cert=st.none() | st.tuples(json_values))
+    def test_no_traceback_on_small_files(self, tight9, facets, as_json, pair, bijection,
+                                         drawn_cert):
+        """Exit 0, 1 or 2 on any small facet file and any certificate JSON
+        value (the seed-0 certificate when none is drawn), never an exception."""
         _, cert = tight9
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "x.json" if as_json else "x.txt")
@@ -385,7 +406,7 @@ class TestFuzz:
                     fh.write("".join(" ".join(map(str, f)) + "\n" for f in facets))
             cert_path = os.path.join(tmp, "cert.json")
             with open(cert_path, "w", encoding="utf-8") as fh:
-                json.dump(cert.to_dict(), fh)
+                json.dump(cert.to_dict() if drawn_cert is None else drawn_cert[0], fh)
             fill = {"x": path, "facets": f"{pair[0]},{pair[1]}", "cert": cert_path,
                     "bijection": ",".join(f"{a}:{b}" for a, b in bijection)}
             for command in FUZZ_COMMANDS:

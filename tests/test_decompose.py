@@ -1,0 +1,261 @@
+"""Differential tests of the T/I decomposition against the reference it
+replaced, which searched the whole sphere for a chordless cycle of length
+= 1 (mod 3) before cutting and split each piece by a facet-adjacency search.
+Every input must give the same summands and cuts, or the same exception
+type, message and witness."""
+
+import random
+from collections import Counter
+from typing import Dict, List
+
+import pytest
+
+from tighttri import (Complex, HypothesisViolationError, PreconditionError, SummandList,
+                      Verdict, catalog, connected_sum, decompose_ti, mod3_obstruction,
+                      stacked_sphere, verify_closed_manifold)
+from tighttri import stacked
+from tighttri.catalog import boundary_simplex, icosahedron
+from tighttri.complexes import is_isomorphic
+from tighttri.stacked import _empty_triangle
+
+from conftest import random_ti_sum
+
+
+# -- reference: up-front obstruction, facet-adjacency split --------------------
+
+def _ref_split_at_triangle(s: Complex, tri: tuple):
+    cut_edges = {tri[:2], tri[::2], tri[1:]}
+    edge_to_facets: Dict[tuple, List[tuple]] = {}
+    for f in s.facets:
+        for e in (f[:2], f[::2], f[1:]):
+            edge_to_facets.setdefault(e, []).append(f)
+    facets = list(s.facets)
+    comp_of: Dict[tuple, int] = {}
+    comp_id = 0
+    for start in facets:
+        if start in comp_of:
+            continue
+        stack = [start]
+        comp_of[start] = comp_id
+        while stack:
+            f = stack.pop()
+            for e in (f[:2], f[::2], f[1:]):
+                if e in cut_edges:
+                    continue
+                for g in edge_to_facets[e]:
+                    if g not in comp_of:
+                        comp_of[g] = comp_id
+                        stack.append(g)
+        comp_id += 1
+    if comp_id != 2:
+        raise HypothesisViolationError(
+            f"empty triangle {tri} does not separate the facets into two sides",
+            witness=tri)
+    sides = [[], []]
+    for f, c in comp_of.items():
+        sides[c].append(f)
+    side_complexes = []
+    vertex_sets = []
+    for part in sides:
+        part.append(tri)
+        side = Complex.from_facets(part)
+        side_complexes.append(side)
+        vertex_sets.append(side.vertex_set)
+    if vertex_sets[0] & vertex_sets[1] != set(tri):
+        raise HypothesisViolationError(
+            f"sides of the cut at {tri} share vertices beyond the triangle",
+            witness=tri)
+    side_complexes.sort(key=lambda c: min(c.vertex_set - set(tri)))
+    return side_complexes[0], side_complexes[1]
+
+
+def reference_decompose_ti(s: Complex) -> SummandList:
+    man = verify_closed_manifold(s)
+    if not man.ok or s.dim != 2 or not s.is_connected():
+        raise PreconditionError(f"not a triangulated 2-sphere: {man.detail or 'wrong dimension'}")
+    f = s.f_vector
+    if f[0] - f[1] + f[2] != 2:
+        raise PreconditionError("not a 2-sphere: Euler characteristic differs from 2")
+    obstruction = mod3_obstruction(s)
+    if not obstruction.ok:
+        raise HypothesisViolationError(
+            f"sphere has a chordless cycle of length = 1 (mod 3): {obstruction.witness.vertices}",
+            witness=obstruction.witness)
+    counts: Counter = Counter()
+    cuts: List[tuple] = []
+    stack = [s]
+    tetra = boundary_simplex(3)
+    icosa = icosahedron()
+    while stack:
+        piece = stack.pop()
+        tri = _empty_triangle(piece)
+        if tri is None:
+            if is_isomorphic(piece, tetra) is not None:
+                counts["T"] += 1
+            elif is_isomorphic(piece, icosa) is not None:
+                counts["I"] += 1
+            else:
+                raise HypothesisViolationError(
+                    f"prime summand with f-vector {piece.f_vector} is neither "
+                    "the tetrahedron nor the icosahedron boundary")
+            continue
+        left, right = _ref_split_at_triangle(piece, tri)
+        cuts.append((tri, (tuple(sorted(left.vertex_set)), tuple(sorted(right.vertex_set)))))
+        stack.append(right)
+        stack.append(left)
+    return SummandList(counts["T"], counts["I"], tuple(cuts))
+
+
+def outcome(decompose, x: Complex) -> tuple:
+    try:
+        r = decompose(x)
+    except (HypothesisViolationError, PreconditionError) as e:
+        return type(e), str(e), e.witness if isinstance(e, HypothesisViolationError) else None
+    return r.as_dict(), r.cuts
+
+
+def assert_same(x: Complex) -> tuple:
+    got = outcome(decompose_ti, x)
+    assert got == outcome(reference_decompose_ti, x)
+    return got
+
+
+# -- input families -------------------------------------------------------------
+
+def ti_sum(kinds, rng: random.Random) -> Complex:
+    pieces = {"T": catalog.boundary_simplex(3), "I": catalog.icosahedron()}
+    x = pieces[kinds[0]]
+    for kind in kinds[1:]:
+        x = glue(x, pieces[kind], rng)
+    return x
+
+
+def glue(x: Complex, y: Complex, rng: random.Random) -> Complex:
+    fx = rng.choice(sorted(x.facets))
+    fy = rng.choice(sorted(y.facets))
+    perm = list(fx)
+    rng.shuffle(perm)
+    return connected_sum(x, y, fx, fy, dict(zip(fy, perm)))
+
+
+def flips(x: Complex, rng: random.Random):
+    """Every edge flip of a 2-sphere that keeps it simplicial, in seeded order."""
+    edges = list(x.faces(1))
+    rng.shuffle(edges)
+    for a, b in edges:
+        tris = [t for t in x.faces(2) if a in t and b in t]
+        c, d = (next(v for v in t if v not in (a, b)) for t in tris)
+        if x.has_face((c, d)):
+            continue
+        facets = [f for f in x.facets if f not in tris]
+        facets += [tuple(sorted((a, c, d))), tuple(sorted((b, c, d)))]
+        yield Complex.from_facets(facets)
+
+
+def flipped_violators(count: int, seed: int) -> List[Complex]:
+    """T/I sums with at least one icosahedron, each after the first seeded
+    edge flip that creates a chordless cycle of length = 1 (mod 3)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kinds = ["I"] + [rng.choice("TI") for _ in range(rng.randint(0, 3))]
+        rng.shuffle(kinds)
+        x = ti_sum(kinds, rng)
+        y = next((y for y in flips(x, rng) if not mod3_obstruction(y).ok), None)
+        if y is not None:
+            out.append(y)
+    return out
+
+
+def suspended_cycles() -> List[Complex]:
+    return [catalog.suspension(catalog.cycle_complex(n)) for n in range(3, 11)]
+
+
+# -- tests ----------------------------------------------------------------------
+
+def test_acceptance_sums_match_reference():
+    rng = random.Random(20160108)
+    for _ in range(200):
+        x, expected = random_ti_sum(rng, max_summands=6)
+        got = assert_same(x)
+        assert got[0] == {"T": expected.get("T", 0), "I": expected.get("I", 0)}
+
+
+def test_flipped_violators_match_reference():
+    witnesses = 0
+    for x in flipped_violators(60, seed=5):
+        got = assert_same(x)
+        assert got[0] is HypothesisViolationError
+        witnesses += got[2] is not None
+    assert witnesses == 60
+
+
+def test_single_flips_match_reference():
+    """The first flip of each sum, whether it creates a violation or leaves
+    a sum of summands."""
+    rng = random.Random(11)
+    results = Counter()
+    for _ in range(40):
+        kinds = [rng.choice("TI") for _ in range(rng.randint(1, 4))]
+        y = next(flips(ti_sum(kinds, rng), rng), None)
+        if y is not None:
+            results[assert_same(y)[0] is HypothesisViolationError] += 1
+    assert results[True] > 0 and results[False] > 0
+
+
+@pytest.mark.parametrize("n", [5, 6, 8, 12, 17, 25, 40])
+def test_stacked_spheres_match_reference(n):
+    for seed in range(15):
+        got = assert_same(stacked_sphere(n, 2, seed=seed))
+        assert got[0] == {"T": n - 3, "I": 0}
+
+
+def test_suspended_cycles_match_reference():
+    outcomes = [assert_same(x) for x in suspended_cycles()]
+    assert outcomes[0][0] == {"T": 2, "I": 0}
+    assert all(o[0] is HypothesisViolationError for o in outcomes[1:])
+
+
+def test_sums_with_suspended_cycles_match_reference():
+    rng = random.Random(3)
+    bases = suspended_cycles()
+    for i in range(40):
+        kinds = [rng.choice("TI") for _ in range(rng.randint(1, 3))]
+        x = glue(ti_sum(kinds, rng), bases[i % len(bases)], rng)
+        got = assert_same(x)
+        if i % len(bases):
+            assert got[0] is HypothesisViolationError and got[2] is not None
+
+
+def test_violations_in_several_pieces_match_reference():
+    """The least witness across pieces, whichever piece is cut off first."""
+    rng = random.Random(8)
+    for _ in range(30):
+        a, b = rng.sample(suspended_cycles()[1:], 2)
+        x = glue(glue(ti_sum(rng.choice(["T", "I", "TI"]), rng), a, rng), b, rng)
+        assert assert_same(x)[0] is HypothesisViolationError
+
+
+def test_unrecognised_pieces_without_witness_match_reference(monkeypatch):
+    """With the cycle search switched off, the first prime piece that is
+    neither summand raises, in the reference's cutting order."""
+    def no_obstruction(s):
+        return Verdict(True)
+
+    monkeypatch.setattr(stacked, "mod3_obstruction", no_obstruction)
+    monkeypatch.setitem(globals(), "mod3_obstruction", no_obstruction)
+    rng = random.Random(4)
+    octa, susp5 = suspended_cycles()[1:3]
+    messages = set()
+    for _ in range(10):
+        x = glue(glue(ti_sum(rng.choice(["T", "I", "TI"]), rng), octa, rng), susp5, rng)
+        got = assert_same(x)
+        assert got[0] is HypothesisViolationError and got[2] is None
+        messages.add(got[1])
+    assert len(messages) == 2
+
+
+def test_non_spheres_match_reference():
+    for x in (catalog.projective_plane_6(), catalog.torus_7(), catalog.cycle_complex(5),
+              catalog.boundary_simplex(4)):
+        assert assert_same(x)[0] is PreconditionError
