@@ -19,7 +19,7 @@ from .construct import (AdmissibilityError, AdmissibleK, Certificate, HandleStep
                         handle_addition, search_tight, stacked_sphere)
 from .homology import (ChainData, betti, boundary_matrix, chain_data,
                        induced_map_injective, is_orientable)
-from .linalg import GF2, QQ, FMatrix, FieldSpec, dim_sum, rank
+from .linalg import GF2, QQ, FMatrix, FieldSpec
 from .planarity import KuratowskiWitness, find_kuratowski_subdivision, is_planar_graph
 from .stacked import (CycleWitness, HypothesisViolationError, SummandList,
                       decompose_ti, induced_cycles, is_locally_stacked,
@@ -43,12 +43,12 @@ __all__ = [
     "betti", "boundary_matrix", "boundary_simplex", "builtin",
     "candidate_handle_sites", "chain_data", "classify_topology",
     "complete_bipartite", "complete_graph", "connected_sum", "cross_validate",
-    "cycle_complex", "decompose_ti", "dim_sum", "find_admissible_handle",
+    "cycle_complex", "decompose_ti", "find_admissible_handle",
     "find_kuratowski_subdivision", "from_facets", "handle_addition", "icosahedron",
     "induced_cycles", "induced_map_injective", "is_isomorphic", "is_locally_stacked",
     "is_orientable", "is_planar_graph", "is_stacked_sphere", "is_tight_bruteforce",
     "is_tight_fast_3manifold", "is_tight_surface", "moebius_band_5",
-    "mod3_obstruction", "projective_plane_6", "rank", "search_tight",
+    "mod3_obstruction", "projective_plane_6", "search_tight",
     "stacked_sphere", "subdivided_k33_graph", "surface_fvector_bounds",
     "suspension", "torus_7", "triangle_bound_check", "verify_closed_manifold",
     "verify_moebius", "verify_stacked_certificate",

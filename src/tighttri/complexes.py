@@ -183,6 +183,16 @@ class Complex:
         return tuple(out)
 
     @cached_property
+    def _neighbour_masks(self) -> tuple:
+        """Per vertex position, a bitmask over the positions of its neighbours."""
+        pos = self._vertex_position
+        out = [0] * self.num_vertices
+        for a, b in self.faces(1):
+            out[pos[a]] |= 1 << pos[b]
+            out[pos[b]] |= 1 << pos[a]
+        return tuple(out)
+
+    @cached_property
     def facets(self) -> tuple:
         """Inclusion-maximal faces, sorted by descending dimension then label."""
         subsumed: set = set()
@@ -229,12 +239,6 @@ class Complex:
                     by_dim.setdefault(len(rest) - 1, []).append(rest)
         dims = sorted(by_dim)
         return Complex(tuple(tuple(sorted(by_dim[k])) for k in dims), _closed=True)
-
-    def antistar(self, v: int) -> "Complex":
-        """Induced subcomplex on all vertices except v."""
-        if v not in self.vertex_set:
-            raise UnknownVertexError(f"vertex {v} is not in the complex")
-        return self.induced(self.vertex_set - {v})
 
     def one_skeleton(self) -> "Complex":
         """The underlying graph: faces of dimension at most one."""

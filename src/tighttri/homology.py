@@ -6,9 +6,9 @@ k-chain is a row vector, and the k-boundaries are the row space of the
 next boundary matrix.  An induced subcomplex shares its faces, and so its
 boundary matrices, with the ambient complex literally: they are the rows
 of the ambient matrices at the subcomplex's faces, no sign correction
-needed.  The injectivity test therefore never builds the subcomplex's chain
-complex; it takes ranks of ambient rows and of the cached reduced basis of
-the ambient boundaries.
+needed.  The injectivity test never builds the subcomplex: a vertex mask
+selects its faces and, by a flood over adjacency masks, its components; it
+takes ranks of ambient rows and of the kept bases Betti numbers share.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def boundary_matrix(x: Complex, k: int, field: FieldSpec) -> FMatrix:
 
 class ChainData:
     """Per-(complex, field) chain complex: face indexes, boundaries, and the
-    reduced echelon forms of the boundary spaces."""
+    reduced bases of their row spaces, each eliminated once."""
 
     def __init__(self, x: Complex, field: FieldSpec):
         self.complex = x
@@ -39,6 +39,7 @@ class ChainData:
             {f: i for i, f in enumerate(x.faces(k))} for k in range(x.dim + 1)
         ]
         self._boundaries: dict = {}
+        self._bases: dict = {}
         self._rrefs: dict = {}
 
     def boundary(self, k: int) -> FMatrix:
@@ -46,11 +47,17 @@ class ChainData:
             self._boundaries[k] = _build_boundary(self.complex, k, self.field, self.index)
         return self._boundaries[k]
 
+    def basis(self, k: int):
+        """Reduced basis of the row space of boundary(k), eliminated once."""
+        if k not in self._bases:
+            self._bases[k] = self.boundary(k).rowspace_basis()
+        return self._bases[k]
+
     def boundary_rref(self, k: int):
         """(pivots, rows) of the reduced row echelon form of the k-boundaries,
         the row space of boundary(k + 1), for k < dim."""
         if k not in self._rrefs:
-            basis = self.boundary(k + 1).rowspace_basis()
+            basis = self.basis(k + 1)
             self._rrefs[k] = (basis.pivots, basis.rows)
         return self._rrefs[k]
 
@@ -98,8 +105,8 @@ def betti(x: Complex, field: FieldSpec) -> tuple:
     f = x.f_vector
     out = []
     for k in range(x.dim + 1):
-        rk = cd.boundary(k).rank()
-        rk1 = cd.boundary(k + 1).rank() if k < x.dim else 0
+        rk = cd.basis(k).dim
+        rk1 = cd.basis(k + 1).dim if k < x.dim else 0
         out.append(f[k] - rk - rk1)
     return tuple(out)
 
@@ -112,59 +119,72 @@ def is_orientable(x: Complex, field: FieldSpec) -> bool:
     return betti(x, field)[x.dim] > 0
 
 
-def _component_injectivity(x: Complex, y: Complex, field: FieldSpec):
-    """Degree-0 fast path: distinct components of y must lie in distinct
-    components of x.  Returns None when injective, else a failing 0-cycle."""
-    ycomps = y.components()
-    if len(ycomps) <= 1:
-        return None
-    xcomp_of = {}
-    for i, comp in enumerate(x.components()):
-        for v in comp:
-            xcomp_of[v] = i
-    seen: dict = {}
-    for comp in ycomps:
-        rep = min(comp)
-        i = xcomp_of[rep]
-        if i in seen:
-            u = seen[i]
-            minus = 1 if field.char == 2 else -1
-            return ((u,), 1), ((rep,), minus)
-        seen[i] = rep
-    return None
+def component_masks(x: Complex, mask: int) -> list:
+    """Components of the induced subcomplex on the vertex positions set in
+    ``mask``, as masks ordered by their lowest set bit, the least vertex."""
+    nbrs = x._neighbour_masks
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbrs[low.bit_length() - 1] & mask & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        mask &= ~comp
+    return comps
 
 
 def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -> Verdict:
     """Is H_*(x[subset]) -> H_*(x) injective in every degree?
 
-    In degree k >= 1 the map is injective iff the k-chains of the
-    subcomplex Y that bound in the ambient complex X already bound in Y.
+    In degree 0 it fails iff two components of the subcomplex Y meet one
+    component of the ambient complex X.  In degree k >= 1 the map is
+    injective iff the k-chains of Y that bound in X already bound in Y.
     Such a chain is automatically a cycle of Y, so the test compares
     dim(C_k(Y) n B_k(X)) with dim B_k(Y), all read off rows of the ambient
     boundary matrices and of the cached reduced basis of B_k(X).  On
-    failure the witness is ``(k, chain)``: the first row of the reduced
-    echelon form of C_k(Y) n B_k(X) outside B_k(Y), as (face, coefficient)
-    pairs.
+    failure the witness is ``(k, chain)``: in degree 0 the 0-cycle u - v
+    on the least vertices of the first such pair of components, else the
+    first row of the reduced echelon form of C_k(Y) n B_k(X) outside
+    B_k(Y), as (face, coefficient) pairs.
     """
     w = frozenset(subset)
     if not w <= x.vertex_set:
         missing = sorted(w - x.vertex_set)
         raise UnknownVertexError(f"vertices {missing} are not in the complex")
-    y = x.induced(w)
-    if y.dim < 0:
+    if not w:
         raise PreconditionError("the induced subcomplex is empty")
+    pos = x._vertex_position
+    # B_d(X) = 0, so the top degree of x never fails
+    return injectivity_on_mask(x, sum(1 << pos[v] for v in w), field, x.dim - 1)
 
-    bad = _component_injectivity(x, y, field)
-    if bad is not None:
-        return Verdict(False, witness=(0, bad),
-                       detail="two components of the subcomplex meet the same ambient component")
+
+def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> Verdict:
+    """The test of :func:`induced_map_injective` in degrees 0..top < dim, for
+    the induced subcomplex Y on the vertex positions set in ``wmask``.  Y's
+    k-faces are the ambient ones inside ``wmask``, in Y's own order."""
+    comps = component_masks(x, wmask)
+    if len(comps) > 1:
+        ambient = component_masks(x, (1 << x.num_vertices) - 1)
+        seen: dict = {}  # ambient component -> least vertex of the first part in it
+        for comp in comps:
+            a = next(a for a in ambient if a & comp)
+            if a in seen:
+                u, v = (x.vertices[b.bit_length() - 1] for b in (seen[a], comp & -comp))
+                chain = ((u,), 1), ((v,), 1 if field.char == 2 else -1)
+                return Verdict(False, witness=(0, chain),
+                               detail="two components of the subcomplex meet the same ambient component")
+            seen[a] = comp & -comp
 
     cd = _chain_data(x, field)
-    # B_d(X) = 0, so the top degree of x never fails
-    top = min(y.dim, x.dim - 1)
-    rows_of = {k: [cd.index[k][f] for f in y.faces(k)] for k in range(1, top + 2)}
+    out = ~wmask
+    rows_of = [[i for i, m in enumerate(masks) if not m & out]
+               for masks in x._face_masks[:top + 2]]
     # rank of d_k on Y's k-faces; d_1's is |Y_0| minus Y's component count
-    rank_k = y.f_vector[0] - len(y.components())
+    rank_k = len(rows_of[0]) - len(comps)
     for k in range(1, top + 1):
         by = _rows_basis(cd, k + 1, rows_of[k + 1])  # B_k(Y)
         cycles_dim, rank_k = len(rows_of[k]) - rank_k, by.dim

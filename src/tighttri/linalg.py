@@ -399,18 +399,3 @@ class FMatrix:
     def left_nullspace(self) -> "FMatrix":
         """Basis (as rows) of {c : c M = 0}."""
         return self.transpose().right_nullspace()
-
-
-
-def rank(m: FMatrix) -> int:
-    return m.rank()
-
-
-def dim_sum(a: FMatrix, b: FMatrix) -> int:
-    """Dimension of rowspace(a) + rowspace(b)."""
-    if a.ncols != b.ncols or a.field != b.field:
-        raise ValueError("dim_sum requires matching fields and column counts")
-    basis = a.rowspace_basis()
-    for r in b.rows:
-        basis.add(r)
-    return basis.dim

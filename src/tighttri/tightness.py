@@ -3,7 +3,9 @@ criterion, the closed-surface criterion, and the surface f-vector arithmetic.
 
 The brute-force decider enumerates induced subcomplexes by increasing vertex
 count (then lexicographically) and stops at the first injectivity failure,
-so the reported witness is deterministic.  The fast 3-manifold decider
+so the reported witness is deterministic.  Subsets are vertex bitmasks,
+and on closed F-orientable surfaces and 3-manifolds Alexander duality halves
+the scan (see :func:`is_tight_bruteforce`).  The fast 3-manifold decider
 checks orientability together with (f0-4)(f0-5) = 20*beta_1 over the field;
 cross-validation of the two is the headline regression test and raises if
 they ever disagree.
@@ -20,7 +22,7 @@ from typing import Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
                         verify_closed_manifold)
-from .homology import betti, chain_data, induced_map_injective
+from .homology import betti, chain_data, component_masks, injectivity_on_mask
 from .linalg import FieldSpec
 
 BRUTE_FORCE_VERTEX_CAP = 30
@@ -35,7 +37,8 @@ class TightnessReport:
 
     ``witness`` is a ``(vertex subset, degree)`` pair and is present exactly
     when the brute-force method fails; the fast and surface methods record
-    the data their criterion evaluated instead.
+    the data their criterion evaluated instead.  ``subsets_scanned`` counts
+    the subsets decided, duality's included (2**f0 - f0 - 2 when tight).
     """
 
     verdict: bool
@@ -50,28 +53,44 @@ class TightnessReport:
     elapsed: float = 0.0
 
 
-def _subsets(vertices: tuple):
-    n = len(vertices)
-    for size in range(2, n):
-        yield from itertools.combinations(vertices, size)
+def _subset_masks(n: int, last: int):
+    """Vertex-position masks of the subsets of 2..last vertices, in scan order."""
+    bits = [1 << i for i in range(n)]
+    for size in range(2, last + 1):
+        for c in itertools.combinations(bits, size):
+            yield sum(c)
+
+
+def _duality_applies(x: Complex, field: FieldSpec) -> bool:
+    """Whether the connected ``x`` is a closed F-orientable 2- or 3-manifold."""
+    return x.dim in (2, 3) and verify_closed_manifold(x).ok and betti(x, field)[x.dim] > 0
+
+
+def _failing_degree(x: Complex, wmask: int, field: FieldSpec, dual: bool) -> Optional[int]:
+    """The least degree in which x[W] fails injectivity, or None; under
+    duality degree dim - 1 fails iff x[V - W] is disconnected."""
+    v = injectivity_on_mask(x, wmask, field, x.dim - 2 if dual else x.dim - 1)
+    if not v.ok:
+        return v.witness[0]
+    if dual and len(component_masks(x, ((1 << x.num_vertices) - 1) & ~wmask)) > 1:
+        return x.dim - 1
+    return None
 
 
 _WORKER: dict = {}
 
 
-def _init_worker(x: Complex, field: FieldSpec) -> None:
-    _WORKER["x"] = x
-    _WORKER["field"] = field
+def _init_worker(x: Complex, field: FieldSpec, dual: bool) -> None:
+    _WORKER["args"] = (x, field, dual)
     chain_data(x, field)
 
 
 def _scan_chunk(chunk: list) -> Optional[tuple]:
-    x = _WORKER["x"]
-    field = _WORKER["field"]
+    x, field, dual = _WORKER["args"]
     for j, w in enumerate(chunk):
-        v = induced_map_injective(x, w, field)
-        if not v.ok:
-            return j, w, v.witness[0]
+        degree = _failing_degree(x, w, field, dual)
+        if degree is not None:
+            return j, w, degree
     return None
 
 
@@ -82,11 +101,18 @@ def is_tight_bruteforce(x: Complex, field: FieldSpec, *,
     subcomplex on 2 <= |W| < f0 vertices (the full vertex set is trivially
     injective, singletons are automatic).
 
+    Each subset W is a vertex bitmask tested on the ambient faces.  On a
+    closed F-orientable 2- or 3-manifold (beta_dim > 0) Alexander duality
+    makes W fail in degree k iff V - W fails in degree dim - 1 - k, so every
+    failure past f0/2 vertices has an earlier dual: the scan stops after
+    floor(f0/2) vertices and tests degree dim - 1 by whether V - W is
+    disconnected.  ``subsets_scanned`` counts the subsets decided.
+
     Refuses more than 30 vertices unless ``allow_exponential`` is set.  The
-    scan runs serially unless ``jobs`` > 1, which shards scans of 2**14 or
-    more subsets across that many processes; the merge keeps the first
-    failure in enumeration order, so results do not depend on the worker
-    count.
+    scan runs serially unless ``jobs`` > 1, which shards scans that visit
+    2**14 or more subsets across that many processes; the merge keeps the
+    first failure in enumeration order, so results do not depend on the
+    worker count.
     """
     t0 = time.perf_counter()
     n = x.num_vertices
@@ -101,33 +127,37 @@ def is_tight_bruteforce(x: Complex, field: FieldSpec, *,
                                witness=(x.vertices, 0),
                                subsets_scanned=0,
                                elapsed=time.perf_counter() - t0)
+    dual = _duality_applies(x, field)
+    last = n // 2 if dual else n - 1
     chain_data(x, field)
-    total = (1 << n) - n - 2 if n >= 2 else 0
-    if jobs > 1 and total >= PARALLEL_MIN_SUBSETS:
-        failure = _scan_parallel(x, field, jobs)
+    visits = sum(math.comb(n, size) for size in range(2, last + 1))
+    if jobs > 1 and visits >= PARALLEL_MIN_SUBSETS:
+        failure = _scan_parallel(x, field, dual, last, jobs)
     else:
         failure = None
-        for i, w in enumerate(_subsets(x.vertices)):
-            v = induced_map_injective(x, w, field)
-            if not v.ok:
-                failure = (i, w, v.witness[0])
+        for i, w in enumerate(_subset_masks(n, last)):
+            degree = _failing_degree(x, w, field, dual)
+            if degree is not None:
+                failure = (i, w, degree)
                 break
     elapsed = time.perf_counter() - t0
     if failure is None:
+        total = (1 << n) - n - 2 if n >= 2 else 0
         return TightnessReport(True, "brute", field, x.f_vector,
                                subsets_scanned=total, elapsed=elapsed)
     idx, w, degree = failure
+    subset = tuple(v for i, v in enumerate(x.vertices) if w >> i & 1)
     return TightnessReport(False, "brute", field, x.f_vector,
-                           witness=(w, degree), subsets_scanned=idx + 1,
+                           witness=(subset, degree), subsets_scanned=idx + 1,
                            elapsed=elapsed)
 
 
-def _scan_parallel(x: Complex, field: FieldSpec, workers: int) -> Optional[tuple]:
-    gen = _subsets(x.vertices)
+def _scan_parallel(x: Complex, field: FieldSpec, dual: bool, last: int, workers: int) -> Optional[tuple]:
+    gen = _subset_masks(x.num_vertices, last)
     offset = 0
     pending: list = []
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(x, field)) as pool:
+                             initargs=(x, field, dual)) as pool:
         done = False
         while not done or pending:
             while not done and len(pending) < 2 * workers:

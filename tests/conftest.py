@@ -3,6 +3,7 @@ the searched 9-vertex tight instance, and a bank of 2-sphere skeletons."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -19,6 +20,17 @@ def subdivide_facet(x: Complex, facet) -> Complex:
     facets = [f for f in x.facets if f != tuple(sorted(facet))]
     base = tuple(sorted(facet))
     facets.extend(tuple(sorted(set(base) - {u} | {w})) for u in base)
+    return Complex.from_facets(facets)
+
+
+def cyclic_polytope_boundary(n: int, d: int) -> Complex:
+    """The boundary of the cyclic d-polytope on n vertices, by Gale evenness."""
+    facets = []
+    for f in itertools.combinations(range(n), d):
+        if all(sum(a < v < b for v in f) % 2 == 0
+               for a, b in itertools.combinations(range(n), 2)
+               if a not in f and b not in f):
+            facets.append(f)
     return Complex.from_facets(facets)
 
 

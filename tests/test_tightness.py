@@ -8,6 +8,7 @@ from tighttri import (Complex, InternalInconsistencyError, PreconditionError, ca
 from tighttri.homology import induced_map_injective
 from tighttri.linalg import GF2, QQ, FieldSpec
 from tighttri import tightness
+from conftest import cyclic_polytope_boundary
 
 
 class TestBruteForce:
@@ -53,14 +54,20 @@ class TestBruteForce:
             assert is_tight_bruteforce(y, field).verdict == \
                 is_tight_bruteforce(rp2, field).verdict
 
-    def test_parallel_scan_matches_sequential(self, monkeypatch):
+    def test_parallel_scan_matches_sequential(self, monkeypatch, tight9):
         monkeypatch.setattr(tightness, "PARALLEL_MIN_SUBSETS", 8)
         monkeypatch.setattr(tightness, "_CHUNK", 16)
-        x = catalog.icosahedron()
-        seq = is_tight_bruteforce(x, GF2, jobs=1)
-        par = is_tight_bruteforce(x, GF2, jobs=2)
-        assert (seq.verdict, seq.witness, seq.subsets_scanned) == \
-            (par.verdict, par.witness, par.subsets_scanned)
+        # the seed-0 quotient over GF(2) is a full pass under the duality
+        # gate, over Q a plain scan failing at subset 121; the cyclic
+        # polytope fails at exactly half its vertices under the gate
+        cases = [(catalog.icosahedron(), GF2), (tight9[0], GF2), (tight9[0], QQ),
+                 (cyclic_polytope_boundary(6, 4), GF2)]
+        for x, field in cases:
+            seq = is_tight_bruteforce(x, field, jobs=1)
+            par = is_tight_bruteforce(x, field, jobs=2)
+            assert (seq.verdict, seq.witness, seq.subsets_scanned) == \
+                (par.verdict, par.witness, par.subsets_scanned)
+        assert is_tight_bruteforce(tight9[0], QQ).subsets_scanned == 121
 
     def test_parallel_scan_full_pass(self, monkeypatch):
         monkeypatch.setattr(tightness, "PARALLEL_MIN_SUBSETS", 8)
