@@ -186,10 +186,14 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
     # rank of d_k on Y's k-faces; d_1's is |Y_0| minus Y's component count
     rank_k = len(rows_of[0]) - len(comps)
     for k in range(1, top + 1):
-        by = _rows_basis(cd, k + 1, rows_of[k + 1])  # B_k(Y)
-        cycles_dim, rank_k = len(rows_of[k]) - rank_k, by.dim
-        if cycles_dim == by.dim:
-            continue  # H_k(Y) = 0
+        cycles_dim = len(rows_of[k]) - rank_k
+        # B_k(Y) lies in Z_k(Y), so once its basis fills dim Z_k(Y), H_k(Y)
+        # is 0 and the basis dimension is the rank of d_{k+1} on Y; the meet
+        # below is reached only with a basis of the whole of B_k(Y)
+        by = _rows_basis(cd, k + 1, rows_of[k + 1], cycles_dim)
+        rank_k = by.dim
+        if by.dim == cycles_dim:
+            continue
         # an element of B_k(X) is a combination of its reduced basis rows
         # with coefficients its entries at the pivots; it is supported on
         # Y's faces iff only rows pivoting there enter and their parts
@@ -219,11 +223,14 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
     return Verdict(True)
 
 
-def _rows_basis(cd: ChainData, k: int, rows: Sequence[int]):
-    """Reduced basis of the span of the given rows of boundary(k)."""
+def _rows_basis(cd: ChainData, k: int, rows: Sequence[int], cap: int):
+    """Reduced basis of the span of the given rows of boundary(k); it stops
+    adding rows once its dimension reaches ``cap``."""
     bk = cd.boundary(k)
     basis = row_basis(cd.field, bk.ncols)
     for i in rows:
+        if basis.dim == cap:
+            break
         basis.add(bk.rows[i])
     return basis
 

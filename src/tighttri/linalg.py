@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over Q and prime fields.
+"""Exact linear algebra over Q and prime fields.
 
-Rational matrices hold ints, or ``fractions.Fraction`` for non-integral
-input, and are eliminated fraction-free on primitive integer rows; results
-read out of an elimination are exact rationals, a plain int wherever the
-value is integral.  GF(p) entries are ints in ``[0, p)``; GF(2) rows are
-bit-packed into Python ints and eliminated with word-parallel XOR.
+Matrices are dense.  Rational matrices hold ints, or ``fractions.Fraction``
+for non-integral input; GF(p) entries are ints in ``[0, p)``; GF(2) rows are
+bit-packed into Python ints.  Reduced row bases hold sparse rows: over Q
+primitive integer rows, eliminated fraction-free, with results read out as
+exact rationals, a plain int wherever the value is integral; over GF(p)
+monic rows mod p.  GF(2) bases eliminate bit-packed rows with word-parallel
+XOR.
 """
 
 from __future__ import annotations
@@ -99,47 +101,71 @@ class _RowBasisGF2:
 
 
 class _RowBasisGFp:
-    """Reduced basis over GF(p), p odd: rows are lists of ints in ``[0, p)``
-    with pivot entry 1."""
+    """Reduced basis over GF(p), p odd.
 
-    __slots__ = ("ncols", "char", "rows", "pivots")
+    Rows are sparse ``{column: entry}`` dicts in pivot order with entries in
+    ``[1, p)``.  Each is monic and zero in every other row's pivot column,
+    so together they are the reduced row echelon form.  Reducing walks only
+    the basis rows' nonzero entries; adding a row rewrites only the rows
+    with an entry at its pivot.
+    """
+
+    __slots__ = ("ncols", "char", "pivots", "_sparse")
 
     def __init__(self, ncols: int, char: int):
         self.ncols = ncols
         self.char = char
-        self.rows: List[list] = []
         self.pivots: List[int] = []
+        self._sparse: List[dict] = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._sparse)
 
-    def reduce(self, row: list) -> list:
-        row = list(row)
-        p_ = self.char
-        for piv, b in zip(self.pivots, self.rows):
-            c = row[piv]
+    @property
+    def rows(self) -> List[list]:
+        """The reduced row echelon form as lists of ints in ``[0, p)``."""
+        out = []
+        for b in self._sparse:
+            r = [0] * self.ncols
+            for j, v in b.items():
+                r[j] = v
+            out.append(r)
+        return out
+
+    def reduce(self, row) -> list:
+        """The residual of ``row`` against the basis, as a new dense list;
+        it is zero exactly when ``row`` lies in the row space."""
+        x = list(row)
+        p = self.char
+        for piv, b in zip(self.pivots, self._sparse):
+            c = x[piv]
             if c:
-                for j in range(piv, self.ncols):
-                    if b[j]:
-                        row[j] = (row[j] - c * b[j]) % p_
-        return row
+                for j, v in b.items():
+                    x[j] = (x[j] - c * v) % p
+        return x
 
-    def add(self, row: list) -> bool:
-        r = self.reduce(row)
-        piv = next((j for j, c in enumerate(r) if c), None)
-        if piv is None:
+    def add(self, row) -> bool:
+        xd = {j: v for j, v in enumerate(self.reduce(row)) if v}
+        if not xd:
             return False
-        p_ = self.char
-        inv = pow(r[piv], -1, p_)
-        r = [(c * inv) % p_ for c in r]
-        for i, b in enumerate(self.rows):
-            c = b[piv]
+        p = self.char
+        piv = next(iter(xd))  # keys are in column order
+        if xd[piv] != 1:
+            inv = pow(xd[piv], -1, p)
+            xd = {j: v * inv % p for j, v in xd.items()}
+        for b in self._sparse:
+            c = b.get(piv)
             if c:
-                self.rows[i] = [(bc - c * rc) % p_ for bc, rc in zip(b, r)]
+                for j, v in xd.items():
+                    nv = (b.get(j, 0) - c * v) % p
+                    if nv:
+                        b[j] = nv
+                    else:
+                        del b[j]
         idx = bisect_left(self.pivots, piv)
         self.pivots.insert(idx, piv)
-        self.rows.insert(idx, r)
+        self._sparse.insert(idx, xd)
         return True
 
 
@@ -160,6 +186,14 @@ def _rational(c):
     """An input entry as an exact rational: an int when it is integral."""
     f = Fraction(c)
     return f.numerator if f.denominator == 1 else f
+
+
+def _residue(c, p: int) -> int:
+    """A rational input entry a/b as ``a * b**-1`` mod p."""
+    f = Fraction(c)
+    if f.denominator % p == 0:
+        raise ValueError(f"{c} has no value mod {p}: p divides its denominator")
+    return f.numerator * pow(f.denominator, -1, p) % p
 
 
 def _ratio(a: int, b: int):
@@ -283,26 +317,22 @@ class FMatrix:
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable], ncols: Optional[int] = None) -> "FMatrix":
-        """Build from an iterable of entry rows (ints or Fractions)."""
+        """Build from an iterable of entry rows (ints or Fractions).  Over
+        GF(p) an entry a/b becomes ``a * b**-1`` mod p; ``ValueError`` when p
+        divides b."""
         data = [list(r) for r in rows]
         if ncols is None:
             ncols = len(data[0]) if data else 0
         if any(len(r) != ncols for r in data):
             raise ValueError("ragged rows")
-        if field.char == 2:
-            packed = []
-            for r in data:
-                m = 0
-                for j, c in enumerate(r):
-                    if int(c) % 2:
-                        m |= 1 << j
-                packed.append(m)
-            return cls(field, len(data), ncols, packed)
-        if field.char:
-            p = field.char
-            return cls(field, len(data), ncols, [[int(c) % p for c in r] for r in data])
-        return cls(field, len(data), ncols,
-                   [[c if type(c) is int else _rational(c) for c in r] for r in data])
+        p = field.char
+        if not p:
+            return cls(field, len(data), ncols,
+                       [[c if type(c) is int else _rational(c) for c in r] for r in data])
+        data = [[c % p if type(c) is int else _residue(c, p) for c in r] for r in data]
+        if p == 2:
+            data = [sum(1 << j for j, c in enumerate(r) if c) for r in data]
+        return cls(field, len(data), ncols, data)
 
     @classmethod
     def from_bitrows(cls, masks: Iterable[int], ncols: int) -> "FMatrix":

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from conftest import cyclic_polytope_boundary, subdivide_facet
 from tighttri import (Complex, betti, catalog, chain_data, induced_map_injective,
                       is_isomorphic, is_tight_bruteforce)
-from tighttri.homology import _decode_chain, _drop_columns, _rows_basis
+from tighttri.homology import _decode_chain, _drop_columns
 from tighttri.complexes import PreconditionError, UnknownVertexError, Verdict
-from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec
+from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
 from tighttri import tightness
 
 FIELDS = [GF2, FieldSpec.gf(3), QQ]
@@ -203,6 +203,16 @@ def test_duality_gate(tight9):
 
 
 # -- (c) masks against the induced-subcomplex decider ---------------------------
+
+def _rows_basis(cd, k: int, rows):
+    """Reduced basis of the span of all the given rows of boundary(k): the
+    decider's helper as it was, without the stop at dim Z_k(Y)."""
+    bk = cd.boundary(k)
+    basis = row_basis(cd.field, bk.ncols)
+    for i in rows:
+        basis.add(bk.rows[i])
+    return basis
+
 
 def induced_reference(x: Complex, subset, field: FieldSpec) -> Verdict:
     """The decider as it was before the mask test: it builds x[subset] and

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tighttri import boundary_matrix, catalog
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5), FieldSpec.gf(7)]
@@ -53,6 +54,25 @@ class TestFieldSpec:
         assert str(QQ) == "Q"
         assert str(GF2) == "GF(2)"
         assert str(FieldSpec.gf(17)) == "GF(17)"
+
+
+class TestFromRows:
+    def test_rationals_map_to_their_residues(self):
+        # a/b is a * b**-1 mod p, not int(a/b)
+        cases = {
+            GF2: ([Fraction(1, 3), Fraction(-3, 5), Fraction(4, 7), -1], [1, 1, 0, 1]),
+            FieldSpec.gf(3): ([Fraction(1, 2), 1, Fraction(-3, 5), Fraction(5, 4)], [2, 1, 0, 2]),
+            FieldSpec.gf(7): ([Fraction(1, 2), Fraction(-3, 4), Fraction(1, 3), Fraction(10, 9)],
+                              [4, 1, 5, 5]),
+        }
+        for field, (row, want) in cases.items():
+            assert entries(FMatrix.from_rows(field, [row])) == [want]
+
+    def test_denominator_divisible_by_p_is_rejected(self):
+        for field, bad in ((GF2, Fraction(1, 2)), (FieldSpec.gf(3), Fraction(1, 3)),
+                           (FieldSpec.gf(7), Fraction(5, 14))):
+            with pytest.raises(ValueError):
+                FMatrix.from_rows(field, [[1, bad]])
 
 
 class TestRank:
@@ -155,3 +175,107 @@ class TestNullspaces:
         m = FMatrix.zeros(QQ, 4, 0)
         assert m.rank() == 0
         assert m.left_nullspace().nrows == 4
+
+
+# -- GF(p) elimination against a dense oracle ----------------------------------
+
+ODD_PRIMES = [FieldSpec.gf(3), FieldSpec.gf(5), FieldSpec.gf(7), FieldSpec.gf(2 ** 31 - 1)]
+
+
+def gfp_rref(rows, ncols: int, p: int):
+    """(pivots, rows) of the reduced row echelon form over GF(p) by textbook
+    Gauss-Jordan elimination, column by column on dense rows."""
+    m = [[c % p for c in r] for r in rows]
+    pivots = []
+    for j in range(ncols):
+        i = len(pivots)
+        k = next((k for k in range(i, len(m)) if m[k][j]), None)
+        if k is None:
+            continue
+        m[i], m[k] = m[k], m[i]
+        inv = pow(m[i][j], -1, p)
+        m[i] = [c * inv % p for c in m[i]]
+        for t in range(len(m)):
+            c = m[t][j]
+            if t != i and c:
+                m[t] = [(u - c * v) % p for u, v in zip(m[t], m[i])]
+        pivots.append(j)
+    return pivots, m[:len(pivots)]
+
+
+def gfp_right_nullspace(rows, ncols: int, p: int):
+    """One vector per free column f: 1 at f, minus the RREF's column f at
+    the pivots."""
+    pivots, rref = gfp_rref(rows, ncols, p)
+    out = []
+    for f in range(ncols):
+        if f not in pivots:
+            x = [0] * ncols
+            x[f] = 1
+            for piv, b in zip(pivots, rref):
+                x[piv] = -b[f] % p
+            out.append(x)
+    return out
+
+
+def check_gfp_against_oracle(m: FMatrix, probes):
+    """Every readout of the elimination equals the oracle's, and ``reduce``
+    leaves ``v`` minus its RREF combination, zero exactly on the row space."""
+    p, rows, n = m.field.char, m.rows, m.ncols
+    pivots, rref = gfp_rref(rows, n, p)
+    assert m.rank() == len(pivots)
+    basis = m.rowspace_basis()
+    assert basis.pivots == pivots
+    assert basis.rows == rref
+    assert m.right_nullspace().rows == gfp_right_nullspace(rows, n, p)
+    assert m.left_nullspace().rows == gfp_right_nullspace(
+        [list(col) for col in zip(*rows)], len(rows), p)
+    for v in probes:
+        want = list(v)
+        for piv, b in zip(pivots, rref):
+            c = want[piv]
+            want = [(u - c * w) % p for u, w in zip(want, b)]
+        got = basis.reduce(v)
+        assert got == want
+        assert any(got) == (len(gfp_rref(rows + [v], n, p)[0]) > len(pivots))
+
+
+@st.composite
+def rank_deficient_gfp(draw, sparse: bool):
+    """A matrix over an odd prime field whose later rows include
+    combinations of its first ones, with probe vectors inside and outside
+    the row space."""
+    field = draw(st.sampled_from(ODD_PRIMES))
+    p = field.char
+    ncols = draw(st.integers(1, 7))
+    entry = (st.sampled_from([0, 0, 0, 1, p - 1, 2 % p]) if sparse
+             else st.integers(0, p - 1))
+    vec = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vec, min_size=1, max_size=5))
+    coeffs = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)),
+                           min_size=1, max_size=3))
+    combos = [[sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(ncols)] for cs in coeffs]
+    order = draw(st.permutations(range(len(rows) + len(combos))))
+    allrows = rows + combos
+    probes = combos + draw(st.lists(vec, min_size=1, max_size=3))
+    return FMatrix.from_rows(field, [allrows[i] for i in order], ncols), probes
+
+
+class TestGFpElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(rank_deficient_gfp(sparse=False))
+    def test_dense_matrices_match_oracle(self, drawn):
+        check_gfp_against_oracle(*drawn)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rank_deficient_gfp(sparse=True))
+    def test_sparse_matrices_match_oracle(self, drawn):
+        check_gfp_against_oracle(*drawn)
+
+    def test_corpus_boundary_matrices_match_oracle(self, corpus3):
+        gf3 = FieldSpec.gf(3)
+        surfaces = [("rp2-6", catalog.projective_plane_6()), ("torus-7", catalog.torus_7())]
+        for name, x in corpus3[::3] + surfaces:
+            for k in range(1, x.dim + 1):
+                m = boundary_matrix(x, k, gf3)
+                check_gfp_against_oracle(m, m.rows[:3] + [[1] * m.ncols])
