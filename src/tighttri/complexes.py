@@ -91,17 +91,8 @@ class Complex:
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "Complex":
         """Downward closure of the given facets; non-maximal inputs are absorbed."""
-        cand = sorted({_as_face(f) for f in facets}, key=len, reverse=True)
-        kept: list = []
-        kept_sets: list = []
-        for f in cand:
-            fs = set(f)
-            if any(fs <= ks for ks in kept_sets):
-                continue
-            kept.append(f)
-            kept_sets.append(fs)
         by_dim: dict = {}
-        for f in kept:
+        for f in {_as_face(f) for f in facets}:
             for size in range(1, len(f) + 1):
                 bucket = by_dim.setdefault(size - 1, set())
                 bucket.update(itertools.combinations(f, size))

@@ -11,22 +11,25 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
                         verify_closed_manifold)
 from .homology import is_orientable
 from .linalg import QQ, FieldSpec
-from .tightness import cross_validate, is_tight_fast_3manifold
+from .tightness import _first_hit, cross_validate, is_tight_fast_3manifold
 
 # A successful candidate is confirmed by the definitional decider only when
 # the subset scan is this small (2**12 subsets); bigger quotients keep the
 # polynomial certificate alone.
 BRUTE_CONFIRM_MAX_VERTICES = 12
+# Restarts per process-pool task of a parallel search: a block without a hit
+# is tens of milliseconds of work, far more than sending it costs, and a hit
+# is read no later than its block ends.
+_SEARCH_BLOCK = 16
 
 
 class AdmissibilityError(ValueError):
@@ -327,6 +330,15 @@ def _search_attempt(seed, restart: int, k: int, n: int, field: FieldSpec):
     return current, cert
 
 
+def _first_found(seed, k: int, n: int, field: FieldSpec, restarts: range):
+    """The first successful attempt among ``restarts``, in order, or None."""
+    for restart in restarts:
+        res = _search_attempt(seed, restart, k, n, field)
+        if res is not None:
+            return res
+    return None
+
+
 def search_tight(k: int, field: FieldSpec, budget: int = 10_000, seed=0,
                  jobs: int = 1) -> Optional[Tuple[Complex, Certificate]]:
     """Restart-based random search for a tight neighbourly handle quotient.
@@ -336,44 +348,23 @@ def search_tight(k: int, field: FieldSpec, budget: int = 10_000, seed=0,
     neighbourly and passes the polynomial tightness criterion over the given
     field, and small candidates are re-confirmed against the definitional
     decider before being returned.  Restarts are independent, so with
-    ``jobs`` > 1 they run in parallel and the lowest successful restart
-    index wins, keeping results seed-deterministic.
+    ``jobs`` > 1 they run in blocks on min(jobs, cores) processes and the
+    lowest successful restart index wins, keeping results seed-deterministic.
     """
     f0 = _vertex_count_for_k(k)  # raises for inadmissible k
     n = f0 + 4 * k
-    found = None
     if jobs > 1:
-        found = _search_parallel(seed, budget, k, n, field, jobs)
+        blocks = (range(start, min(start + _SEARCH_BLOCK, budget))
+                  for start in range(0, budget, _SEARCH_BLOCK))
+        found = _first_hit(partial(_first_found, seed, k, n, field), blocks, jobs)
     else:
-        for restart in range(budget):
-            res = _search_attempt(seed, restart, k, n, field)
-            if res is not None:
-                found = res
-                break
+        found = _first_found(seed, k, n, field, range(budget))
     if found is None:
         return None
     complex_, cert = found
     if complex_.num_vertices <= BRUTE_CONFIRM_MAX_VERTICES:
         cross_validate(complex_, field)  # raises on any disagreement
     return complex_, cert
-
-
-def _search_parallel(seed, budget: int, k: int, n: int, field: FieldSpec, jobs: int):
-    workers = min(jobs, os.cpu_count() or 1)
-    block = max(workers * 4, 16)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        start = 0
-        while start < budget:
-            stop = min(start + block, budget)
-            results = list(pool.map(_search_attempt,
-                                    [seed] * (stop - start), range(start, stop),
-                                    [k] * (stop - start), [n] * (stop - start),
-                                    [field] * (stop - start)))
-            for res in results:  # in restart order: lowest index wins
-                if res is not None:
-                    return res
-            start = stop
-    return None
 
 
 @dataclass(frozen=True)

@@ -5,24 +5,29 @@ The brute-force decider enumerates induced subcomplexes by increasing vertex
 count (then lexicographically) and stops at the first injectivity failure,
 so the reported witness is deterministic.  Subsets are vertex bitmasks,
 and on closed F-orientable surfaces and 3-manifolds Alexander duality halves
-the scan (see :func:`is_tight_bruteforce`).  The fast 3-manifold decider
-checks orientability together with (f0-4)(f0-5) = 20*beta_1 over the field;
-cross-validation of the two is the headline regression test and raises if
-they ever disagree.
+the scan and leaves out its top degree (see :func:`is_tight_bruteforce`).
+Serial and parallel scans run the same first-failure loop, and the process
+pool that serves them also serves the restart search.  The fast 3-manifold
+decider checks orientability together with (f0-4)(f0-5) = 20*beta_1 over
+the field; cross-validation of the two is the headline regression test and
+raises if they ever disagree.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
                         verify_closed_manifold)
-from .homology import betti, chain_data, component_masks, injectivity_on_mask
+from .homology import betti, injectivity_on_mask
 from .linalg import FieldSpec
 
 BRUTE_FORCE_VERTEX_CAP = 30
@@ -66,31 +71,35 @@ def _duality_applies(x: Complex, field: FieldSpec) -> bool:
     return x.dim in (2, 3) and verify_closed_manifold(x).ok and betti(x, field)[x.dim] > 0
 
 
-def _failing_degree(x: Complex, wmask: int, field: FieldSpec, dual: bool) -> Optional[int]:
-    """The least degree in which x[W] fails injectivity, or None; under
-    duality degree dim - 1 fails iff x[V - W] is disconnected."""
-    v = injectivity_on_mask(x, wmask, field, x.dim - 2 if dual else x.dim - 1)
-    if not v.ok:
-        return v.witness[0]
-    if dual and len(component_masks(x, ((1 << x.num_vertices) - 1) & ~wmask)) > 1:
-        return x.dim - 1
+def _first_failure(x: Complex, field: FieldSpec, top: int, block: tuple) -> Optional[tuple]:
+    """``(index, mask, degree)`` of the first mask in ``block = (start, masks)``
+    whose subcomplex fails injectivity in a degree up to ``top``, or None;
+    masks are numbered from ``start``."""
+    start, masks = block
+    for i, w in enumerate(masks, start):
+        v = injectivity_on_mask(x, w, field, top)
+        if not v.ok:
+            return i, w, v.witness[0]
     return None
 
 
-_WORKER: dict = {}
-
-
-def _init_worker(x: Complex, field: FieldSpec, dual: bool) -> None:
-    _WORKER["args"] = (x, field, dual)
-    chain_data(x, field)
-
-
-def _scan_chunk(chunk: list) -> Optional[tuple]:
-    x, field, dual = _WORKER["args"]
-    for j, w in enumerate(chunk):
-        degree = _failing_degree(x, w, field, dual)
-        if degree is not None:
-            return j, w, degree
+def _first_hit(task, blocks, jobs: int):
+    """The first non-None ``task(block)`` in block order, run on
+    min(jobs, cores) processes with at most two blocks per process queued;
+    the blocks still queued behind it are cancelled.  ``task`` and each block
+    are pickled to the workers, so ``task`` binds its arguments by
+    ``functools.partial``."""
+    workers = min(jobs, os.cpu_count() or 1)
+    blocks = iter(blocks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(task, b) for b in itertools.islice(blocks, 2 * workers))
+        while pending:
+            hit = pending.popleft().result()
+            if hit is not None:
+                for fut in pending:
+                    fut.cancel()
+                return hit
+            pending.extend(pool.submit(task, b) for b in itertools.islice(blocks, 1))
     return None
 
 
@@ -105,13 +114,19 @@ def is_tight_bruteforce(x: Complex, field: FieldSpec, *,
     closed F-orientable 2- or 3-manifold (beta_dim > 0) Alexander duality
     makes W fail in degree k iff V - W fails in degree dim - 1 - k, so every
     failure past f0/2 vertices has an earlier dual: the scan stops after
-    floor(f0/2) vertices and tests degree dim - 1 by whether V - W is
-    disconnected.  ``subsets_scanned`` counts the subsets decided.
+    floor(f0/2) vertices.  It also tests degrees 0..dim - 2 only.  X[V - W]
+    is a deformation retract of |X| - |X[W]|, so W fails in degree dim - 1
+    iff X[V - W] is disconnected, and that never decides the scan: if the
+    1-skeleton is complete, every nonempty X[V - W] is connected; otherwise
+    the first non-edge fails in degree 0, and no 2-vertex W fails in a
+    higher degree, because removing two points or an edge leaves a closed
+    connected manifold of dimension >= 2 connected.  So the first failure
+    is the full test's.  ``subsets_scanned`` counts the subsets decided.
 
     Refuses more than 30 vertices unless ``allow_exponential`` is set.  The
     scan runs serially unless ``jobs`` > 1, which shards scans that visit
-    2**14 or more subsets across that many processes; the merge keeps the
-    first failure in enumeration order, so results do not depend on the
+    2**14 or more subsets across min(jobs, cores) processes; the first
+    failure in enumeration order wins, so results do not depend on the
     worker count.
     """
     t0 = time.perf_counter()
@@ -127,19 +142,18 @@ def is_tight_bruteforce(x: Complex, field: FieldSpec, *,
                                witness=(x.vertices, 0),
                                subsets_scanned=0,
                                elapsed=time.perf_counter() - t0)
-    dual = _duality_applies(x, field)
-    last = n // 2 if dual else n - 1
-    chain_data(x, field)
+    if _duality_applies(x, field):
+        last, top = n // 2, x.dim - 2
+    else:
+        last, top = n - 1, x.dim - 1
     visits = sum(math.comb(n, size) for size in range(2, last + 1))
     if jobs > 1 and visits >= PARALLEL_MIN_SUBSETS:
-        failure = _scan_parallel(x, field, dual, last, jobs)
+        masks = _subset_masks(n, last)
+        blocks = ((start, list(itertools.islice(masks, _CHUNK)))
+                  for start in range(0, visits, _CHUNK))
+        failure = _first_hit(partial(_first_failure, x, field, top), blocks, jobs)
     else:
-        failure = None
-        for i, w in enumerate(_subset_masks(n, last)):
-            degree = _failing_degree(x, w, field, dual)
-            if degree is not None:
-                failure = (i, w, degree)
-                break
+        failure = _first_failure(x, field, top, (0, _subset_masks(n, last)))
     elapsed = time.perf_counter() - t0
     if failure is None:
         total = (1 << n) - n - 2 if n >= 2 else 0
@@ -150,33 +164,6 @@ def is_tight_bruteforce(x: Complex, field: FieldSpec, *,
     return TightnessReport(False, "brute", field, x.f_vector,
                            witness=(subset, degree), subsets_scanned=idx + 1,
                            elapsed=elapsed)
-
-
-def _scan_parallel(x: Complex, field: FieldSpec, dual: bool, last: int, workers: int) -> Optional[tuple]:
-    gen = _subset_masks(x.num_vertices, last)
-    offset = 0
-    pending: list = []
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(x, field, dual)) as pool:
-        done = False
-        while not done or pending:
-            while not done and len(pending) < 2 * workers:
-                chunk = list(itertools.islice(gen, _CHUNK))
-                if not chunk:
-                    done = True
-                    break
-                pending.append((offset, pool.submit(_scan_chunk, chunk)))
-                offset += len(chunk)
-            if not pending:
-                break
-            base, fut = pending.pop(0)
-            res = fut.result()
-            if res is not None:
-                for _, other in pending:
-                    other.cancel()
-                j, w, degree = res
-                return base + j, w, degree
-    return None
 
 
 def is_tight_fast_3manifold(x: Complex, field: FieldSpec) -> TightnessReport:

@@ -28,8 +28,22 @@ class TestFromFacets:
     def test_icosahedron_f_vector(self):
         assert catalog.icosahedron().f_vector == (12, 30, 20)
 
-    def test_non_maximal_input_absorbed(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_non_maximal_input_absorbed(self, data):
         assert from_facets([[1, 2, 3], [1, 2]]) == from_facets([[1, 2, 3]])
+        facets = data.draw(st.lists(
+            st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+            min_size=1, max_size=8))
+        subfaces = [data.draw(st.lists(st.sampled_from(f), min_size=1, max_size=len(f),
+                                       unique=True))
+                    for f in data.draw(st.lists(st.sampled_from(facets), max_size=8))]
+        mixed = data.draw(st.permutations(facets + subfaces))
+        x = from_facets(mixed)
+        assert x == from_facets(facets)
+        maximal = {tuple(sorted(f)) for f in facets
+                   if not any(set(f) < set(g) for g in facets)}
+        assert set(x.facets) == maximal
 
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(MalformedComplexError):

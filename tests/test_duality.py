@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import cyclic_polytope_boundary, subdivide_facet
 from tighttri import (Complex, betti, catalog, chain_data, induced_map_injective,
                       is_isomorphic, is_tight_bruteforce)
-from tighttri.homology import _decode_chain, _drop_columns
+from tighttri.homology import _decode_chain, _drop_columns, injectivity_on_mask
 from tighttri.complexes import PreconditionError, UnknownVertexError, Verdict
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
 from tighttri import tightness
@@ -99,20 +99,28 @@ def failing_degrees(x: Complex, w, field: FieldSpec) -> frozenset:
 
 
 def assert_per_degree_duality(x: Complex, field: FieldSpec) -> None:
-    """The failing degrees of W are {dim - 1 - k} of those of V - W, and both
-    the plain and the duality scan's per-subset decision find the least."""
+    """The failing degrees of W are {dim - 1 - k} of those of V - W; the
+    plain decision finds the least, and the duality scan's decision capped
+    at dim - 2 the least up to dim - 2.  Degree dim - 1, which the scan
+    leaves out, never fails on 2 vertices, nor anywhere on a neighbourly
+    complex."""
     d = x.dim
     verts = x.vertex_set
     fails = {}
     for size in range(1, x.num_vertices):
         for w in itertools.combinations(x.vertices, size):
             fails[frozenset(w)] = failing_degrees(x, w, field)
+    neighbourly = x.is_neighbourly()
     for w, ks in fails.items():
         assert ks == {d - 1 - k for k in fails[verts - w]}, (sorted(w), ks)
         v = induced_map_injective(x, w, field)
         assert (None if v.ok else v.witness[0]) == min(ks, default=None), sorted(w)
         mask = sum(1 << x.vertices.index(u) for u in w)
-        assert tightness._failing_degree(x, mask, field, True) == min(ks, default=None)
+        capped = injectivity_on_mask(x, mask, field, d - 2)
+        assert (None if capped.ok else capped.witness[0]) == \
+            min((k for k in ks if k <= d - 2), default=None), sorted(w)
+        if len(w) == 2 or neighbourly:
+            assert d - 1 not in ks, sorted(w)
 
 
 def orientable(x: Complex, field: FieldSpec) -> bool:

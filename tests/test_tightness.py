@@ -1,10 +1,12 @@
 import dataclasses
+import os
+from concurrent.futures import Future
 
 import pytest
 
 from tighttri import (Complex, InternalInconsistencyError, PreconditionError, catalog, cross_validate,
                       from_facets, is_tight_bruteforce, is_tight_fast_3manifold,
-                      is_tight_surface, surface_fvector_bounds)
+                      is_tight_surface, search_tight, surface_fvector_bounds)
 from tighttri.homology import induced_map_injective
 from tighttri.linalg import GF2, QQ, FieldSpec
 from tighttri import tightness
@@ -77,6 +79,42 @@ class TestBruteForce:
         par = is_tight_bruteforce(rp2, GF2, jobs=2)
         assert seq.verdict and par.verdict
         assert seq.subsets_scanned == par.subsets_scanned
+
+    def test_workers_are_capped_at_the_core_count(self, monkeypatch, tight9):
+        cores = os.cpu_count() or 1
+        asked = []
+
+        class InlinePool:
+            """Runs each task at submit; records the worker count asked for."""
+
+            def __init__(self, max_workers, **kwargs):
+                asked.append(max_workers)
+                if max_workers > cores:
+                    raise AssertionError(f"{max_workers} workers asked for on {cores} cores")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(tightness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(tightness, "PARALLEL_MIN_SUBSETS", 8)
+        monkeypatch.setattr(tightness, "_CHUNK", 16)
+        for x, field in [(tight9[0], GF2), (tight9[0], QQ), (catalog.icosahedron(), GF2)]:
+            seq = is_tight_bruteforce(x, field)
+            par = is_tight_bruteforce(x, field, jobs=10**6)
+            assert (seq.verdict, seq.witness, seq.subsets_scanned) == \
+                (par.verdict, par.witness, par.subsets_scanned)
+        assert len(asked) == 3
+        par = search_tight(1, GF2, budget=2000, seed=0, jobs=10**6)
+        assert par[0] == tight9[0] and par[1] == tight9[1]
+        assert len(asked) == 4
 
     def test_large_scans_are_serial_by_default(self, monkeypatch):
         def no_pool(*args, **kwargs):
