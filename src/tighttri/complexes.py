@@ -90,15 +90,22 @@ class Complex:
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "Complex":
-        """Downward closure of the given facets; non-maximal inputs are absorbed."""
+        """Downward closure of the given facets; non-maximal inputs are absorbed.
+
+        Distinct input faces of one size are all maximal, so they are kept as
+        :attr:`facets`; any other input leaves ``facets`` to be derived.
+        """
+        given = {_as_face(f) for f in facets}
         by_dim: dict = {}
-        for f in {_as_face(f) for f in facets}:
+        for f in given:
             for size in range(1, len(f) + 1):
                 bucket = by_dim.setdefault(size - 1, set())
                 bucket.update(itertools.combinations(f, size))
         dims = sorted(by_dim)
-        faces = tuple(tuple(sorted(by_dim[k])) for k in dims)
-        return cls(faces, _closed=True)
+        out = cls(tuple(tuple(sorted(by_dim[k])) for k in dims), _closed=True)
+        if len({len(f) for f in given}) == 1:
+            out.facets = tuple(sorted(given))
+        return out
 
     # -- basic queries ------------------------------------------------------
 
@@ -358,18 +365,18 @@ def _opposite_edges(s: Complex) -> dict:
     return opposite
 
 
-def _walks_one_cycle(vertices: frozenset, edges: list) -> bool:
-    """Whether the simple graph on ``vertices`` (each an endpoint of some
-    edge) with these edges is a single cycle: every vertex lies on exactly
-    two edges, and the walk from one vertex visits all before it returns."""
-    nbrs: dict = {v: [] for v in vertices}
+def _walks_one_cycle(edges: list) -> bool:
+    """Whether these edges of a simple graph form a single cycle through all
+    their endpoints: every endpoint lies on exactly two edges, and the walk
+    from one endpoint visits all before it returns."""
+    nbrs: dict = {}
     for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
     for n in nbrs.values():
         if len(n) != 2:
             return False
-    start = next(iter(vertices))
+    start = edges[0][0]
     prev, cur, steps = start, nbrs[start][0], 1
     while cur != start:
         a, b = nbrs[cur]
@@ -382,9 +389,21 @@ def _two_sphere_check(s: Complex) -> tuple:
     """(ok, reason) for the combinatorial 2-sphere test of a vertex link.
 
     ``s`` is the link of a vertex in a complex whose facets are all
-    tetrahedra, so it is nonempty and pure of dimension 2.
+    tetrahedra, so it is nonempty and pure of dimension 2: every edge lies
+    in a triangle, so the neighbours of a vertex are the endpoints of the
+    edges opposite it, and connectivity is a flood over those edges.
     """
-    if not s.is_connected():
+    opposite = _opposite_edges(s)
+    start = s.vertices[0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for e in opposite[stack.pop()]:
+            for w in e:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    if len(seen) != len(opposite):
         return False, "link is disconnected"
     tri_count = {e: 0 for e in s.faces(1)}
     for t in s.faces(2):
@@ -394,9 +413,8 @@ def _two_sphere_check(s: Complex) -> tuple:
     for e, c in tri_count.items():
         if c != 2:
             return False, f"edge {e} lies in {c} triangles"
-    opposite = _opposite_edges(s)
     for v in s.vertices:
-        if not _walks_one_cycle(s.neighbors(v), opposite[v]):
+        if not _walks_one_cycle(opposite[v]):
             return False, f"link of {v} inside the link is not a single cycle"
     f = s.f_vector
     if f[0] - f[1] + f[2] != 2:
@@ -412,10 +430,12 @@ def verify_closed_manifold(x: Complex) -> Verdict:
     triangles, the edges opposite each vertex, and needs them to form a
     single cycle through the vertex's neighbours.  Dimension 3 builds every
     vertex link in one pass over the faces (:func:`vertex_links`) and needs
-    each to pass the combinatorial 2-sphere test, whose links inside the
-    link are again cycle walks.  The witness on failure is the offending
-    vertex or facet.  The verdict is kept on the complex, which is
-    immutable, so checking the same object again costs nothing.
+    each to pass the combinatorial 2-sphere test.  That test reads the
+    link's connectivity, and the neighbours of each vertex inside it, off
+    the edges opposite the link's vertices, with no adjacency built; its
+    links inside the link are again cycle walks.  The witness on failure is
+    the offending vertex or facet.  The verdict is kept on the complex,
+    which is immutable, so checking the same object again costs nothing.
     """
     return x._closed_manifold_verdict
 
@@ -439,7 +459,7 @@ def _check_closed_manifold(x: Complex) -> Verdict:
     if d == 2:
         opposite = _opposite_edges(x)
         for v in x.vertices:
-            if not _walks_one_cycle(x.neighbors(v), opposite[v]):
+            if not _walks_one_cycle(opposite[v]):
                 return Verdict(False, witness=v, detail=f"link of vertex {v} is not a single cycle")
         return Verdict(True, detail="closed 2-manifold")
     links = vertex_links(x)

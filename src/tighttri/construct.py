@@ -165,6 +165,13 @@ def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
     (identifying adjacent vertices would collapse an edge).  The result is
     re-verified as a closed 3-manifold and the f-vector must drop by exactly
     (4, 6, 4, 2); identifications that merge any extra faces are rejected.
+
+    Both closed-manifold checks stay.  The one on the input is the stated
+    precondition, and its verdict is kept on the complex, so in a chain of
+    additions each intermediate result is checked once, not twice.  The one
+    on the result stays because it is not known whether the admissibility
+    checks and the exact f-vector drop already imply that the quotient is a
+    closed 3-manifold.
     """
     f1 = tuple(sorted(facet1))
     f2 = tuple(sorted(facet2))
@@ -242,18 +249,25 @@ def candidate_handle_sites(x: Complex) -> List[tuple]:
 
     Any edge running between the two facets would merge with a facet edge
     under the identification, so these are the only sites where a handle can
-    keep the f-vector bookkeeping exact.
+    keep the f-vector bookkeeping exact.  Each facet gets its vertex mask
+    and the union of its vertices' closed neighbourhoods; (f1, f2) is a site
+    exactly when the mask of f2 misses the closed neighbourhood of f1.
     """
     facets = sorted(x.facets)
-    out = []
-    for i, f1 in enumerate(facets):
-        for f2 in facets[i + 1:]:
-            if set(f1) & set(f2):
-                continue
-            if any(w in x.neighbors(v) for v in f1 for w in f2):
-                continue
-            out.append((f1, f2))
-    return out
+    pos = x._vertex_position
+    nbr = x._neighbour_masks
+    masks, closed = [], []
+    for f in facets:
+        m = c = 0
+        for v in f:
+            p = pos[v]
+            m |= 1 << p
+            c |= nbr[p]
+        masks.append(m)
+        closed.append(m | c)
+    return [(f1, facets[j])
+            for i, (f1, c) in enumerate(zip(facets, closed))
+            for j in range(i + 1, len(facets)) if not masks[j] & c]
 
 
 def find_admissible_handle(x: Complex, rng: random.Random):

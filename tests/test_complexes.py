@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from tighttri import (Complex, MalformedComplexError, PreconditionError,
                       UnknownVertexError, UnsupportedDimensionError, catalog,
                       connected_sum, from_facets, is_isomorphic,
-                      verify_closed_manifold)
+                      stacked_sphere, verify_closed_manifold)
+from tighttri.complexes import vertex_links
 
 
 @st.composite
@@ -18,6 +19,13 @@ def small_complexes(draw, max_vertices=6):
         st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
         min_size=1, max_size=6))
     return Complex.from_facets(facets)
+
+
+def maximal_faces(x):
+    """Faces of x in no larger face, by descending size then label."""
+    faces = [f for k in range(x.dim + 1) for f in x.faces(k)]
+    maximal = [f for f in faces if not any(set(f) < set(g) for g in faces)]
+    return tuple(sorted(maximal, key=lambda f: (-len(f), f)))
 
 
 class TestFromFacets:
@@ -31,6 +39,8 @@ class TestFromFacets:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_non_maximal_input_absorbed(self, data):
+        """``facets`` against the subsumption definition, in (-len, label)
+        order, whether kept from pure input or derived for anything else."""
         assert from_facets([[1, 2, 3], [1, 2]]) == from_facets([[1, 2, 3]])
         facets = data.draw(st.lists(
             st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
@@ -41,9 +51,21 @@ class TestFromFacets:
         mixed = data.draw(st.permutations(facets + subfaces))
         x = from_facets(mixed)
         assert x == from_facets(facets)
-        maximal = {tuple(sorted(f)) for f in facets
-                   if not any(set(f) < set(g) for g in facets)}
-        assert set(x.facets) == maximal
+        size = data.draw(st.integers(1, 4))
+        pure = from_facets(data.draw(st.lists(
+            st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True),
+            min_size=1, max_size=8)))
+        derived = [x.induced(data.draw(st.sets(st.sampled_from(x.vertices), min_size=1))),
+                   x.link(data.draw(st.sampled_from(x.vertices))), x.one_skeleton()]
+        derived += list(vertex_links(pure).values())
+        t = catalog.boundary_simplex(3)
+        derived += [connected_sum(t, t, (0, 1, 2), (0, 1, 2), {0: 0, 1: 1, 2: 2}),
+                    connected_sum(stacked_sphere(8, 3, seed=3), catalog.boundary_simplex(4),
+                                  (0, 1, 2, 3), (0, 1, 2, 3), {i: i for i in range(4)})]
+        for y in [x, pure] + derived:
+            assert y.facets == maximal_faces(y)
+        assert set(x.facets) == {tuple(sorted(f)) for f in facets
+                                 if not any(set(f) < set(g) for g in facets)}
 
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(MalformedComplexError):
@@ -183,7 +205,6 @@ class TestConnectedSum:
 
     def test_d3_f_vector_arithmetic(self):
         b = catalog.boundary_simplex(4)
-        from tighttri import stacked_sphere
         x = stacked_sphere(8, 3, seed=3)
         fx = x.facets[4]
         s = connected_sum(x, b, fx, (0, 1, 2, 3), {i: v for i, v in zip(range(4), fx)})
@@ -245,7 +266,6 @@ class TestIsomorphism:
 
     def test_same_f_vector_different_complex(self):
         # stacked 6-vertex sphere vs octahedron: both (6, 12, 8)
-        from tighttri import stacked_sphere
         octa = catalog.suspension(catalog.cycle_complex(4))
         stacked6 = stacked_sphere(6, 2, seed=1)
         assert octa.f_vector == stacked6.f_vector == (6, 12, 8)

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from tighttri import (AdmissibilityError, Certificate, PreconditionError,
+from tighttri import (AdmissibilityError, Certificate, Complex, PreconditionError,
                       admissible_k, betti, catalog, classify_topology,
                       find_admissible_handle, handle_addition, is_isomorphic,
                       is_orientable, is_stacked_sphere, search_tight,
                       stacked_sphere, verify_stacked_certificate)
-from tighttri.construct import HandleStep, candidate_handle_sites
+from tighttri.construct import HandleStep, _grow_search_sphere, candidate_handle_sites
 from tighttri.linalg import GF2, QQ
 
 
@@ -131,6 +131,38 @@ class TestHandleAddition:
     def test_input_must_be_closed_3_manifold(self):
         with pytest.raises(PreconditionError):
             handle_addition(catalog.icosahedron(), (0, 1, 2), (6, 7, 8), {0: 6, 1: 7, 2: 8})
+
+
+def pairwise_sites(x):
+    """The site definition pair by pair: disjoint facets, no edge between."""
+    facets = sorted(x.facets)
+    return [(f1, f2) for i, f1 in enumerate(facets) for f2 in facets[i + 1:]
+            if not set(f1) & set(f2)
+            and not any(w in x.neighbors(v) for v in f1 for w in f2)]
+
+
+def test_candidate_sites_match_pairwise_definition():
+    spheres = [stacked_sphere(18 + s % 13, 3, seed=s) for s in range(40)]
+    search_spheres = [_grow_search_sphere(13 + s % 8, random.Random(f"{s}:0")) for s in range(40)]
+    quotients = []
+    for s, x in enumerate(spheres + search_spheres):
+        choice = find_admissible_handle(x, random.Random(s))
+        if choice is not None:
+            quotients.append(handle_addition(x, *choice))
+    assert len(quotients) >= 10
+    # gapped labels in shuffled order, so that mask positions are not labels
+    rng = random.Random(9)
+    relabelled = []
+    for x in spheres[:10] + search_spheres[:10] + quotients[:10]:
+        labels = rng.sample(range(5, 4 * x.num_vertices), x.num_vertices)
+        rename = dict(zip(x.vertices, labels))
+        relabelled.append(Complex.from_facets([[rename[v] for v in f] for f in x.facets]))
+    found = 0
+    for x in spheres + search_spheres + quotients + relabelled:
+        want = pairwise_sites(x)
+        assert candidate_handle_sites(x) == want
+        found += len(want)
+    assert found > 0
 
 
 class TestAdmissibleK:

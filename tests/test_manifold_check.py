@@ -101,6 +101,11 @@ PINNED = [
     ("suspension of the 7-vertex torus",
      catalog.suspension(catalog.torus_7()).facets,
      7, "link of vertex 7 is not a 2-sphere: Euler characteristic differs from 2"),
+    # the link is a tetrahedron boundary beside a torus, so its Euler
+    # characteristic is 2 and only the connectivity test rejects it
+    ("cone over a tetrahedron boundary and a disjoint 7-vertex torus",
+     [(0,) + f for f in shifted(catalog.boundary_simplex(3), 1) + shifted(catalog.torus_7(), 5)],
+     0, "link of vertex 0 is not a 2-sphere: link is disconnected"),
     ("two tetrahedra sharing a triangle",
      [(0, 1, 2, 3), (1, 2, 3, 4)],
      0, "link of vertex 0 is not a 2-sphere: edge (1, 2) lies in 1 triangles"),
