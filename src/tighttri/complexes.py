@@ -385,57 +385,21 @@ def _walks_one_cycle(edges: list) -> bool:
     return steps == len(nbrs)
 
 
-def _two_sphere_check(s: Complex) -> tuple:
-    """(ok, reason) for the combinatorial 2-sphere test of a vertex link.
-
-    ``s`` is the link of a vertex in a complex whose facets are all
-    tetrahedra, so it is nonempty and pure of dimension 2: every edge lies
-    in a triangle, so the neighbours of a vertex are the endpoints of the
-    edges opposite it, and connectivity is a flood over those edges.
-    """
-    opposite = _opposite_edges(s)
-    start = s.vertices[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        for e in opposite[stack.pop()]:
-            for w in e:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    if len(seen) != len(opposite):
-        return False, "link is disconnected"
-    tri_count = {e: 0 for e in s.faces(1)}
-    for t in s.faces(2):
-        tri_count[t[:2]] += 1
-        tri_count[t[::2]] += 1
-        tri_count[t[1:]] += 1
-    for e, c in tri_count.items():
-        if c != 2:
-            return False, f"edge {e} lies in {c} triangles"
-    for v in s.vertices:
-        if not _walks_one_cycle(opposite[v]):
-            return False, f"link of {v} inside the link is not a single cycle"
-    f = s.f_vector
-    if f[0] - f[1] + f[2] != 2:
-        return False, "Euler characteristic differs from 2"
-    return True, ""
-
-
 def verify_closed_manifold(x: Complex) -> Verdict:
     """Decide whether the complex triangulates a closed manifold (dimension <= 3).
 
     After a purity check on the facets, dimension 1 needs every vertex on
     exactly two edges.  Dimension 2 collects, in one pass over the
     triangles, the edges opposite each vertex, and needs them to form a
-    single cycle through the vertex's neighbours.  Dimension 3 builds every
-    vertex link in one pass over the faces (:func:`vertex_links`) and needs
-    each to pass the combinatorial 2-sphere test.  That test reads the
-    link's connectivity, and the neighbours of each vertex inside it, off
-    the edges opposite the link's vertices, with no adjacency built; its
-    links inside the link are again cycle walks.  The witness on failure is
-    the offending vertex or facet.  The verdict is kept on the complex,
-    which is immutable, so checking the same object again costs nothing.
+    single cycle through the vertex's neighbours.  Dimension 3 needs every
+    vertex link to pass the combinatorial 2-sphere test: connected, each
+    link edge in two link triangles, each link inside the link a single
+    cycle, Euler characteristic 2.  It builds no link: one pass over the
+    tetrahedra records the link of every edge, which is the link of a
+    vertex inside a vertex link, and the tetrahedra on each triangle; each
+    edge link is walked once.  The witness on failure is the offending
+    vertex or facet.  The verdict is kept on the complex, which is
+    immutable, so checking the same object again costs nothing.
     """
     return x._closed_manifold_verdict
 
@@ -462,12 +426,77 @@ def _check_closed_manifold(x: Complex) -> Verdict:
             if not _walks_one_cycle(opposite[v]):
                 return Verdict(False, witness=v, detail=f"link of vertex {v} is not a single cycle")
         return Verdict(True, detail="closed 2-manifold")
-    links = vertex_links(x)
-    for v in x.vertices:
-        ok, reason = _two_sphere_check(links[v])
-        if not ok:
-            return Verdict(False, witness=v, detail=f"link of vertex {v} is not a 2-sphere: {reason}")
+    bad = _first_bad_vertex_link(x)
+    if bad is not None:
+        v, reason = bad
+        return Verdict(False, witness=v, detail=f"link of vertex {v} is not a 2-sphere: {reason}")
     return Verdict(True, detail="closed 3-manifold")
+
+
+def _first_bad_vertex_link(x: Complex) -> Optional[tuple]:
+    """``(v, reason)`` for the first vertex v of the pure 3-complex ``x``
+    whose link fails the combinatorial 2-sphere test, or None.
+
+    The link of v has the neighbours of v as vertices, an edge uw for each
+    triangle vuw and a triangle for each tetrahedron at v; inside it, the
+    edges opposite u form the link of the edge vu in ``x``.  One pass over
+    the tetrahedra records every edge link and the tetrahedra on each
+    triangle.  The link of v is then tested, in this order, for
+    connectivity, by a flood over the links of the edges at v; for a link
+    edge in other than two link triangles, the first in lexicographic
+    order; for a neighbour whose edge link is not a single cycle, each edge
+    link walked once; and for Euler characteristic 2, read off the numbers
+    of its vertices and triangles.
+    """
+    edge_link: dict = {e: [] for e in x.faces(1)}
+    on_triangle = dict.fromkeys(x.faces(2), 0)
+    for a, b, c, d in x.faces(3):
+        edge_link[a, b].append((c, d))
+        edge_link[a, c].append((b, d))
+        edge_link[a, d].append((b, c))
+        edge_link[b, c].append((a, d))
+        edge_link[b, d].append((a, c))
+        edge_link[c, d].append((a, b))
+        on_triangle[a, b, c] += 1
+        on_triangle[a, b, d] += 1
+        on_triangle[a, c, d] += 1
+        on_triangle[b, c, d] += 1
+    # the edges come in lexicographic order, so each neighbour list ascends,
+    # and removing v keeps the lexicographic order of the triangles at v
+    nbrs: dict = {v: [] for v in x.vertices}
+    for a, b in edge_link:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    odd = [(t, c) for t, c in on_triangle.items() if c != 2]
+    is_cycle: dict = {}
+    for v in x.vertices:
+        edges = {u: (v, u) if v < u else (u, v) for u in nbrs[v]}
+        start = nbrs[v][0]
+        seen = {start}
+        stack = [start]
+        while stack:
+            for e in edge_link[edges[stack.pop()]]:
+                for w in e:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        if len(seen) != len(edges):
+            return v, "link is disconnected"
+        for t, c in odd:
+            if v in t:
+                return v, f"edge {tuple(u for u in t if u != v)} lies in {c} triangles"
+        for u, e in edges.items():
+            if e not in is_cycle:
+                is_cycle[e] = _walks_one_cycle(edge_link[e])
+            if not is_cycle[e]:
+                return v, f"link of {u} inside the link is not a single cycle"
+        # a link triangle holds the edges opposite its three vertices, and
+        # each link edge lies in two link triangles by now, so chi is
+        # #vertices - #edges + #triangles = #vertices - #triangles / 2
+        triangles = sum(len(edge_link[e]) for e in edges.values()) // 3
+        if 2 * len(edges) - triangles != 4:
+            return v, "Euler characteristic differs from 2"
+    return None
 
 
 def _vertex_signatures(x: Complex) -> dict:

@@ -7,18 +7,20 @@ next boundary matrix.  An induced subcomplex shares its faces, and so its
 boundary matrices, with the ambient complex literally: they are the rows
 of the ambient matrices at the subcomplex's faces, no sign correction
 needed.  The injectivity test never builds the subcomplex: a vertex mask
-selects its faces and, by a flood over adjacency masks, its components; it
-takes ranks of ambient rows and of the kept bases Betti numbers share.
+selects its faces, looked up as subsets of its vertices, and, by a flood
+over adjacency masks, its components; it takes ranks of ambient rows and of
+the kept bases Betti numbers share.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
                         UnknownVertexError, Verdict, verify_closed_manifold)
-from .linalg import FMatrix, FieldSpec, row_basis
+from .linalg import FMatrix, FieldSpec, _dense, row_basis
 
 
 def boundary_matrix(x: Complex, k: int, field: FieldSpec) -> FMatrix:
@@ -29,8 +31,14 @@ def boundary_matrix(x: Complex, k: int, field: FieldSpec) -> FMatrix:
 
 
 class ChainData:
-    """Per-(complex, field) chain complex: face indexes, boundaries, and the
-    reduced bases of their row spaces, each eliminated once."""
+    """Per-(complex, field) chain complex: face indexes, boundary rows, and
+    the reduced bases of their row spaces, each eliminated once.
+
+    Boundary rows are built straight from the faces in the row bases' own
+    format: bit masks over GF(2), ``{column: ±1 mod p}`` dicts over GF(p)
+    and ``{column: ±1}`` dicts over Q, with columns in ascending order.  The
+    dense :meth:`boundary` matrix is built from them only when asked for.
+    """
 
     def __init__(self, x: Complex, field: FieldSpec):
         self.complex = x
@@ -38,19 +46,33 @@ class ChainData:
         self.index = [
             {f: i for i, f in enumerate(x.faces(k))} for k in range(x.dim + 1)
         ]
+        self._rows: dict = {}
         self._boundaries: dict = {}
         self._bases: dict = {}
         self._rrefs: dict = {}
 
+    def rows(self, k: int) -> list:
+        """The rows of boundary(k), sparse, in face order."""
+        if k not in self._rows:
+            self._rows[k] = _boundary_rows(self.complex, k, self.field, self.index)
+        return self._rows[k]
+
     def boundary(self, k: int) -> FMatrix:
         if k not in self._boundaries:
-            self._boundaries[k] = _build_boundary(self.complex, k, self.field, self.index)
+            ncols = len(self.index[k - 1]) if k else 0
+            rows = self.rows(k)
+            if self.field.char != 2:
+                rows = [_dense(r, ncols) for r in rows]
+            self._boundaries[k] = FMatrix(self.field, len(rows), ncols, rows)
         return self._boundaries[k]
 
     def basis(self, k: int):
         """Reduced basis of the row space of boundary(k), eliminated once."""
         if k not in self._bases:
-            self._bases[k] = self.boundary(k).rowspace_basis()
+            basis = row_basis(self.field, len(self.index[k - 1]) if k else 0)
+            for r in self.rows(k):
+                basis.add(r)
+            self._bases[k] = basis
         return self._bases[k]
 
     def boundary_rref(self, k: int):
@@ -62,29 +84,18 @@ class ChainData:
         return self._rrefs[k]
 
 
-def _build_boundary(x: Complex, k: int, field: FieldSpec, index: Sequence[dict]) -> FMatrix:
+def _boundary_rows(x: Complex, k: int, field: FieldSpec, index: Sequence[dict]) -> list:
     kfaces = x.faces(k)
+    p = field.char
     if k == 0:
-        return FMatrix.zeros(field, len(kfaces), 0)
+        return [0 if p == 2 else {} for _ in kfaces]
     cols = index[k - 1]
-    ncols = len(cols)
-    if field.char == 2:
-        masks = []
-        for f in kfaces:
-            m = 0
-            for i in range(len(f)):
-                m |= 1 << cols[f[:i] + f[i + 1:]]
-            masks.append(m)
-        return FMatrix.from_bitrows(masks, ncols)
-    rows = []
-    for f in kfaces:
-        row = [0] * ncols
-        sign = 1
-        for i in range(len(f)):
-            row[cols[f[:i] + f[i + 1:]]] = sign
-            sign = -sign
-        rows.append(row)
-    return FMatrix.from_rows(field, rows, ncols)
+    # combinations(f, k) drops the vertices of f from the last to the first,
+    # so the columns come out ascending and vertex i carries (-1)**i
+    if p == 2:
+        return [sum(1 << cols[g] for g in itertools.combinations(f, k)) for f in kfaces]
+    signs = [(-1) ** i % p if p else (-1) ** i for i in range(k, -1, -1)]
+    return [{cols[g]: s for g, s in zip(itertools.combinations(f, k), signs)} for f in kfaces]
 
 
 @lru_cache(maxsize=256)
@@ -98,17 +109,20 @@ def chain_data(x: Complex, field: FieldSpec) -> ChainData:
 
 
 def betti(x: Complex, field: FieldSpec) -> tuple:
-    """Unreduced Betti numbers beta_0..beta_dim over the given field."""
+    """Unreduced Betti numbers beta_0..beta_dim over the given field.
+
+    beta_k = f_k - rank d_k - rank d_{k+1}, with rank d_0 = 0 and rank d_1
+    = f_0 minus the number of components, on every complex; the higher
+    ranks are those of the cached reduced bases.
+    """
     if x.dim < 0:
         raise PreconditionError("Betti numbers need a nonempty complex")
     cd = _chain_data(x, field)
     f = x.f_vector
-    out = []
-    for k in range(x.dim + 1):
-        rk = cd.basis(k).dim
-        rk1 = cd.basis(k + 1).dim if k < x.dim else 0
-        out.append(f[k] - rk - rk1)
-    return tuple(out)
+    ranks = [0, f[0] - len(component_masks(x, (1 << f[0]) - 1))]
+    ranks += [cd.basis(k).dim for k in range(2, x.dim + 1)]
+    ranks.append(0)
+    return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(x.dim + 1))
 
 
 def is_orientable(x: Complex, field: FieldSpec) -> bool:
@@ -180,9 +194,7 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
             seen[a] = comp & -comp
 
     cd = _chain_data(x, field)
-    out = ~wmask
-    rows_of = [[i for i, m in enumerate(masks) if not m & out]
-               for masks in x._face_masks[:top + 2]]
+    rows_of = _face_rows(cd, wmask, top + 1)
     # rank of d_k on Y's k-faces; d_1's is |Y_0| minus Y's component count
     rank_k = len(rows_of[0]) - len(comps)
     for k in range(1, top + 1):
@@ -223,15 +235,34 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
     return Verdict(True)
 
 
+def _face_rows(cd: ChainData, wmask: int, top: int) -> list:
+    """Per degree 0..top, the rows of the faces of the induced subcomplex on
+    the vertex positions set in ``wmask``, in the ambient order: its k-faces
+    are the (k+1)-subsets of those vertices that are faces, and
+    ``combinations`` lists them lexicographically."""
+    verts = cd.complex.vertices
+    positions = []
+    while wmask:
+        low = wmask & -wmask
+        positions.append(low.bit_length() - 1)
+        wmask ^= low
+    wverts = [verts[i] for i in positions]
+    out = [positions]
+    for k in range(1, top + 1):
+        rows = map(cd.index[k].get, itertools.combinations(wverts, k + 1))
+        out.append([i for i in rows if i is not None])
+    return out
+
+
 def _rows_basis(cd: ChainData, k: int, rows: Sequence[int], cap: int):
     """Reduced basis of the span of the given rows of boundary(k); it stops
     adding rows once its dimension reaches ``cap``."""
-    bk = cd.boundary(k)
-    basis = row_basis(cd.field, bk.ncols)
+    bk = cd.rows(k)
+    basis = row_basis(cd.field, len(cd.index[k - 1]))
     for i in rows:
         if basis.dim == cap:
             break
-        basis.add(bk.rows[i])
+        basis.add(bk[i])
     return basis
 
 

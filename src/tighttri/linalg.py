@@ -2,16 +2,18 @@
 
 Matrices are dense.  Rational matrices hold ints, or ``fractions.Fraction``
 for non-integral input; GF(p) entries are ints in ``[0, p)``; GF(2) rows are
-bit-packed into Python ints.  Reduced row bases hold sparse rows: over Q
-primitive integer rows, eliminated fraction-free, with results read out as
-exact rationals, a plain int wherever the value is integral; over GF(p)
-monic rows mod p.  GF(2) bases eliminate bit-packed rows with word-parallel
-XOR.
+bit-packed into Python ints.  Reduced row bases keep the reduced row echelon
+form with each row stored under its pivot, and every row is zero at every
+other pivot, so a row is reduced in one pass over its own entries at the
+pivots.  Over Q they hold sparse primitive integer rows, eliminated
+fraction-free, with results read out as exact rationals, a plain int
+wherever the value is integral; over GF(p) sparse monic rows mod p; over
+GF(2) bit-packed rows, combined with word-parallel XOR.  The Q and GF(p)
+bases take rows dense or as ``{column: entry}`` dicts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -63,98 +65,131 @@ GF2 = FieldSpec(2)
 class _RowBasisGF2:
     """Reduced basis of a GF(2) row space over bit-packed rows.
 
-    Rows are kept fully reduced against each other, so membership tests and
-    incremental extension are single passes.
+    Each row is stored under its pivot bit, its lowest set bit as an int
+    ``1 << pivot``, and is zero at every other pivot; ``_pivmask`` is the
+    OR of the pivot bits.  So a row is reduced by XOR with the basis rows
+    at the pivot bits it holds, and no others.
     """
 
-    __slots__ = ("ncols", "rows", "pivots")
+    __slots__ = ("ncols", "_by_pivot", "_pivmask")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: List[int] = []
-        self.pivots: List[int] = []
+        self._by_pivot: dict = {}
+        self._pivmask = 0
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._by_pivot)
+
+    @property
+    def pivots(self) -> List[int]:
+        return [b.bit_length() - 1 for b in sorted(self._by_pivot)]
+
+    @property
+    def rows(self) -> List[int]:
+        """The reduced row echelon form, in pivot order."""
+        return [self._by_pivot[b] for b in sorted(self._by_pivot)]
 
     def reduce(self, row: int) -> int:
-        for p, b in zip(self.pivots, self.rows):
-            if (row >> p) & 1:
-                row ^= b
+        by_pivot = self._by_pivot
+        hit = row & self._pivmask
+        while hit:
+            low = hit & -hit
+            row ^= by_pivot[low]
+            hit ^= low
         return row
 
     def add(self, row: int) -> bool:
         r = self.reduce(row)
         if r == 0:
             return False
-        piv = (r & -r).bit_length() - 1
-        for i, b in enumerate(self.rows):
-            if (b >> piv) & 1:
-                self.rows[i] = b ^ r
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < piv:
-            idx += 1
-        self.pivots.insert(idx, piv)
-        self.rows.insert(idx, r)
+        low = r & -r
+        by_pivot = self._by_pivot
+        for key, b in by_pivot.items():
+            if b & low:
+                by_pivot[key] = b ^ r
+        by_pivot[low] = r
+        self._pivmask |= low
         return True
+
+
+def _dense(x: dict, ncols: int) -> list:
+    """A sparse row as a dense list."""
+    out = [0] * ncols
+    for j, v in x.items():
+        out[j] = v
+    return out
+
+
+def _sparse(row) -> dict:
+    """A new ``{column: entry}`` dict of the nonzero entries of ``row``,
+    which is dense or such a dict."""
+    if type(row) is dict:
+        return dict(row)
+    return {j: v for j, v in enumerate(row) if v}
 
 
 class _RowBasisGFp:
     """Reduced basis over GF(p), p odd.
 
-    Rows are sparse ``{column: entry}`` dicts in pivot order with entries in
-    ``[1, p)``.  Each is monic and zero in every other row's pivot column,
-    so together they are the reduced row echelon form.  Reducing walks only
-    the basis rows' nonzero entries; adding a row rewrites only the rows
-    with an entry at its pivot.
+    Rows are sparse ``{column: entry}`` dicts with entries in ``[1, p)``,
+    each stored under its pivot, its least column.  Each is monic and zero
+    in every other row's pivot column, so together they are the reduced row
+    echelon form.  Reducing a row walks only the basis rows at the pivots
+    where it has an entry; adding a row rewrites only the rows with an entry
+    at its pivot.  Rows are given dense or as ``{column: entry}`` dicts.
     """
 
-    __slots__ = ("ncols", "char", "pivots", "_sparse")
+    __slots__ = ("ncols", "char", "_by_pivot")
 
     def __init__(self, ncols: int, char: int):
         self.ncols = ncols
         self.char = char
-        self.pivots: List[int] = []
-        self._sparse: List[dict] = []
+        self._by_pivot: dict = {}
 
     @property
     def dim(self) -> int:
-        return len(self._sparse)
+        return len(self._by_pivot)
+
+    @property
+    def pivots(self) -> List[int]:
+        return sorted(self._by_pivot)
 
     @property
     def rows(self) -> List[list]:
         """The reduced row echelon form as lists of ints in ``[0, p)``."""
-        out = []
-        for b in self._sparse:
-            r = [0] * self.ncols
-            for j, v in b.items():
-                r[j] = v
-            out.append(r)
-        return out
+        return [_dense(self._by_pivot[piv], self.ncols) for piv in self.pivots]
 
-    def reduce(self, row) -> list:
-        """The residual of ``row`` against the basis, as a new dense list;
-        it is zero exactly when ``row`` lies in the row space."""
-        x = list(row)
-        p = self.char
-        for piv, b in zip(self.pivots, self._sparse):
+    def _residual(self, x: dict) -> dict:
+        """Reduce the sparse row ``x`` in place, and return it."""
+        by_pivot, p = self._by_pivot, self.char
+        for piv in [j for j in x if j in by_pivot]:
             c = x[piv]
-            if c:
-                for j, v in b.items():
-                    x[j] = (x[j] - c * v) % p
+            for j, v in by_pivot[piv].items():
+                nv = (x.get(j, 0) - c * v) % p
+                if nv:
+                    x[j] = nv
+                else:
+                    del x[j]
         return x
 
+    def reduce(self, row):
+        """The residual of ``row`` against the basis, as a new row of the
+        same kind; it is zero exactly when ``row`` lies in the row space."""
+        x = self._residual(_sparse(row))
+        return x if type(row) is dict else _dense(x, self.ncols)
+
     def add(self, row) -> bool:
-        xd = {j: v for j, v in enumerate(self.reduce(row)) if v}
+        xd = self._residual(_sparse(row))
         if not xd:
             return False
         p = self.char
-        piv = next(iter(xd))  # keys are in column order
+        piv = min(xd)
         if xd[piv] != 1:
             inv = pow(xd[piv], -1, p)
             xd = {j: v * inv % p for j, v in xd.items()}
-        for b in self._sparse:
+        for b in self._by_pivot.values():
             c = b.get(piv)
             if c:
                 for j, v in xd.items():
@@ -163,9 +198,7 @@ class _RowBasisGFp:
                         b[j] = nv
                     else:
                         del b[j]
-        idx = bisect_left(self.pivots, piv)
-        self.pivots.insert(idx, piv)
-        self._sparse.insert(idx, xd)
+        self._by_pivot[piv] = xd
         return True
 
 
@@ -206,86 +239,100 @@ class _RowBasisQ:
     """Reduced basis over Q without fractions.
 
     Each stored row is primitive (its entries have gcd 1) with a positive
-    pivot entry, and is zero in every other row's pivot column, so it is a
-    positive integer multiple of the matching row of the reduced row echelon
-    form.  Rows are sparse ``{column: entry}`` dicts.  They combine by
-    cross-multiplication, ``bp*x - c*b``, over the nonzero entries of the
-    basis row, and are divided by their gcd whenever a scale factor other
-    than 1 entered.  Fractions appear only when :attr:`rows` reads the
-    echelon form out.
+    pivot entry at its least column, and is zero in every other row's pivot
+    column, so it is a positive integer multiple of the matching row of the
+    reduced row echelon form.  Rows are sparse ``{column: entry}`` dicts,
+    each stored under its pivot.  They combine by cross-multiplication,
+    ``bp*x - c*b``, over the nonzero entries of the basis row, and are
+    divided by their gcd whenever a scale factor other than 1 entered.
+    Fractions appear only when :attr:`rows` reads the echelon form out.
+    Rows are given dense or as ``{column: entry}`` dicts of ints.
     """
 
-    __slots__ = ("ncols", "pivots", "_ints")
+    __slots__ = ("ncols", "_by_pivot")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: List[int] = []
-        self._ints: List[dict] = []
+        self._by_pivot: dict = {}
 
     @property
     def dim(self) -> int:
-        return len(self._ints)
+        return len(self._by_pivot)
+
+    @property
+    def pivots(self) -> List[int]:
+        return sorted(self._by_pivot)
 
     @property
     def rows(self) -> List[list]:
         """The reduced row echelon form: pivot entries 1, entries exact."""
         out = []
-        for piv, b in zip(self.pivots, self._ints):
+        for piv in self.pivots:
+            b = self._by_pivot[piv]
             bp = b[piv]
-            r = [0] * self.ncols
-            for j, v in b.items():
-                r[j] = v if bp == 1 else _ratio(v, bp)
-            out.append(r)
+            out.append(_dense(b if bp == 1 else {j: _ratio(v, bp) for j, v in b.items()},
+                              self.ncols))
         return out
 
-    def reduce(self, row) -> list:
-        """A positive integer multiple of the residual of ``row`` against
-        the basis; it is zero exactly when ``row`` lies in the row space."""
-        x = _integral(row)
-        for piv, b in zip(self.pivots, self._ints):
+    def _residual(self, x: dict) -> dict:
+        """A positive integer multiple of the residual of the sparse integer
+        row ``x``; ``x`` itself may be reduced in place."""
+        by_pivot = self._by_pivot
+        for piv in [j for j in x if j in by_pivot]:
             c = x[piv]
-            if c:
-                bp = b[piv]
-                if bp != 1:
-                    x = [bp * v for v in x]
-                for j, v in b.items():
-                    x[j] -= c * v
-                if bp != 1:
-                    g = gcd(*x)
-                    if g > 1:
-                        x = [v // g for v in x]
+            b = by_pivot[piv]
+            bp = b[piv]
+            if bp != 1:
+                x = {j: bp * v for j, v in x.items()}
+            for j, v in b.items():
+                nv = x.get(j, 0) - c * v
+                if nv:
+                    x[j] = nv
+                else:
+                    del x[j]
+            if bp != 1:
+                g = gcd(*x.values())
+                if g > 1:
+                    x = {j: v // g for j, v in x.items()}
         return x
 
+    def reduce(self, row):
+        """A positive integer multiple of the residual of ``row`` against
+        the basis, as a new row of the same kind (dense rows as ints); it is
+        zero exactly when ``row`` lies in the row space."""
+        x = self._residual(_sparse(row if type(row) is dict else _integral(row)))
+        return x if type(row) is dict else _dense(x, self.ncols)
+
     def add(self, row) -> bool:
-        xd = {j: v for j, v in enumerate(self.reduce(row)) if v}
+        xd = self._residual(_sparse(row if type(row) is dict else _integral(row)))
         if not xd:
             return False
-        piv = next(iter(xd))  # keys are in column order
+        piv = min(xd)
         g = gcd(*xd.values())
         if xd[piv] < 0:
             g = -g
         if g != 1:
             xd = {j: v // g for j, v in xd.items()}
         xp = xd[piv]
-        pivots, ints = self.pivots, self._ints
-        for i in [i for i, b in enumerate(ints) if piv in b]:
-            b = ints[i]
-            c = b[piv]
-            nb = dict(b) if xp == 1 else {j: xp * v for j, v in b.items()}
+        by_pivot = self._by_pivot
+        for bpiv, b in by_pivot.items():
+            c = b.get(piv)
+            if not c:
+                continue
+            if xp != 1:
+                b = {j: xp * v for j, v in b.items()}
             for j, v in xd.items():
-                nv = nb.get(j, 0) - c * v
+                nv = b.get(j, 0) - c * v
                 if nv:
-                    nb[j] = nv
+                    b[j] = nv
                 else:
-                    del nb[j]
-            if nb[pivots[i]] != 1:
-                g = gcd(*nb.values())
+                    del b[j]
+            if b[bpiv] != 1:
+                g = gcd(*b.values())
                 if g > 1:
-                    nb = {j: v // g for j, v in nb.items()}
-            ints[i] = nb
-        idx = bisect_left(pivots, piv)
-        pivots.insert(idx, piv)
-        ints.insert(idx, xd)
+                    b = {j: v // g for j, v in b.items()}
+            by_pivot[bpiv] = b
+        by_pivot[piv] = xd
         return True
 
 
@@ -333,18 +380,6 @@ class FMatrix:
         if p == 2:
             data = [sum(1 << j for j, c in enumerate(r) if c) for r in data]
         return cls(field, len(data), ncols, data)
-
-    @classmethod
-    def from_bitrows(cls, masks: Iterable[int], ncols: int) -> "FMatrix":
-        """GF(2) constructor from pre-packed row masks."""
-        rows = list(masks)
-        return cls(GF2, len(rows), ncols, rows)
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FMatrix":
-        if field.char == 2:
-            return cls(field, nrows, ncols, [0] * nrows)
-        return cls(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
 
     def rank(self) -> int:
         if self._rank is None:
@@ -402,24 +437,24 @@ class FMatrix:
     def right_nullspace(self) -> "FMatrix":
         """Basis (as rows) of {x : M x = 0}."""
         basis = self.rowspace_basis()
-        pivset = set(basis.pivots)
+        pivots, rows = basis.pivots, basis.rows
+        pivset = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivset]
         if self.field.char == 2:
             vectors = []
             for f in free:
                 x = 1 << f
-                for p, brow in zip(basis.pivots, basis.rows):
+                for p, brow in zip(pivots, rows):
                     if (brow >> f) & 1:
                         x |= 1 << p
                 vectors.append(x)
             return FMatrix(self.field, len(vectors), self.ncols, vectors)
         p_ = self.field.char
-        rows = basis.rows
         vectors = []
         for f in free:
             x = [0] * self.ncols
             x[f] = 1
-            for piv, brow in zip(basis.pivots, rows):
+            for piv, brow in zip(pivots, rows):
                 c = brow[f]
                 if c:
                     x[piv] = (-c) % p_ if p_ else -c

@@ -5,12 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tighttri import (Complex, InternalInconsistencyError, PreconditionError, betti,
                       boundary_matrix, catalog, chain_data, from_facets,
                       induced_map_injective, is_orientable, is_tight_bruteforce)
+from tighttri.homology import _face_rows
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5)]
@@ -34,6 +35,50 @@ def small_complexes(draw, max_vertices=6):
         st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
         min_size=1, max_size=6))
     return Complex.from_facets(facets)
+
+
+@st.composite
+def complexes_with_loose_parts(draw):
+    """A drawn complex, often beside isolated vertices and edges on fresh
+    labels, so that it is disconnected."""
+    facets = list(draw(small_complexes()).facets)
+    loose = draw(st.lists(st.integers(1, 2), max_size=3))
+    for i, size in enumerate(loose):
+        facets.append(tuple(range(10 + 2 * i, 10 + 2 * i + size)))
+    return Complex.from_facets(facets)
+
+
+def oracle_boundary(x: Complex, k: int) -> list:
+    """Dense integer rows of d_k: dropping vertex i of a face carries (-1)**i."""
+    if k == 0:
+        return [[] for _ in x.faces(0)]
+    cols = {f: j for j, f in enumerate(x.faces(k - 1))}
+    rows = []
+    for f in x.faces(k):
+        row = [0] * len(cols)
+        for i in range(len(f)):
+            row[cols[f[:i] + f[i + 1:]]] = (-1) ** i
+        rows.append(row)
+    return rows
+
+
+def oracle_rank(rows: list, field: FieldSpec) -> int:
+    """Rank by textbook elimination: over Q in Fractions, else mod p."""
+    p = field.char
+    m = [[Fraction(c) if p == 0 else c % p for c in r] for r in rows]
+    rank = 0
+    for j in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][j] if p == 0 else pow(m[rank][j], -1, p)
+        for i in range(rank + 1, len(m)):
+            c = m[i][j] * inv
+            if c:
+                m[i] = [u - c * v if p == 0 else (u - c * v) % p for u, v in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 class TestBoundaryMatrix:
@@ -102,6 +147,17 @@ class TestBetti:
         f = x.f_vector
         assert sum((-1) ** k * b[k] for k in range(len(b))) == \
             sum((-1) ** k * f[k] for k in range(len(f)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes_with_loose_parts(), st.sampled_from([QQ, GF2, FieldSpec.gf(3)]))
+    @example(from_facets([(0, 1, 2), (3, 4), (5,)]), QQ)
+    def test_ranks_match_an_elimination_oracle(self, x, field):
+        """beta_k = f_k - rank d_k - rank d_{k+1}, with every rank taken by
+        plain elimination here; the Euler-Poincare sum cannot see a wrong
+        rank, because it telescopes."""
+        ranks = [oracle_rank(oracle_boundary(x, k), field) for k in range(x.dim + 1)] + [0]
+        f = x.f_vector
+        assert betti(x, field) == tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(x.dim + 1))
 
     @settings(max_examples=25, deadline=None)
     @given(small_complexes(), st.sampled_from(FIELDS), st.randoms(use_true_random=False))
@@ -182,7 +238,7 @@ class TestInducedMapInjective:
         # the dimension count says a witness exists; a meet that yields no
         # vector is a bug, reported even under python -O
         monkeypatch.setattr(FMatrix, "left_nullspace",
-                            lambda self: FMatrix.zeros(QQ, 0, self.nrows))
+                            lambda self: FMatrix.from_rows(QQ, [], self.nrows))
         with pytest.raises(InternalInconsistencyError):
             induced_map_injective(catalog.projective_plane_6(), (0, 1, 3), QQ)
 
@@ -229,6 +285,16 @@ class TestInducedMapInjective:
         if all(b[k] == 0 for k in range(1, len(b))):
             assert induced_map_injective(x, w, field).ok
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_complexes(max_vertices=7))
+    def test_face_rows_are_the_faces_inside_the_mask(self, x):
+        """Y's faces by lookup are the ambient faces whose vertex masks lie
+        inside W, in the ambient order, in every degree."""
+        cd = chain_data(x, GF2)
+        for w in range(1, 1 << x.num_vertices):
+            want = [[i for i, m in enumerate(masks) if not m & ~w] for masks in x._face_masks]
+            assert _face_rows(cd, w, x.dim) == want, w
+
     def test_degree_zero_matches_linear_algebra_oracle(self):
         # on graphs only degree 0 matters (no 2-faces, nothing bounds), so the
         # component fast path must agree with the rank formula
@@ -246,10 +312,10 @@ class TestInducedMapInjective:
             y = x.induced(w)
             cdx, cdy = chain_data(x, GF2), chain_data(y, GF2)
             # every 0-chain of y is a cycle: the unit rows of y's vertices
-            emb = FMatrix.from_bitrows([1 << cdx.index[0][f] for f in y.faces(0)],
-                                       len(x.faces(0)))
+            emb = FMatrix(GF2, y.num_vertices, x.num_vertices,
+                          [1 << cdx.index[0][f] for f in y.faces(0)])
             b0x = cdx.boundary(1) if x.dim >= 1 else None
-            stacked = FMatrix.from_bitrows(emb.rows + b0x.rows, emb.ncols)
+            stacked = FMatrix(GF2, emb.nrows + b0x.nrows, emb.ncols, emb.rows + b0x.rows)
             inter = emb.nrows + b0x.rank() - stacked.rank()
             assert got == (inter == cdy.boundary(1).rank() if y.dim >= 1 else inter == 0)
 

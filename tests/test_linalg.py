@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tighttri import boundary_matrix, catalog
-from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec
+from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5), FieldSpec.gf(7)]
 
@@ -18,8 +18,13 @@ int_matrix = st.integers(1, 5).flatmap(
 def dim_sum(a: FMatrix, b: FMatrix) -> int:
     """Dimension of rowspace(a) + rowspace(b): the rank of the stacked rows."""
     if a.field.char == 2:
-        return FMatrix.from_bitrows(a.rows + b.rows, a.ncols).rank()
+        return bitrows(a.rows + b.rows, a.ncols).rank()
     return FMatrix.from_rows(a.field, a.rows + b.rows).rank()
+
+
+def bitrows(masks: list, ncols: int) -> FMatrix:
+    """A GF(2) matrix from bit-packed rows."""
+    return FMatrix(GF2, len(masks), ncols, masks)
 
 
 def entries(m: FMatrix) -> list:
@@ -78,7 +83,7 @@ class TestFromRows:
 class TestRank:
     def test_zero_matrix(self):
         for field in FIELDS:
-            assert FMatrix.zeros(field, 3, 4).rank() == 0
+            assert FMatrix.from_rows(field, [[0] * 4] * 3).rank() == 0
 
     def test_identity(self):
         eye = [[int(i == j) for j in range(6)] for i in range(6)]
@@ -138,8 +143,8 @@ class TestDimSum:
         for _ in range(50):
             rows_a = [rng.getrandbits(5) for _ in range(3)]
             rows_b = [rng.getrandbits(5) for _ in range(3)]
-            a = FMatrix.from_bitrows(rows_a, 5)
-            b = FMatrix.from_bitrows(rows_b, 5)
+            a = bitrows(rows_a, 5)
+            b = bitrows(rows_b, 5)
             assert 1 << dim_sum(a, b) == len(span_gf2(rows_a + rows_b))
 
     @settings(max_examples=50, deadline=None)
@@ -172,7 +177,7 @@ class TestNullspaces:
         assert is_zero(n.matmul(m))
 
     def test_nullspace_of_zero_columns(self):
-        m = FMatrix.zeros(QQ, 4, 0)
+        m = FMatrix.from_rows(QQ, [[]] * 4)
         assert m.rank() == 0
         assert m.left_nullspace().nrows == 4
 
@@ -218,15 +223,25 @@ def gfp_right_nullspace(rows, ncols: int, p: int):
     return out
 
 
+def as_dict(row) -> dict:
+    return {j: v for j, v in enumerate(row) if v}
+
+
 def check_gfp_against_oracle(m: FMatrix, probes):
     """Every readout of the elimination equals the oracle's, and ``reduce``
-    leaves ``v`` minus its RREF combination, zero exactly on the row space."""
+    leaves ``v`` minus its RREF combination, zero exactly on the row space;
+    the same rows given as ``{column: entry}`` dicts read out the same."""
     p, rows, n = m.field.char, m.rows, m.ncols
     pivots, rref = gfp_rref(rows, n, p)
     assert m.rank() == len(pivots)
     basis = m.rowspace_basis()
     assert basis.pivots == pivots
     assert basis.rows == rref
+    from_sparse = row_basis(m.field, n)
+    for r in rows:
+        from_sparse.add(as_dict(r))
+    assert from_sparse.pivots == pivots
+    assert from_sparse.rows == rref
     assert m.right_nullspace().rows == gfp_right_nullspace(rows, n, p)
     assert m.left_nullspace().rows == gfp_right_nullspace(
         [list(col) for col in zip(*rows)], len(rows), p)
@@ -237,6 +252,7 @@ def check_gfp_against_oracle(m: FMatrix, probes):
             want = [(u - c * w) % p for u, w in zip(want, b)]
         got = basis.reduce(v)
         assert got == want
+        assert from_sparse.reduce(as_dict(v)) == as_dict(want)
         assert any(got) == (len(gfp_rref(rows + [v], n, p)[0]) > len(pivots))
 
 

@@ -1,6 +1,7 @@
 """Differential tests of the closed-manifold check against the link-by-link
 reference it replaced: every input must give the same (ok, witness, detail)."""
 
+import itertools
 import random
 
 import pytest
@@ -86,6 +87,12 @@ def shifted(x: Complex, k: int) -> list:
     return [tuple(v + k for v in f) for f in x.facets]
 
 
+def octahedron(vs) -> list:
+    """Boundary of the octahedron with antipodal pairs (vs[0], vs[1]),
+    (vs[2], vs[3]) and (vs[4], vs[5])."""
+    return [tuple(sorted(t)) for t in itertools.product(vs[:2], vs[2:4], vs[4:])]
+
+
 # One input per failure reason of the 3-dimensional check (the facet-level
 # reasons are reached by the drawn complexes below).
 PINNED = [
@@ -109,6 +116,18 @@ PINNED = [
     ("two tetrahedra sharing a triangle",
      [(0, 1, 2, 3), (1, 2, 3, 4)],
      0, "link of vertex 0 is not a 2-sphere: edge (1, 2) lies in 1 triangles"),
+    # the link of vertex 10 is two octahedra sharing vertex 12; vertices 0-9
+    # pass, and vertex 0 sees the single-cycle link of the edge (0, 12)
+    # before vertex 10 sees the two cycles of the link of (10, 12)
+    ("suspension of two octahedron boundaries sharing vertex 12",
+     [t + (a,) for t in octahedron([0, 1, 2, 3, 4, 12]) + octahedron([5, 6, 7, 8, 9, 12])
+      for a in (10, 11)],
+     10, "link of vertex 10 is not a 2-sphere: link of 12 inside the link is not a single cycle"),
+    # vertex 0 passes, and the triangle on three tetrahedra is not the first
+    # edge of the link of vertex 1
+    ("boundary of the 4-simplex with a fifth tetrahedron on the triangle 123",
+     list(catalog.boundary_simplex(4).facets) + [(1, 2, 3, 5)],
+     1, "link of vertex 1 is not a 2-sphere: edge (2, 3) lies in 3 triangles"),
 ]
 
 

@@ -10,6 +10,7 @@ oracle's value for value, not merely span the same space.
 import json
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -77,16 +78,34 @@ def assert_exact(got, want):
             assert type(v) is int or v.denominator != 1
 
 
+def integer_dict(row) -> dict:
+    """A rational row scaled by the lcm of its denominators, as a
+    ``{column: entry}`` dict of ints: the same direction."""
+    den = lcm(*[Fraction(v).denominator for v in row])
+    return {j: int(v * den) for j, v in enumerate(row) if v}
+
+
 def check_against_oracle(m: FMatrix, other: FMatrix = None):
+    """Every readout equals the oracle's, also when the rows are given as
+    ``{column: entry}`` dicts of ints."""
     rows, n = m.rows, m.ncols
     pivots, rref = ref_rref(rows)
     assert m.rank() == len(pivots)
     basis = m.rowspace_basis()
     assert basis.pivots == pivots
     assert_exact(basis.rows, rref)
+    from_dicts = linalg.row_basis(QQ, n)
+    for r in rows:
+        from_dicts.add(integer_dict(r))
+    assert from_dicts.pivots == pivots
+    assert_exact(from_dicts.rows, rref)
+    assert not any(from_dicts.reduce(integer_dict(r)) for r in rows)
     assert_exact(m.right_nullspace().rows, ref_right_nullspace(rows, n))
     assert_exact(m.left_nullspace().rows, ref_left_nullspace(rows))
     if other is not None:
+        for r in other.rows:
+            outside = len(ref_rref(rows + [r])[0]) > len(pivots)
+            assert bool(from_dicts.reduce(integer_dict(r))) == outside
         stacked = FMatrix.from_rows(QQ, rows + other.rows)
         assert stacked.rank() == len(ref_rref(rows + other.rows)[0])
 
