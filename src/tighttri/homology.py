@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
                         UnknownVertexError, Verdict, verify_closed_manifold)
-from .linalg import FMatrix, FieldSpec, _dense, row_basis
+from .linalg import FMatrix, FieldSpec, _dense, kernel_rows, row_basis
 
 
 def boundary_matrix(x: Complex, k: int, field: FieldSpec) -> FMatrix:
@@ -49,7 +49,6 @@ class ChainData:
         self._rows: dict = {}
         self._boundaries: dict = {}
         self._bases: dict = {}
-        self._rrefs: dict = {}
 
     def rows(self, k: int) -> list:
         """The rows of boundary(k), sparse, in face order."""
@@ -74,14 +73,6 @@ class ChainData:
                 basis.add(r)
             self._bases[k] = basis
         return self._bases[k]
-
-    def boundary_rref(self, k: int):
-        """(pivots, rows) of the reduced row echelon form of the k-boundaries,
-        the row space of boundary(k + 1), for k < dim."""
-        if k not in self._rrefs:
-            basis = self.basis(k + 1)
-            self._rrefs[k] = (basis.pivots, basis.rows)
-        return self._rrefs[k]
 
 
 def _boundary_rows(x: Complex, k: int, field: FieldSpec, index: Sequence[dict]) -> list:
@@ -159,10 +150,14 @@ def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -
     injective iff the k-chains of Y that bound in X already bound in Y.
     Such a chain is automatically a cycle of Y, so the test compares
     dim(C_k(Y) n B_k(X)) with dim B_k(Y), all read off rows of the ambient
-    boundary matrices and of the cached reduced basis of B_k(X).  On
-    failure the witness is ``(k, chain)``: in degree 0 the 0-cycle u - v
-    on the least vertices of the first such pair of components, else the
-    first row of the reduced echelon form of C_k(Y) n B_k(X) outside
+    boundary matrices and of the cached reduced basis of B_k(X).  The meet
+    is spanned by the combinations of the basis rows r_i pivoting on Y's
+    k-faces whose parts off those faces cancel: its dimension is their
+    count minus the rank of those parts, and its reduced echelon form is
+    :func:`~tighttri.linalg.kernel_rows` of the pairs (r_i off Y | r_i).
+    On failure the witness is ``(k, chain)``: in degree 0 the 0-cycle
+    u - v on the least vertices of the first such pair of components, else
+    the first row of the reduced echelon form of C_k(Y) n B_k(X) outside
     B_k(Y), as (face, coefficient) pairs.
     """
     w = frozenset(subset)
@@ -210,21 +205,25 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
         # with coefficients its entries at the pivots; it is supported on
         # Y's faces iff only rows pivoting there enter and their parts
         # outside Y's faces cancel
-        pivots, rref = cd.boundary_rref(k)
-        ycols = set(rows_of[k])
-        meet_rows = [r for p, r in zip(pivots, rref) if p in ycols]
+        meet_rows = cd.basis(k + 1).rows_at(rows_of[k])
+        if field.char == 2:
+            ymask = sum(1 << j for j in rows_of[k])
+            outside = [r & ~ymask for r in meet_rows]
+        else:
+            ycols = set(rows_of[k])
+            outside = [{j: v for j, v in r.items() if j not in ycols} for r in meet_rows]
         n = len(cd.index[k])
-        outside = _drop_columns(field, meet_rows, ycols, n)
-        meet_dim = len(meet_rows) - outside.rank()
+        outside_basis = row_basis(field, n)
+        for r in outside:
+            outside_basis.add(r)
+        meet_dim = len(meet_rows) - outside_basis.dim
         if meet_dim < by.dim:
             raise InternalInconsistencyError(
                 f"degree {k}: C(Y) ∩ B(X) has dimension {meet_dim} < dim B(Y) = {by.dim}")
         if meet_dim == by.dim:
             continue
         # the combinations whose parts outside Y cancel, applied to the rows
-        ambient = FMatrix(field, len(meet_rows), n, meet_rows)
-        meet = outside.left_nullspace().matmul(ambient).rowspace_basis()
-        for v in meet.rows:
+        for v in kernel_rows(field, zip(outside, meet_rows), n, n):
             resid = by.reduce(v)
             if resid != 0 if field.char == 2 else any(resid):
                 chain = _decode_chain(v, x.faces(k), field)
@@ -264,17 +263,6 @@ def _rows_basis(cd: ChainData, k: int, rows: Sequence[int], cap: int):
             break
         basis.add(bk[i])
     return basis
-
-
-def _drop_columns(field: FieldSpec, rows: list, cols: set, ncols: int) -> FMatrix:
-    """The rows with the given columns removed (zeroed, for GF(2))."""
-    if field.char == 2:
-        mask = 0
-        for j in cols:
-            mask |= 1 << j
-        return FMatrix(field, len(rows), ncols, [r & ~mask for r in rows])
-    keep = [j for j in range(ncols) if j not in cols]
-    return FMatrix(field, len(rows), len(keep), [[r[j] for j in keep] for r in rows])
 
 
 def _decode_chain(vec, faces: tuple, field: FieldSpec) -> tuple:

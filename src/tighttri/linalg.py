@@ -1,15 +1,19 @@
 """Exact linear algebra over Q and prime fields.
 
-Matrices are dense.  Rational matrices hold ints, or ``fractions.Fraction``
-for non-integral input; GF(p) entries are ints in ``[0, p)``; GF(2) rows are
-bit-packed into Python ints.  Reduced row bases keep the reduced row echelon
-form with each row stored under its pivot, and every row is zero at every
-other pivot, so a row is reduced in one pass over its own entries at the
-pivots.  Over Q they hold sparse primitive integer rows, eliminated
-fraction-free, with results read out as exact rationals, a plain int
-wherever the value is integral; over GF(p) sparse monic rows mod p; over
-GF(2) bit-packed rows, combined with word-parallel XOR.  The Q and GF(p)
-bases take rows dense or as ``{column: entry}`` dicts.
+:class:`FMatrix` is a dense container for boundary matrices: rational
+matrices hold ints, or ``fractions.Fraction`` for non-integral input; GF(p)
+entries are ints in ``[0, p)``; GF(2) rows are bit-packed into Python ints.
+Its ranks and null spaces come from reduced row bases, null spaces by
+Zassenhaus's method in :func:`kernel_rows`.
+
+Reduced row bases keep the reduced row echelon form with each row stored
+under its pivot, and every row is zero at every other pivot, so a row is
+reduced in one pass over its own entries at the pivots.  Over Q they hold
+sparse primitive integer rows, eliminated fraction-free, with results read
+out as exact rationals, a plain int wherever the value is integral; over
+GF(p) sparse monic rows mod p; over GF(2) bit-packed rows, combined with
+word-parallel XOR.  The Q and GF(p) bases take rows dense or as
+``{column: entry}`` dicts.
 """
 
 from __future__ import annotations
@@ -91,6 +95,11 @@ class _RowBasisGF2:
         """The reduced row echelon form, in pivot order."""
         return [self._by_pivot[b] for b in sorted(self._by_pivot)]
 
+    def rows_at(self, cols: Iterable[int]) -> List[int]:
+        """The stored rows whose pivots lie in ``cols``, in that order."""
+        by_pivot = self._by_pivot
+        return [by_pivot[1 << j] for j in cols if 1 << j in by_pivot]
+
     def reduce(self, row: int) -> int:
         by_pivot = self._by_pivot
         hit = row & self._pivmask
@@ -160,6 +169,13 @@ class _RowBasisGFp:
     def rows(self) -> List[list]:
         """The reduced row echelon form as lists of ints in ``[0, p)``."""
         return [_dense(self._by_pivot[piv], self.ncols) for piv in self.pivots]
+
+    def rows_at(self, cols: Iterable[int]) -> List[dict]:
+        """The stored rows whose pivots lie in ``cols``, in that order: the
+        basis's own dicts, to be read and not changed (over Q, positive
+        integer multiples of the echelon rows)."""
+        by_pivot = self._by_pivot
+        return [by_pivot[j] for j in cols if j in by_pivot]
 
     def _residual(self, x: dict) -> dict:
         """Reduce the sparse row ``x`` in place, and return it."""
@@ -274,6 +290,8 @@ class _RowBasisQ:
                               self.ncols))
         return out
 
+    rows_at = _RowBasisGFp.rows_at
+
     def _residual(self, x: dict) -> dict:
         """A positive integer multiple of the residual of the sparse integer
         row ``x``; ``x`` itself may be reduced in place."""
@@ -345,8 +363,31 @@ def row_basis(field: FieldSpec, ncols: int):
     return _RowBasisQ(ncols)
 
 
+def kernel_rows(field: FieldSpec, pairs: Iterable, n: int, m: int) -> list:
+    """The reduced row echelon form of {sum c_i b_i : sum c_i a_i = 0}, for
+    pairs (a_i, b_i) of rows on n and m columns in the row bases' sparse
+    format (bit masks over GF(2), ``{column: entry}`` dicts otherwise).
+
+    Zassenhaus: the rows (a_i | b_i) go into one basis on n + m columns;
+    the rows of its reduced echelon form that pivot at or past column n are
+    zero before it, so they are (0 | b) for exactly the b above, and read
+    out as the basis reads out its rows, shifted back by n.
+    """
+    basis = row_basis(field, n + m)
+    for a, b in pairs:
+        if field.char == 2:
+            basis.add(a | b << n)
+        else:
+            row = dict(a)
+            row.update((j + n, v) for j, v in b.items())
+            basis.add(row)
+    rows = [r for piv, r in zip(basis.pivots, basis.rows) if piv >= n]
+    return [r >> n for r in rows] if field.char == 2 else [r[n:] for r in rows]
+
+
 class FMatrix:
-    """Dense matrix over a :class:`FieldSpec`.
+    """Dense boundary-matrix container over a :class:`FieldSpec`, with its
+    rank, row space basis and left null space.
 
     For GF(2) the rows are ints with bit j = column j; otherwise each row is
     a list of exact scalars: ints mod p, or over Q ints and Fractions.
@@ -392,75 +433,13 @@ class FMatrix:
             basis.add(r)
         return basis
 
-    def transpose(self) -> "FMatrix":
-        if self.field.char == 2:
-            cols = []
-            for j in range(self.ncols):
-                m = 0
-                for i, r in enumerate(self.rows):
-                    if (r >> j) & 1:
-                        m |= 1 << i
-                cols.append(m)
-            return FMatrix(self.field, self.ncols, self.nrows, cols)
-        return FMatrix(self.field, self.ncols, self.nrows,
-                       [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def matmul(self, other: "FMatrix") -> "FMatrix":
-        if self.ncols != other.nrows or self.field != other.field:
-            raise ValueError("incompatible shapes for matmul")
-        if self.field.char == 2:
-            out = []
-            for r in self.rows:
-                acc = 0
-                rr = r
-                while rr:
-                    j = (rr & -rr).bit_length() - 1
-                    acc ^= other.rows[j]
-                    rr &= rr - 1
-                out.append(acc)
-            return FMatrix(self.field, self.nrows, other.ncols, out)
-        p = self.field.char
-        out_rows = []
-        for r in self.rows:
-            acc = [0] * other.ncols
-            for j, c in enumerate(r):
-                if c:
-                    orow = other.rows[j]
-                    for t in range(other.ncols):
-                        if orow[t]:
-                            acc[t] = acc[t] + c * orow[t]
-            if p:
-                acc = [c % p for c in acc]
-            out_rows.append(acc)
-        return FMatrix(self.field, self.nrows, other.ncols, out_rows)
-
-    def right_nullspace(self) -> "FMatrix":
-        """Basis (as rows) of {x : M x = 0}."""
-        basis = self.rowspace_basis()
-        pivots, rows = basis.pivots, basis.rows
-        pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        if self.field.char == 2:
-            vectors = []
-            for f in free:
-                x = 1 << f
-                for p, brow in zip(pivots, rows):
-                    if (brow >> f) & 1:
-                        x |= 1 << p
-                vectors.append(x)
-            return FMatrix(self.field, len(vectors), self.ncols, vectors)
-        p_ = self.field.char
-        vectors = []
-        for f in free:
-            x = [0] * self.ncols
-            x[f] = 1
-            for piv, brow in zip(pivots, rows):
-                c = brow[f]
-                if c:
-                    x[piv] = (-c) % p_ if p_ else -c
-            vectors.append(x)
-        return FMatrix(self.field, len(vectors), self.ncols, vectors)
-
     def left_nullspace(self) -> "FMatrix":
-        """Basis (as rows) of {c : c M = 0}."""
-        return self.transpose().right_nullspace()
+        """The reduced row echelon form of {c : c M = 0}, by :func:`kernel_rows`
+        on the pairs (row i | e_i)."""
+        if self.field.char == 2:
+            pairs = [(r, 1 << i) for i, r in enumerate(self.rows)]
+        else:  # each pair scaled as one row, so that rational rows become integral
+            pairs = [(_sparse(x[:-1]), {i: x[-1]})
+                     for i, x in enumerate(_integral([*r, 1]) for r in self.rows)]
+        rows = kernel_rows(self.field, pairs, self.ncols, self.nrows)
+        return FMatrix(self.field, len(rows), self.nrows, rows)

@@ -7,15 +7,17 @@ subcomplex into the ambient chains and compares ranks.
 """
 
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cyclic_polytope_boundary, subdivide_facet
-from tighttri import (Complex, betti, catalog, chain_data, induced_map_injective,
+from oracle import left_nullspace, matmul, rank, rref
+from tighttri import (Complex, betti, boundary_matrix, catalog, chain_data, induced_map_injective,
                       is_isomorphic, is_tight_bruteforce)
-from tighttri.homology import _decode_chain, _drop_columns, injectivity_on_mask
+from tighttri.homology import _decode_chain, injectivity_on_mask
 from tighttri.complexes import PreconditionError, UnknownVertexError, Verdict
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
 from tighttri import tightness
@@ -79,6 +81,14 @@ def _rank(field: FieldSpec, rows: list, ncols: int) -> int:
     return len(leading)
 
 
+@lru_cache(maxsize=64)
+def boundaries_rref(x: Complex, k: int, field: FieldSpec) -> tuple:
+    """(pivots, rows) of the reduced echelon form of B_k(x), the row space
+    of d_{k+1}, by the dense oracle."""
+    b = boundary_matrix(x, k + 1, field)
+    return rref(field, b.rows, b.ncols)
+
+
 def failing_degrees(x: Complex, w, field: FieldSpec) -> frozenset:
     """Degrees k where H_k(x[w]) -> H_k(x) is not injective, that is where
     dim(C_k(Y) n B_k(X)) > dim B_k(Y).  The first is rank B_k(X) minus the
@@ -89,7 +99,7 @@ def failing_degrees(x: Complex, w, field: FieldSpec) -> frozenset:
     inside = [[i for i, m in enumerate(masks) if not m & out] for masks in x._face_masks]
     fails = set()
     for k in range(x.dim):
-        _, bx = cd.boundary_rref(k)
+        _, bx = boundaries_rref(x, k, field)
         ncols = len(x.faces(k))
         off = _rank(field, _zero_columns(field, bx, inside[k]), ncols)
         b = cd.boundary(k + 1)
@@ -251,16 +261,17 @@ def induced_reference(x: Complex, subset, field: FieldSpec) -> Verdict:
         cycles_dim, rank_k = len(rows_of[k]) - rank_k, by.dim
         if cycles_dim == by.dim:
             continue
-        pivots, rref = cd.boundary_rref(k)
-        ycols = set(rows_of[k])
-        meet_rows = [r for p, r in zip(pivots, rref) if p in ycols]
+        # the meet densely: combinations of the echelon rows of B_k(X) at
+        # Y's faces whose parts off those faces cancel, applied to the rows
+        pivots, bx = boundaries_rref(x, k, field)
+        ycols = rows_of[k]
+        meet_rows = [r for p, r in zip(pivots, bx) if p in ycols]
         n = len(cd.index[k])
-        outside = _drop_columns(field, meet_rows, ycols, n)
-        if len(meet_rows) - outside.rank() == by.dim:
+        outside = _zero_columns(field, meet_rows, ycols)
+        if len(meet_rows) - rank(field, outside, n) == by.dim:
             continue
-        ambient = FMatrix(field, len(meet_rows), n, meet_rows)
-        meet = outside.left_nullspace().matmul(ambient).rowspace_basis()
-        for v in meet.rows:
+        combos = left_nullspace(field, outside, n)
+        for v in rref(field, matmul(field, combos, meet_rows, n), n)[1]:
             resid = by.reduce(v)
             if resid != 0 if field.char == 2 else any(resid):
                 return Verdict(False, witness=(k, _decode_chain(v, x.faces(k), field)))

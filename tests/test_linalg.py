@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tighttri import boundary_matrix, catalog
-from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
+from oracle import entries, is_zero, left_nullspace, matmul, rank, right_nullspace, rref, transpose
+from tighttri import boundary_matrix, catalog, chain_data
+from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, kernel_rows, row_basis
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5), FieldSpec.gf(7)]
 
@@ -27,15 +28,8 @@ def bitrows(masks: list, ncols: int) -> FMatrix:
     return FMatrix(GF2, len(masks), ncols, masks)
 
 
-def entries(m: FMatrix) -> list:
-    """The entries of a matrix as dense lists (GF(2) rows are bitmasks)."""
-    if m.field.char == 2:
-        return [[(r >> j) & 1 for j in range(m.ncols)] for r in m.rows]
-    return [list(r) for r in m.rows]
-
-
-def is_zero(m: FMatrix) -> bool:
-    return all(c == 0 for row in entries(m) for c in row)
+def transposed(m: FMatrix) -> FMatrix:
+    return FMatrix(m.field, m.ncols, m.nrows, transpose(m.field, m.rows, m.ncols))
 
 
 def span_gf2(rows):
@@ -71,7 +65,7 @@ class TestFromRows:
                               [4, 1, 5, 5]),
         }
         for field, (row, want) in cases.items():
-            assert entries(FMatrix.from_rows(field, [row])) == [want]
+            assert entries(field, FMatrix.from_rows(field, [row]).rows, len(row)) == [want]
 
     def test_denominator_divisible_by_p_is_rejected(self):
         for field, bad in ((GF2, Fraction(1, 2)), (FieldSpec.gf(3), Fraction(1, 3)),
@@ -100,7 +94,7 @@ class TestRank:
     @given(int_matrix, st.sampled_from(FIELDS))
     def test_rank_equals_transpose_rank(self, rows, field):
         m = FMatrix.from_rows(field, rows)
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transposed(m).rank()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4),
@@ -117,9 +111,8 @@ class TestRank:
     def test_integer_hilbert_like_products(self):
         n = 6
         h = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
-        m = FMatrix.from_rows(QQ, h)
-        prod = m.matmul(m).matmul(m)
-        assert prod.rank() == n
+        prod = matmul(QQ, matmul(QQ, h, h, n), h, n)
+        assert FMatrix.from_rows(QQ, prod).rank() == n
 
 
 class TestDimSum:
@@ -163,10 +156,13 @@ class TestNullspaces:
     @settings(max_examples=60, deadline=None)
     @given(int_matrix, st.sampled_from(FIELDS))
     def test_right_nullspace(self, rows, field):
+        # {x : M x = 0} is the left null space of the transpose
         m = FMatrix.from_rows(field, rows)
-        n = m.right_nullspace()
+        t = transposed(m)
+        n = t.left_nullspace()
         assert n.nrows == m.ncols - m.rank()
-        assert is_zero(n.matmul(m.transpose()))
+        assert is_zero(field, matmul(field, n.rows, t.rows, m.nrows), m.nrows)
+        assert n.rows == rref(field, right_nullspace(field, m.rows, m.ncols), m.ncols)[1]
 
     @settings(max_examples=60, deadline=None)
     @given(int_matrix, st.sampled_from(FIELDS))
@@ -174,7 +170,8 @@ class TestNullspaces:
         m = FMatrix.from_rows(field, rows)
         n = m.left_nullspace()
         assert n.nrows == m.nrows - m.rank()
-        assert is_zero(n.matmul(m))
+        assert is_zero(field, matmul(field, n.rows, m.rows, m.ncols), m.ncols)
+        assert n.rows == rref(field, left_nullspace(field, m.rows, m.ncols), m.nrows)[1]
 
     def test_nullspace_of_zero_columns(self):
         m = FMatrix.from_rows(QQ, [[]] * 4)
@@ -187,42 +184,6 @@ class TestNullspaces:
 ODD_PRIMES = [FieldSpec.gf(3), FieldSpec.gf(5), FieldSpec.gf(7), FieldSpec.gf(2 ** 31 - 1)]
 
 
-def gfp_rref(rows, ncols: int, p: int):
-    """(pivots, rows) of the reduced row echelon form over GF(p) by textbook
-    Gauss-Jordan elimination, column by column on dense rows."""
-    m = [[c % p for c in r] for r in rows]
-    pivots = []
-    for j in range(ncols):
-        i = len(pivots)
-        k = next((k for k in range(i, len(m)) if m[k][j]), None)
-        if k is None:
-            continue
-        m[i], m[k] = m[k], m[i]
-        inv = pow(m[i][j], -1, p)
-        m[i] = [c * inv % p for c in m[i]]
-        for t in range(len(m)):
-            c = m[t][j]
-            if t != i and c:
-                m[t] = [(u - c * v) % p for u, v in zip(m[t], m[i])]
-        pivots.append(j)
-    return pivots, m[:len(pivots)]
-
-
-def gfp_right_nullspace(rows, ncols: int, p: int):
-    """One vector per free column f: 1 at f, minus the RREF's column f at
-    the pivots."""
-    pivots, rref = gfp_rref(rows, ncols, p)
-    out = []
-    for f in range(ncols):
-        if f not in pivots:
-            x = [0] * ncols
-            x[f] = 1
-            for piv, b in zip(pivots, rref):
-                x[piv] = -b[f] % p
-            out.append(x)
-    return out
-
-
 def as_dict(row) -> dict:
     return {j: v for j, v in enumerate(row) if v}
 
@@ -231,29 +192,29 @@ def check_gfp_against_oracle(m: FMatrix, probes):
     """Every readout of the elimination equals the oracle's, and ``reduce``
     leaves ``v`` minus its RREF combination, zero exactly on the row space;
     the same rows given as ``{column: entry}`` dicts read out the same."""
-    p, rows, n = m.field.char, m.rows, m.ncols
-    pivots, rref = gfp_rref(rows, n, p)
+    field, rows, n = m.field, m.rows, m.ncols
+    p = field.char
+    pivots, echelon = rref(field, rows, n)
     assert m.rank() == len(pivots)
     basis = m.rowspace_basis()
     assert basis.pivots == pivots
-    assert basis.rows == rref
-    from_sparse = row_basis(m.field, n)
+    assert basis.rows == echelon
+    from_sparse = row_basis(field, n)
     for r in rows:
         from_sparse.add(as_dict(r))
     assert from_sparse.pivots == pivots
-    assert from_sparse.rows == rref
-    assert m.right_nullspace().rows == gfp_right_nullspace(rows, n, p)
-    assert m.left_nullspace().rows == gfp_right_nullspace(
-        [list(col) for col in zip(*rows)], len(rows), p)
+    assert from_sparse.rows == echelon
+    assert transposed(m).left_nullspace().rows == rref(field, right_nullspace(field, rows, n), n)[1]
+    assert m.left_nullspace().rows == rref(field, left_nullspace(field, rows, n), len(rows))[1]
     for v in probes:
         want = list(v)
-        for piv, b in zip(pivots, rref):
+        for piv, b in zip(pivots, echelon):
             c = want[piv]
             want = [(u - c * w) % p for u, w in zip(want, b)]
         got = basis.reduce(v)
         assert got == want
         assert from_sparse.reduce(as_dict(v)) == as_dict(want)
-        assert any(got) == (len(gfp_rref(rows + [v], n, p)[0]) > len(pivots))
+        assert any(got) == (rank(field, rows + [v], n) > len(pivots))
 
 
 @st.composite
@@ -295,3 +256,54 @@ class TestGFpElimination:
             for k in range(1, x.dim + 1):
                 m = boundary_matrix(x, k, gf3)
                 check_gfp_against_oracle(m, m.rows[:3] + [[1] * m.ncols])
+
+
+# -- Zassenhaus kernels against the dense oracle --------------------------------
+
+KERNEL_FIELDS = [GF2, FieldSpec.gf(3), QQ]
+
+
+def sparse_rows(field: FieldSpec, rows, ncols: int) -> list:
+    """Rows in the row bases' sparse format: masks over GF(2), else dicts."""
+    m = FMatrix.from_rows(field, rows, ncols)
+    return m.rows if field.char == 2 else [as_dict(r) for r in m.rows]
+
+
+def oracle_kernel(field: FieldSpec, a, b, n: int, m: int) -> list:
+    """The reduced echelon form of {c B : c A = 0}, densely."""
+    return rref(field, matmul(field, left_nullspace(field, a, n), b, m), m)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_kernel_rows_match_oracle(field, n, m, data):
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+    pairs = data.draw(st.lists(st.tuples(st.lists(entry, min_size=n, max_size=n),
+                                         st.lists(entry, min_size=m, max_size=m)), max_size=6))
+    a = FMatrix.from_rows(field, [x for x, _ in pairs], n).rows
+    b = FMatrix.from_rows(field, [y for _, y in pairs], m).rows
+    got = kernel_rows(field, zip(sparse_rows(field, [x for x, _ in pairs], n),
+                                 sparse_rows(field, [y for _, y in pairs], m)), n, m)
+    assert got == oracle_kernel(field, a, b, n, m)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_rows_give_the_meets_of_corpus_members(corpus3, field):
+    """C_k(Y) n B_k(X) for Y = X[W]: the combinations of the rows of d_{k+1}
+    whose parts off Y's k-faces cancel, applied to the rows."""
+    rng = random.Random(7)
+    members = [x for _, x in corpus3[::8]] + [catalog.projective_plane_6(), catalog.torus_7()]
+    for x in members:
+        cd = chain_data(x, field)
+        for _ in range(2):
+            w = rng.sample(x.vertices, rng.randrange(3, x.num_vertices - 1))
+            for k in range(1, x.dim):
+                n = len(x.faces(k))
+                ycols = [j for j, f in enumerate(x.faces(k)) if set(f) <= set(w)]
+                d = cd.boundary(k + 1).rows
+                off = [[0 if j in ycols else c for j, c in enumerate(r)]
+                       for r in entries(field, d, n)]
+                got = kernel_rows(field, zip(sparse_rows(field, off, n), cd.rows(k + 1)), n, n)
+                assert got == oracle_kernel(field, FMatrix.from_rows(field, off, n).rows, d, n, n)
+                assert all(not any(v[j] for j in range(n) if j not in ycols)
+                           for v in entries(field, got, n))

@@ -1,14 +1,13 @@
 """Exact Q elimination against a plain ``Fraction`` oracle.
 
 The library eliminates over Q on primitive integer rows and reads results
-out as exact rationals.  The oracle below is the textbook reduced row echelon
-form (RREF) in ``Fraction`` arithmetic.  The RREF of a row space is unique,
+out as exact rationals.  The oracle, in ``oracle.py``, is the textbook
+reduced row echelon form (RREF) in ``Fraction`` arithmetic.  The RREF of a row space is unique,
 so every result that the library reads out of an elimination must equal the
 oracle's value for value, not merely span the same space.
 """
 
 import json
-from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import left_nullspace, rref, right_nullspace, transpose
 from tighttri import boundary_matrix, catalog, induced_map_injective, linalg
 from tighttri.linalg import QQ, FMatrix
 
@@ -24,49 +24,9 @@ WITNESSES = json.loads((Path(__file__).parent / "q_witnesses.json").read_text())
 
 # -- the oracle ----------------------------------------------------------------
 
-def ref_rref(rows):
-    """(pivots, rows) of the RREF of the span of ``rows``, in Fractions."""
-    pivots, basis = [], []
-    for r in rows:
-        r = [Fraction(c) for c in r]
-        for piv, b in zip(pivots, basis):
-            c = r[piv]
-            if c:
-                r = [u - c * v for u, v in zip(r, b)]
-        piv = next((j for j, c in enumerate(r) if c), None)
-        if piv is None:
-            continue
-        r = [c / r[piv] for c in r]
-        basis = [[u - b[piv] * v for u, v in zip(b, r)] for b in basis]
-        idx = bisect_left(pivots, piv)
-        pivots.insert(idx, piv)
-        basis.insert(idx, r)
-    return pivots, basis
-
-
-def ref_right_nullspace(rows, ncols):
-    """One vector per free column f: 1 at f, minus the RREF's column f at
-    the pivots."""
-    pivots, basis = ref_rref(rows)
-    out = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for piv, b in zip(pivots, basis):
-            x[piv] = -b[f]
-        out.append(x)
-    return out
-
-
-def ref_left_nullspace(rows):
-    return ref_right_nullspace([list(col) for col in zip(*rows)], len(rows))
-
-
 def ref_intersection(a, b, ncols):
     """Right halves of the RREF rows of [(a | a); (b | 0)] whose left half is zero."""
-    _, basis = ref_rref([list(r) + list(r) for r in a] + [list(r) + [0] * ncols for r in b])
+    _, basis = rref(QQ, [list(r) + list(r) for r in a] + [list(r) + [0] * ncols for r in b], 2 * ncols)
     return [r[ncols:] for r in basis if not any(r[:ncols])]
 
 
@@ -89,25 +49,27 @@ def check_against_oracle(m: FMatrix, other: FMatrix = None):
     """Every readout equals the oracle's, also when the rows are given as
     ``{column: entry}`` dicts of ints."""
     rows, n = m.rows, m.ncols
-    pivots, rref = ref_rref(rows)
+    pivots, echelon = rref(QQ, rows, n)
     assert m.rank() == len(pivots)
     basis = m.rowspace_basis()
     assert basis.pivots == pivots
-    assert_exact(basis.rows, rref)
+    assert_exact(basis.rows, echelon)
     from_dicts = linalg.row_basis(QQ, n)
     for r in rows:
         from_dicts.add(integer_dict(r))
     assert from_dicts.pivots == pivots
-    assert_exact(from_dicts.rows, rref)
+    assert_exact(from_dicts.rows, echelon)
     assert not any(from_dicts.reduce(integer_dict(r)) for r in rows)
-    assert_exact(m.right_nullspace().rows, ref_right_nullspace(rows, n))
-    assert_exact(m.left_nullspace().rows, ref_left_nullspace(rows))
+    # {x : M x = 0} is the left null space of the transpose
+    t = FMatrix(QQ, n, len(rows), transpose(QQ, rows, n))
+    assert_exact(t.left_nullspace().rows, rref(QQ, right_nullspace(QQ, rows, n), n)[1])
+    assert_exact(m.left_nullspace().rows, rref(QQ, left_nullspace(QQ, rows, n), len(rows))[1])
     if other is not None:
         for r in other.rows:
-            outside = len(ref_rref(rows + [r])[0]) > len(pivots)
+            outside = len(rref(QQ, rows + [r], n)[0]) > len(pivots)
             assert bool(from_dicts.reduce(integer_dict(r))) == outside
         stacked = FMatrix.from_rows(QQ, rows + other.rows)
-        assert stacked.rank() == len(ref_rref(rows + other.rows)[0])
+        assert stacked.rank() == len(rref(QQ, rows + other.rows, n)[0])
 
 
 # -- drawn matrices ------------------------------------------------------------
@@ -194,11 +156,12 @@ def test_corpus_witness_intersections_match_oracle(pinned_members):
                 out.append(v)
             return out
 
-        cycles = embed(ref_left_nullspace(boundary_matrix(y, k, QQ).rows))
+        dy = boundary_matrix(y, k, QQ)
+        cycles = embed(left_nullspace(QQ, dy.rows, dy.ncols))
         bx = boundary_matrix(x, k + 1, QQ).rows if k < x.dim else []
         by = embed(boundary_matrix(y, k + 1, QQ).rows) if k < y.dim else []
-        by_rank = len(ref_rref(by)[0])
+        by_rank = len(rref(QQ, by, len(faces))[0])
         meet = ref_intersection(cycles, bx, len(faces))
-        first = next(v for v in meet if len(ref_rref(by + [v])[0]) > by_rank)
+        first = next(v for v in meet if len(rref(QQ, by + [v], len(faces))[0]) > by_rank)
         want = tuple((faces[j], c) for j, c in enumerate(first) if c)
         assert induced_map_injective(x, rec["subset"], QQ).witness == (k, want), key
