@@ -195,10 +195,7 @@ def _cmd_check_manifold(args) -> int:
 def _cmd_check_stacked_sphere(args) -> int:
     name, x = load_complex(args.complex)
     d = args.dim if args.dim is not None else x.dim
-    try:
-        v = is_stacked_sphere(x, d)
-    except (PreconditionError, ValueError) as e:
-        raise InputError(str(e)) from None
+    v = is_stacked_sphere(x, d)
     doc = {"name": name, "verdict": v.ok, "dim": d,
            "removal_sequence": list(v.witness) if v.witness is not None else None,
            "detail": v.detail}
@@ -208,10 +205,7 @@ def _cmd_check_stacked_sphere(args) -> int:
 
 def _cmd_check_locally_stacked(args) -> int:
     name, x = load_complex(args.complex)
-    try:
-        v = is_locally_stacked(x)
-    except (PreconditionError, ValueError) as e:
-        raise InputError(str(e)) from None
+    v = is_locally_stacked(x)
     doc = {"name": name, "verdict": v.ok, "witness": v.witness, "detail": v.detail}
     _emit(args, doc, f"{name}: locally stacked = {v.ok}")
     return 0 if v.ok else 1
@@ -239,8 +233,6 @@ def _cmd_decompose(args) -> int:
                "witness": list(witness.vertices) if witness is not None else None}
         sys.stdout.write(dumps(doc))
         return 1
-    except (PreconditionError, ValueError) as e:
-        raise InputError(str(e)) from None
     doc = {"name": name, "summands": summands.as_dict(),
            "cuts": [{"triangle": list(t), "sides": [list(a), list(b)]}
                     for t, (a, b) in summands.cuts]}
@@ -279,10 +271,7 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_gen_stacked_sphere(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
-    try:
-        x = stacked_sphere(args.n, args.dim, seed=seed)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    x = stacked_sphere(args.n, args.dim, seed=seed)
     sys.stdout.write(dumps(complex_document(f"stacked-{args.dim}-sphere-{args.n}-s{seed}", x)))
     return 0
 
@@ -303,10 +292,7 @@ def _cmd_gen_handle(args) -> int:
             bijection[int(a)] = int(b)
     except ValueError:
         raise InputError("--bijection expects v:w pairs, comma-separated") from None
-    try:
-        out = handle_addition(x, facets[i], facets[j], bijection)
-    except (PreconditionError, ValueError) as e:
-        raise InputError(str(e)) from None
+    out = handle_addition(x, facets[i], facets[j], bijection)
     sys.stdout.write(dumps(complex_document(f"{name}-handle", out)))
     return 0
 
@@ -315,10 +301,7 @@ def _cmd_search_tight(args) -> int:
     field = parse_field(args.field)
     seed = args.seed if args.seed is not None else _env_seed()
     t0 = time.perf_counter()
-    try:
-        result = search_tight(args.k, field, budget=args.budget, seed=seed, jobs=args.jobs)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    result = search_tight(args.k, field, budget=args.budget, seed=seed, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
     if result is None:
         sys.stdout.write(dumps({"found": False, "k": args.k, "field": str(field),
@@ -366,10 +349,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_admissible_k(args) -> int:
-    try:
-        table = admissible_k(args.limit)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    table = admissible_k(args.limit)
     if args.json:
         sys.stdout.write(dumps([{"k": a.k, "f0": a.f0} for a in table]))
     else:
@@ -489,10 +469,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (MalformedComplexError, PreconditionError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

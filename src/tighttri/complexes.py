@@ -252,22 +252,9 @@ class Complex:
 
     @cached_property
     def _components(self) -> tuple:
-        seen: set = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self._adjacency[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=min))
+        verts = self.vertices
+        return tuple(frozenset(v for i, v in enumerate(verts) if m >> i & 1)
+                     for m in component_masks(self, (1 << len(verts)) - 1))
 
     def components(self) -> tuple:
         """Connected components as frozensets of vertices, ordered by least vertex."""
@@ -292,6 +279,24 @@ class Complex:
 
     def __repr__(self) -> str:
         return f"Complex(f_vector={self.f_vector})"
+
+
+def component_masks(x: Complex, mask: int) -> list:
+    """Components of the induced subcomplex on the vertex positions set in
+    ``mask``, as masks ordered by their lowest set bit, the least vertex."""
+    nbrs = x._neighbour_masks
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbrs[low.bit_length() - 1] & mask & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        mask &= ~comp
+    return comps
 
 
 def from_facets(facets: Iterable[Iterable[int]]) -> Complex:

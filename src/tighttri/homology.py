@@ -19,15 +19,15 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
-                        UnknownVertexError, Verdict, verify_closed_manifold)
-from .linalg import FMatrix, FieldSpec, _dense, kernel_rows, row_basis
+                        UnknownVertexError, Verdict, component_masks, verify_closed_manifold)
+from .linalg import FMatrix, FieldSpec, echelon_row, kernel_rows, row_basis
 
 
 def boundary_matrix(x: Complex, k: int, field: FieldSpec) -> FMatrix:
     """The k-th boundary map of the chain complex of ``x`` over ``field``."""
     if not 0 <= k <= x.dim:
         raise ValueError(f"boundary degree {k} out of range for dimension {x.dim}")
-    return _chain_data(x, field).boundary(k)
+    return chain_data(x, field).boundary(k)
 
 
 class ChainData:
@@ -36,8 +36,8 @@ class ChainData:
 
     Boundary rows are built straight from the faces in the row bases' own
     format: bit masks over GF(2), ``{column: ±1 mod p}`` dicts over GF(p)
-    and ``{column: ±1}`` dicts over Q, with columns in ascending order.  The
-    dense :meth:`boundary` matrix is built from them only when asked for.
+    and ``{column: ±1}`` dicts over Q, with columns in ascending order.
+    :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them.
     """
 
     def __init__(self, x: Complex, field: FieldSpec):
@@ -47,7 +47,6 @@ class ChainData:
             {f: i for i, f in enumerate(x.faces(k))} for k in range(x.dim + 1)
         ]
         self._rows: dict = {}
-        self._boundaries: dict = {}
         self._bases: dict = {}
 
     def rows(self, k: int) -> list:
@@ -57,13 +56,8 @@ class ChainData:
         return self._rows[k]
 
     def boundary(self, k: int) -> FMatrix:
-        if k not in self._boundaries:
-            ncols = len(self.index[k - 1]) if k else 0
-            rows = self.rows(k)
-            if self.field.char != 2:
-                rows = [_dense(r, ncols) for r in rows]
-            self._boundaries[k] = FMatrix(self.field, len(rows), ncols, rows)
-        return self._boundaries[k]
+        rows = self.rows(k)
+        return FMatrix(self.field, len(rows), len(self.index[k - 1]) if k else 0, rows)
 
     def basis(self, k: int):
         """Reduced basis of the row space of boundary(k), eliminated once."""
@@ -90,13 +84,9 @@ def _boundary_rows(x: Complex, k: int, field: FieldSpec, index: Sequence[dict]) 
 
 
 @lru_cache(maxsize=256)
-def _chain_data(x: Complex, field: FieldSpec) -> ChainData:
-    return ChainData(x, field)
-
-
 def chain_data(x: Complex, field: FieldSpec) -> ChainData:
     """Cached chain complex data for ``x`` over ``field``."""
-    return _chain_data(x, field)
+    return ChainData(x, field)
 
 
 def betti(x: Complex, field: FieldSpec) -> tuple:
@@ -108,7 +98,7 @@ def betti(x: Complex, field: FieldSpec) -> tuple:
     """
     if x.dim < 0:
         raise PreconditionError("Betti numbers need a nonempty complex")
-    cd = _chain_data(x, field)
+    cd = chain_data(x, field)
     f = x.f_vector
     ranks = [0, f[0] - len(component_masks(x, (1 << f[0]) - 1))]
     ranks += [cd.basis(k).dim for k in range(2, x.dim + 1)]
@@ -122,24 +112,6 @@ def is_orientable(x: Complex, field: FieldSpec) -> bool:
     if not v.ok:
         raise PreconditionError(f"not a closed manifold: {v.detail}")
     return betti(x, field)[x.dim] > 0
-
-
-def component_masks(x: Complex, mask: int) -> list:
-    """Components of the induced subcomplex on the vertex positions set in
-    ``mask``, as masks ordered by their lowest set bit, the least vertex."""
-    nbrs = x._neighbour_masks
-    comps = []
-    while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = nbrs[low.bit_length() - 1] & mask & ~comp
-            comp |= new
-            frontier |= new
-        comps.append(comp)
-        mask &= ~comp
-    return comps
 
 
 def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -> Verdict:
@@ -188,7 +160,7 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
                                detail="two components of the subcomplex meet the same ambient component")
             seen[a] = comp & -comp
 
-    cd = _chain_data(x, field)
+    cd = chain_data(x, field)
     rows_of = _face_rows(cd, wmask, top + 1)
     # rank of d_k on Y's k-faces; d_1's is |Y_0| minus Y's component count
     rank_k = len(rows_of[0]) - len(comps)
@@ -224,9 +196,8 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
             continue
         # the combinations whose parts outside Y cancel, applied to the rows
         for v in kernel_rows(field, zip(outside, meet_rows), n, n):
-            resid = by.reduce(v)
-            if resid != 0 if field.char == 2 else any(resid):
-                chain = _decode_chain(v, x.faces(k), field)
+            if by.reduce(v):
+                chain = _decode_chain(echelon_row(field, v), x.faces(k), field)
                 return Verdict(False, witness=(k, chain),
                                detail=f"a {k}-cycle of the subcomplex bounds in the complex but not in the subcomplex")
         raise InternalInconsistencyError(
@@ -274,4 +245,4 @@ def _decode_chain(vec, faces: tuple, field: FieldSpec) -> tuple:
             out.append((faces[j], 1))
             m &= m - 1
         return tuple(out)
-    return tuple((faces[j], c) for j, c in enumerate(vec) if c)
+    return tuple((faces[j], vec[j]) for j in sorted(vec))

@@ -1,27 +1,26 @@
-"""Exact linear algebra over Q and prime fields.
+"""Exact linear algebra over Q and prime fields, on one sparse row format.
 
-:class:`FMatrix` is a dense container for boundary matrices: rational
-matrices hold ints, or ``fractions.Fraction`` for non-integral input; GF(p)
-entries are ints in ``[0, p)``; GF(2) rows are bit-packed into Python ints.
-Its ranks and null spaces come from reduced row bases, null spaces by
-Zassenhaus's method in :func:`kernel_rows`.
+A row is a bit mask over GF(2) (bit j is column j) and a ``{column: entry}``
+dict of its nonzero entries otherwise: ints in ``[1, p)`` over GF(p) and
+ints over Q.
 
 Reduced row bases keep the reduced row echelon form with each row stored
 under its pivot, and every row is zero at every other pivot, so a row is
 reduced in one pass over its own entries at the pivots.  Over Q they hold
-sparse primitive integer rows, eliminated fraction-free, with results read
-out as exact rationals, a plain int wherever the value is integral; over
-GF(p) sparse monic rows mod p; over GF(2) bit-packed rows, combined with
-word-parallel XOR.  The Q and GF(p) bases take rows dense or as
-``{column: entry}`` dicts.
+primitive integer rows, eliminated fraction-free; :func:`echelon_row` reads
+one out as an exact rational row, the one place a ``Fraction`` is made.
+Over GF(p) they hold monic rows mod p; over GF(2) bit masks, combined with
+word-parallel XOR.  Null spaces come from Zassenhaus's method in
+:func:`kernel_rows`, and :class:`FMatrix` is a view of a list of rows with
+its rank, row space basis and left null space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, List, Optional
+from math import gcd
+from typing import Iterable, List
 
 
 def _is_prime(n: int) -> bool:
@@ -86,15 +85,6 @@ class _RowBasisGF2:
     def dim(self) -> int:
         return len(self._by_pivot)
 
-    @property
-    def pivots(self) -> List[int]:
-        return [b.bit_length() - 1 for b in sorted(self._by_pivot)]
-
-    @property
-    def rows(self) -> List[int]:
-        """The reduced row echelon form, in pivot order."""
-        return [self._by_pivot[b] for b in sorted(self._by_pivot)]
-
     def rows_at(self, cols: Iterable[int]) -> List[int]:
         """The stored rows whose pivots lie in ``cols``, in that order."""
         by_pivot = self._by_pivot
@@ -123,22 +113,6 @@ class _RowBasisGF2:
         return True
 
 
-def _dense(x: dict, ncols: int) -> list:
-    """A sparse row as a dense list."""
-    out = [0] * ncols
-    for j, v in x.items():
-        out[j] = v
-    return out
-
-
-def _sparse(row) -> dict:
-    """A new ``{column: entry}`` dict of the nonzero entries of ``row``,
-    which is dense or such a dict."""
-    if type(row) is dict:
-        return dict(row)
-    return {j: v for j, v in enumerate(row) if v}
-
-
 class _RowBasisGFp:
     """Reduced basis over GF(p), p odd.
 
@@ -147,7 +121,7 @@ class _RowBasisGFp:
     in every other row's pivot column, so together they are the reduced row
     echelon form.  Reducing a row walks only the basis rows at the pivots
     where it has an entry; adding a row rewrites only the rows with an entry
-    at its pivot.  Rows are given dense or as ``{column: entry}`` dicts.
+    at its pivot.
     """
 
     __slots__ = ("ncols", "char", "_by_pivot")
@@ -160,15 +134,6 @@ class _RowBasisGFp:
     @property
     def dim(self) -> int:
         return len(self._by_pivot)
-
-    @property
-    def pivots(self) -> List[int]:
-        return sorted(self._by_pivot)
-
-    @property
-    def rows(self) -> List[list]:
-        """The reduced row echelon form as lists of ints in ``[0, p)``."""
-        return [_dense(self._by_pivot[piv], self.ncols) for piv in self.pivots]
 
     def rows_at(self, cols: Iterable[int]) -> List[dict]:
         """The stored rows whose pivots lie in ``cols``, in that order: the
@@ -190,14 +155,13 @@ class _RowBasisGFp:
                     del x[j]
         return x
 
-    def reduce(self, row):
-        """The residual of ``row`` against the basis, as a new row of the
-        same kind; it is zero exactly when ``row`` lies in the row space."""
-        x = self._residual(_sparse(row))
-        return x if type(row) is dict else _dense(x, self.ncols)
+    def reduce(self, row: dict) -> dict:
+        """The residual of ``row`` against the basis, as a new dict; it is
+        empty exactly when ``row`` lies in the row space."""
+        return self._residual(dict(row))
 
-    def add(self, row) -> bool:
-        xd = self._residual(_sparse(row))
+    def add(self, row: dict) -> bool:
+        xd = self._residual(dict(row))
         if not xd:
             return False
         p = self.char
@@ -218,33 +182,6 @@ class _RowBasisGFp:
         return True
 
 
-_INT_ONLY = frozenset((int,))
-
-
-def _integral(row) -> list:
-    """``row`` as a new list of ints: a row with rational entries is scaled
-    by the lcm of its denominators, which keeps its direction."""
-    x = list(row)
-    if _INT_ONLY.issuperset(map(type, x)):
-        return x
-    den = lcm(*[v.denominator for v in x])
-    return [v.numerator * (den // v.denominator) for v in x]
-
-
-def _rational(c):
-    """An input entry as an exact rational: an int when it is integral."""
-    f = Fraction(c)
-    return f.numerator if f.denominator == 1 else f
-
-
-def _residue(c, p: int) -> int:
-    """A rational input entry a/b as ``a * b**-1`` mod p."""
-    f = Fraction(c)
-    if f.denominator % p == 0:
-        raise ValueError(f"{c} has no value mod {p}: p divides its denominator")
-    return f.numerator * pow(f.denominator, -1, p) % p
-
-
 def _ratio(a: int, b: int):
     """a/b exactly: a plain int when b divides a, else a Fraction."""
     q, r = divmod(a, b)
@@ -261,8 +198,6 @@ class _RowBasisQ:
     each stored under its pivot.  They combine by cross-multiplication,
     ``bp*x - c*b``, over the nonzero entries of the basis row, and are
     divided by their gcd whenever a scale factor other than 1 entered.
-    Fractions appear only when :attr:`rows` reads the echelon form out.
-    Rows are given dense or as ``{column: entry}`` dicts of ints.
     """
 
     __slots__ = ("ncols", "_by_pivot")
@@ -274,21 +209,6 @@ class _RowBasisQ:
     @property
     def dim(self) -> int:
         return len(self._by_pivot)
-
-    @property
-    def pivots(self) -> List[int]:
-        return sorted(self._by_pivot)
-
-    @property
-    def rows(self) -> List[list]:
-        """The reduced row echelon form: pivot entries 1, entries exact."""
-        out = []
-        for piv in self.pivots:
-            b = self._by_pivot[piv]
-            bp = b[piv]
-            out.append(_dense(b if bp == 1 else {j: _ratio(v, bp) for j, v in b.items()},
-                              self.ncols))
-        return out
 
     rows_at = _RowBasisGFp.rows_at
 
@@ -314,15 +234,14 @@ class _RowBasisQ:
                     x = {j: v // g for j, v in x.items()}
         return x
 
-    def reduce(self, row):
+    def reduce(self, row: dict) -> dict:
         """A positive integer multiple of the residual of ``row`` against
-        the basis, as a new row of the same kind (dense rows as ints); it is
-        zero exactly when ``row`` lies in the row space."""
-        x = self._residual(_sparse(row if type(row) is dict else _integral(row)))
-        return x if type(row) is dict else _dense(x, self.ncols)
+        the basis, as a new dict; it is empty exactly when ``row`` lies in
+        the row space."""
+        return self._residual(dict(row))
 
-    def add(self, row) -> bool:
-        xd = self._residual(_sparse(row if type(row) is dict else _integral(row)))
+    def add(self, row: dict) -> bool:
+        xd = self._residual(dict(row))
         if not xd:
             return False
         piv = min(xd)
@@ -363,15 +282,27 @@ def row_basis(field: FieldSpec, ncols: int):
     return _RowBasisQ(ncols)
 
 
+def echelon_row(field: FieldSpec, row):
+    """The row of the reduced row echelon form that a stored row stands for.
+    Over Q the row is scaled to pivot entry 1, with exact entries (a plain
+    int wherever the value is integral) in ascending column order; over a
+    prime field a stored row is already that row, and is returned as is."""
+    if field.char:
+        return row
+    bp = row[min(row)]
+    return {j: _ratio(row[j], bp) for j in sorted(row)}
+
+
 def kernel_rows(field: FieldSpec, pairs: Iterable, n: int, m: int) -> list:
     """The reduced row echelon form of {sum c_i b_i : sum c_i a_i = 0}, for
-    pairs (a_i, b_i) of rows on n and m columns in the row bases' sparse
-    format (bit masks over GF(2), ``{column: entry}`` dicts otherwise).
+    pairs (a_i, b_i) of rows on n and m columns, in pivot order; over Q each
+    row is a positive integer multiple of its echelon row, which
+    :func:`echelon_row` reads out.
 
     Zassenhaus: the rows (a_i | b_i) go into one basis on n + m columns;
     the rows of its reduced echelon form that pivot at or past column n are
-    zero before it, so they are (0 | b) for exactly the b above, and read
-    out as the basis reads out its rows, shifted back by n.
+    zero before it, so they are (0 | b) for exactly the b above, shifted
+    back by n.
     """
     basis = row_basis(field, n + m)
     for a, b in pairs:
@@ -381,51 +312,28 @@ def kernel_rows(field: FieldSpec, pairs: Iterable, n: int, m: int) -> list:
             row = dict(a)
             row.update((j + n, v) for j, v in b.items())
             basis.add(row)
-    rows = [r for piv, r in zip(basis.pivots, basis.rows) if piv >= n]
-    return [r >> n for r in rows] if field.char == 2 else [r[n:] for r in rows]
+    rows = basis.rows_at(range(n, n + m))
+    if field.char == 2:
+        return [r >> n for r in rows]
+    return [{j - n: v for j, v in r.items()} for r in rows]
 
 
 class FMatrix:
-    """Dense boundary-matrix container over a :class:`FieldSpec`, with its
-    rank, row space basis and left null space.
-
-    For GF(2) the rows are ints with bit j = column j; otherwise each row is
-    a list of exact scalars: ints mod p, or over Q ints and Fractions.
-    Instances are immutable in practice: no method mutates ``self``.
+    """A boundary matrix, or any matrix, as a view of its list of rows in
+    the row format above, with its rank, row space basis and left null
+    space.  ``rows`` is shared, not copied: no method changes it.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rank")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows):
+    def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows: list):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-        self._rank: Optional[int] = None
-
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable], ncols: Optional[int] = None) -> "FMatrix":
-        """Build from an iterable of entry rows (ints or Fractions).  Over
-        GF(p) an entry a/b becomes ``a * b**-1`` mod p; ``ValueError`` when p
-        divides b."""
-        data = [list(r) for r in rows]
-        if ncols is None:
-            ncols = len(data[0]) if data else 0
-        if any(len(r) != ncols for r in data):
-            raise ValueError("ragged rows")
-        p = field.char
-        if not p:
-            return cls(field, len(data), ncols,
-                       [[c if type(c) is int else _rational(c) for c in r] for r in data])
-        data = [[c % p if type(c) is int else _residue(c, p) for c in r] for r in data]
-        if p == 2:
-            data = [sum(1 << j for j, c in enumerate(r) if c) for r in data]
-        return cls(field, len(data), ncols, data)
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = self.rowspace_basis().dim
-        return self._rank
+        return self.rowspace_basis().dim
 
     def rowspace_basis(self):
         basis = row_basis(self.field, self.ncols)
@@ -435,11 +343,12 @@ class FMatrix:
 
     def left_nullspace(self) -> "FMatrix":
         """The reduced row echelon form of {c : c M = 0}, by :func:`kernel_rows`
-        on the pairs (row i | e_i)."""
+        on the pairs (row i | e_i).  Over Q its entries are exact rationals,
+        read out by :func:`echelon_row`: rows to read, not to eliminate."""
         if self.field.char == 2:
             pairs = [(r, 1 << i) for i, r in enumerate(self.rows)]
-        else:  # each pair scaled as one row, so that rational rows become integral
-            pairs = [(_sparse(x[:-1]), {i: x[-1]})
-                     for i, x in enumerate(_integral([*r, 1]) for r in self.rows)]
-        rows = kernel_rows(self.field, pairs, self.ncols, self.nrows)
+        else:
+            pairs = [(r, {i: 1}) for i, r in enumerate(self.rows)]
+        rows = [echelon_row(self.field, r)
+                for r in kernel_rows(self.field, pairs, self.ncols, self.nrows)]
         return FMatrix(self.field, len(rows), self.nrows, rows)

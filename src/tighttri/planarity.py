@@ -37,22 +37,12 @@ class KuratowskiWitness:
     paths: Tuple[tuple, ...]
 
 
-def _adjacency(g: Complex) -> Dict[int, Set[int]]:
-    adj: Dict[int, Set[int]] = {v: set() for v in g.vertices}
-    for a, b in g.faces(1):
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
 def find_kuratowski_subdivision(g: Complex) -> Optional[KuratowskiWitness]:
     """A K5 or K33 subdivision in the 1-skeleton, or None if the graph is planar."""
-    if g.dim > 1:
-        g = g.one_skeleton()
     if g.num_vertices > KURATOWSKI_VERTEX_CAP:
         raise PreconditionError(
             f"Kuratowski search is capped at {KURATOWSKI_VERTEX_CAP} vertices")
-    adj = _adjacency(g)
+    adj = g._adjacency
     if _is_planar(adj):
         return None
     witness = _search_pattern(adj, "K5") or _search_pattern(adj, "K33")
@@ -64,9 +54,7 @@ def find_kuratowski_subdivision(g: Complex) -> Optional[KuratowskiWitness]:
 
 def is_planar_graph(g: Complex) -> bool:
     """Planarity of the 1-skeleton via the embedding filter."""
-    if g.dim > 1:
-        g = g.one_skeleton()
-    return _is_planar(_adjacency(g))
+    return _is_planar(g._adjacency)
 
 
 # -- planar embedding (DMP) -------------------------------------------------

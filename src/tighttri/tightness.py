@@ -20,9 +20,9 @@ import math
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing import Pool
 from typing import Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
@@ -85,21 +85,20 @@ def _first_failure(x: Complex, field: FieldSpec, top: int, block: tuple) -> Opti
 
 def _first_hit(task, blocks, jobs: int):
     """The first non-None ``task(block)`` in block order, run on
-    min(jobs, cores) processes with at most two blocks per process queued;
-    the blocks still queued behind it are cancelled.  ``task`` and each block
-    are pickled to the workers, so ``task`` binds its arguments by
-    ``functools.partial``."""
+    min(jobs, cores) processes with at most two blocks per process queued.
+    It returns as soon as that is known: leaving the pool terminates its
+    workers, so the blocks still running or queued behind the hit are
+    dropped, not waited for.  ``task`` and each block are pickled to the
+    workers, so ``task`` binds its arguments by ``functools.partial``."""
     workers = min(jobs, os.cpu_count() or 1)
     blocks = iter(blocks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(task, b) for b in itertools.islice(blocks, 2 * workers))
+    with Pool(workers) as pool:
+        pending = deque(pool.apply_async(task, (b,)) for b in itertools.islice(blocks, 2 * workers))
         while pending:
-            hit = pending.popleft().result()
+            hit = pending.popleft().get()
             if hit is not None:
-                for fut in pending:
-                    fut.cancel()
                 return hit
-            pending.extend(pool.submit(task, b) for b in itertools.islice(blocks, 1))
+            pending.extend(pool.apply_async(task, (b,)) for b in itertools.islice(blocks, 1))
     return None
 
 

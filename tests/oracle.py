@@ -1,21 +1,47 @@
 """Dense linear algebra for the tests to compare the library against.
 
 Textbook Gauss-Jordan elimination, column by column on dense rows: over Q
-in ``Fraction`` arithmetic, over GF(p) on ints mod p.  Rows come and go in
-the layout of ``FMatrix.rows``: bit masks over GF(2) (bit j is column j),
-lists of entries otherwise.  Nothing here calls the library's elimination.
+in ``Fraction`` arithmetic, over GF(p) on ints mod p.  Rows come in as bit
+masks over GF(2) (bit j is column j), and otherwise as dense lists of
+entries or the library's ``{column: entry}`` dicts; they go out as masks
+over GF(2) and dense lists otherwise.  :func:`library_rows` turns dense
+rows of ints and Fractions into the library's row format.  Nothing here
+calls the library's elimination.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from tighttri.linalg import FieldSpec
+
+
+def library_rows(field: FieldSpec, rows) -> list:
+    """Dense rows of ints and Fractions in the library's row format.  Over
+    GF(p) an entry a/b is ``a * b**-1`` mod p, and ``ValueError`` when p
+    divides b; over GF(2) the rows are then bit masks.  Over Q each row is
+    scaled by the lcm of its denominators into ints, the same direction."""
+    p = field.char
+    out = []
+    for r in rows:
+        r = [Fraction(c) for c in r]
+        if p:
+            if any(c.denominator % p == 0 for c in r):
+                raise ValueError(f"an entry of {r} has no value mod {p}")
+            r = [c.numerator * pow(c.denominator, -1, p) % p for c in r]
+        else:
+            den = lcm(*[c.denominator for c in r])
+            r = [int(c * den) for c in r]
+        out.append(sum(1 << j for j, c in enumerate(r) if c) if p == 2
+                   else {j: c for j, c in enumerate(r) if c})
+    return out
 
 
 def entries(field: FieldSpec, rows, ncols: int) -> list:
     """The rows as dense lists of entries."""
     if field.char == 2:
         return [[(r >> j) & 1 for j in range(ncols)] for r in rows]
-    return [list(r) for r in rows]
+    return [[r.get(j, 0) for j in range(ncols)] if type(r) is dict else list(r)
+            for r in rows]
 
 
 def _packed(field: FieldSpec, rows: list) -> list:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from oracle import left_nullspace, rank, rref
+from oracle import entries, left_nullspace, rank, rref
 from tighttri import ChainData, catalog, stacked_sphere
 from tighttri.linalg import GF2, QQ, FieldSpec
 
@@ -49,5 +49,5 @@ def test_scan_replay_call_chain(field):
         for k in range(1, y.dim + 1):
             b = cd.boundary(k)
             assert b.rank() == rank(field, b.rows, b.ncols)
-            assert b.left_nullspace().rows == rref(
-                field, left_nullspace(field, b.rows, b.ncols), b.nrows)[1]
+            want = rref(field, left_nullspace(field, b.rows, b.ncols), b.nrows)[1]
+            assert entries(field, b.left_nullspace().rows, b.nrows) == entries(field, want, b.nrows)

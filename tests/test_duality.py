@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cyclic_polytope_boundary, subdivide_facet
-from oracle import left_nullspace, matmul, rank, rref
+from oracle import entries, left_nullspace, library_rows, matmul, rank, rref
 from tighttri import (Complex, betti, boundary_matrix, catalog, chain_data, induced_map_injective,
                       is_isomorphic, is_tight_bruteforce)
-from tighttri.homology import _decode_chain, injectivity_on_mask
+from tighttri.homology import injectivity_on_mask
 from tighttri.complexes import PreconditionError, UnknownVertexError, Verdict
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
 from tighttri import tightness
@@ -52,8 +52,9 @@ def _zero_columns(field: FieldSpec, rows: list, cols: list) -> list:
 
 
 def _rank(field: FieldSpec, rows: list, ncols: int) -> int:
-    """Rank over Q by the library's elimination; over GF(p) by a plain
-    echelon form, each row kept under its leading column."""
+    """Rank of rows in the library's format: over Q by the library's
+    elimination; over GF(p) by a plain echelon form, each row kept under
+    its leading column."""
     p = field.char
     if p == 0:
         return FMatrix(field, len(rows), ncols, rows).rank()
@@ -65,7 +66,7 @@ def _rank(field: FieldSpec, rows: list, ncols: int) -> int:
             if r:
                 leading[r.bit_length()] = r
             continue
-        d = {j: v for j, v in enumerate(r) if v}
+        d = dict(r)
         while d and min(d) in leading:
             lead = min(d)
             b = leading[lead]
@@ -101,7 +102,8 @@ def failing_degrees(x: Complex, w, field: FieldSpec) -> frozenset:
     for k in range(x.dim):
         _, bx = boundaries_rref(x, k, field)
         ncols = len(x.faces(k))
-        off = _rank(field, _zero_columns(field, bx, inside[k]), ncols)
+        zeroed = _zero_columns(field, bx, inside[k])
+        off = _rank(field, zeroed if field.char == 2 else library_rows(field, zeroed), ncols)
         b = cd.boundary(k + 1)
         if len(bx) - off > _rank(field, [b.rows[i] for i in inside[k + 1]], ncols):
             fails.add(k)
@@ -271,10 +273,10 @@ def induced_reference(x: Complex, subset, field: FieldSpec) -> Verdict:
         if len(meet_rows) - rank(field, outside, n) == by.dim:
             continue
         combos = left_nullspace(field, outside, n)
-        for v in rref(field, matmul(field, combos, meet_rows, n), n)[1]:
-            resid = by.reduce(v)
-            if resid != 0 if field.char == 2 else any(resid):
-                return Verdict(False, witness=(k, _decode_chain(v, x.faces(k), field)))
+        for v in entries(field, rref(field, matmul(field, combos, meet_rows, n), n)[1], n):
+            if by.reduce(library_rows(field, [v])[0]):
+                faces = x.faces(k)
+                return Verdict(False, witness=(k, tuple((faces[j], c) for j, c in enumerate(v) if c)))
     return Verdict(True)
 
 

@@ -1,7 +1,7 @@
 """Exact Q elimination against a plain ``Fraction`` oracle.
 
 The library eliminates over Q on primitive integer rows and reads results
-out as exact rationals.  The oracle, in ``oracle.py``, is the textbook
+out as exact rationals with ``echelon_row``.  The oracle, in ``oracle.py``, is the textbook
 reduced row echelon form (RREF) in ``Fraction`` arithmetic.  The RREF of a row space is unique,
 so every result that the library reads out of an elimination must equal the
 oracle's value for value, not merely span the same space.
@@ -9,15 +9,14 @@ oracle's value for value, not merely span the same space.
 
 import json
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import left_nullspace, rref, right_nullspace, transpose
+from oracle import entries, left_nullspace, library_rows, rref, right_nullspace, transpose
 from tighttri import boundary_matrix, catalog, induced_map_injective, linalg
-from tighttri.linalg import QQ, FMatrix
+from tighttri.linalg import QQ, FMatrix, FieldSpec, echelon_row
 
 WITNESSES = json.loads((Path(__file__).parent / "q_witnesses.json").read_text())
 
@@ -38,37 +37,35 @@ def assert_exact(got, want):
             assert type(v) is int or v.denominator != 1
 
 
-def integer_dict(row) -> dict:
-    """A rational row scaled by the lcm of its denominators, as a
-    ``{column: entry}`` dict of ints: the same direction."""
-    den = lcm(*[Fraction(v).denominator for v in row])
-    return {j: int(v * den) for j, v in enumerate(row) if v}
+def matrix(rows) -> FMatrix:
+    """The matrix of dense rows of ints and Fractions, each row scaled to
+    integers, in the library's format."""
+    return FMatrix(QQ, len(rows), len(rows[0]), library_rows(QQ, rows))
 
 
 def check_against_oracle(m: FMatrix, other: FMatrix = None):
-    """Every readout equals the oracle's, also when the rows are given as
-    ``{column: entry}`` dicts of ints."""
+    """Every readout equals the oracle's: the stored rows in pivot order,
+    read out by ``echelon_row``, are the RREF, value for value, and so are
+    the null spaces of the same integral rows."""
     rows, n = m.rows, m.ncols
     pivots, echelon = rref(QQ, rows, n)
     assert m.rank() == len(pivots)
     basis = m.rowspace_basis()
-    assert basis.pivots == pivots
-    assert_exact(basis.rows, echelon)
-    from_dicts = linalg.row_basis(QQ, n)
-    for r in rows:
-        from_dicts.add(integer_dict(r))
-    assert from_dicts.pivots == pivots
-    assert_exact(from_dicts.rows, echelon)
-    assert not any(from_dicts.reduce(integer_dict(r)) for r in rows)
+    stored = basis.rows_at(range(n))
+    assert [min(r) for r in stored] == pivots
+    assert_exact(entries(QQ, [echelon_row(QQ, r) for r in stored], n), echelon)
+    assert not any(basis.reduce(r) for r in rows)
     # {x : M x = 0} is the left null space of the transpose
-    t = FMatrix(QQ, n, len(rows), transpose(QQ, rows, n))
-    assert_exact(t.left_nullspace().rows, rref(QQ, right_nullspace(QQ, rows, n), n)[1])
-    assert_exact(m.left_nullspace().rows, rref(QQ, left_nullspace(QQ, rows, n), len(rows))[1])
+    t = FMatrix(QQ, n, len(rows), library_rows(QQ, transpose(QQ, rows, n)))
+    assert_exact(entries(QQ, t.left_nullspace().rows, n),
+                 rref(QQ, right_nullspace(QQ, rows, n), n)[1])
+    assert_exact(entries(QQ, m.left_nullspace().rows, len(rows)),
+                 rref(QQ, left_nullspace(QQ, rows, n), len(rows))[1])
     if other is not None:
         for r in other.rows:
             outside = len(rref(QQ, rows + [r], n)[0]) > len(pivots)
-            assert bool(from_dicts.reduce(integer_dict(r))) == outside
-        stacked = FMatrix.from_rows(QQ, rows + other.rows)
+            assert bool(basis.reduce(r)) == outside
+        stacked = FMatrix(QQ, m.nrows + other.nrows, n, rows + other.rows)
         assert stacked.rank() == len(rref(QQ, rows + other.rows, n)[0])
 
 
@@ -87,14 +84,14 @@ def matrix_pair(entries):
 @settings(max_examples=100, deadline=None)
 @given(matrix_pair(rational))
 def test_rational_matrices_match_oracle(pair):
-    a, b = (FMatrix.from_rows(QQ, rows) for rows in pair)
+    a, b = (matrix(rows) for rows in pair)
     check_against_oracle(a, b)
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrix_pair(wide_int))
 def test_integer_matrices_match_oracle(pair):
-    a, b = (FMatrix.from_rows(QQ, rows) for rows in pair)
+    a, b = (matrix(rows) for rows in pair)
     check_against_oracle(a, b)
 
 
@@ -102,25 +99,40 @@ def test_integer_matrices_match_oracle(pair):
 @given(matrix_pair(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])))
 def test_sparse_rank_deficient_matrices_match_oracle(pair):
     # few distinct small entries make dependent rows and non-unit pivots common
-    a, b = (FMatrix.from_rows(QQ, rows) for rows in pair)
+    a, b = (matrix(rows) for rows in pair)
     check_against_oracle(a, b)
 
 
 def test_reduce_vanishes_exactly_on_the_row_space():
-    m = FMatrix.from_rows(QQ, [[2, 4, 6, 1], [0, 3, 5, Fraction(1, 2)]])
-    basis = m.rowspace_basis()
-    inside = [2 * u - Fraction(1, 3) * v for u, v in zip(m.rows[0], m.rows[1])]
-    assert not any(basis.reduce(inside))
-    assert any(basis.reduce([0, 0, 1, 0]))
+    rows = [[2, 4, 6, 1], [0, 3, 5, Fraction(1, 2)]]
+    basis = matrix(rows).rowspace_basis()
+    inside = [2 * u - Fraction(1, 3) * v for u, v in zip(*rows)]
+    assert basis.reduce(library_rows(QQ, [inside])[0]) == {}
+    assert basis.reduce({2: 1})
 
 
 def test_elimination_builds_no_fraction(monkeypatch):
-    hilbert = FMatrix.from_rows(QQ, [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)])
+    hilbert = matrix([[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)])
     monkeypatch.setattr(linalg, "Fraction", None)  # constructing one in linalg now fails
     basis = hilbert.rowspace_basis()
     assert basis.dim == 5
-    probe = FMatrix.from_rows(QQ, [[1, 2, 3, 4, 5]]).rows[0]
-    assert all(type(v) is int for v in basis.reduce(probe))
+    assert all(type(v) is int for r in basis.rows_at(range(5)) for v in r.values())
+    probe = basis.reduce({0: 1, 1: 2, 2: 3, 3: 4, 4: 5})
+    assert all(type(v) is int for v in probe.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(wide_int, min_size=1, max_size=6).filter(any))
+def test_echelon_row_is_the_oracle_rref_row(dense):
+    """A primitive or scaled integer row, its columns stored in any order,
+    reads out as the one row of the oracle's RREF, in ascending columns."""
+    n = len(dense)
+    row = dict(reversed(library_rows(QQ, [dense])[0].items()))
+    got = echelon_row(QQ, row)
+    assert list(got) == sorted(got)
+    assert_exact(entries(QQ, [got], n), rref(QQ, [dense], n)[1])
+    gf3_row = {2: 1, 0: 2}
+    assert echelon_row(FieldSpec.gf(3), gf3_row) is gf3_row
 
 
 # -- boundary matrices of the corpus -------------------------------------------
@@ -158,8 +170,8 @@ def test_corpus_witness_intersections_match_oracle(pinned_members):
 
         dy = boundary_matrix(y, k, QQ)
         cycles = embed(left_nullspace(QQ, dy.rows, dy.ncols))
-        bx = boundary_matrix(x, k + 1, QQ).rows if k < x.dim else []
-        by = embed(boundary_matrix(y, k + 1, QQ).rows) if k < y.dim else []
+        bx = entries(QQ, boundary_matrix(x, k + 1, QQ).rows, len(faces)) if k < x.dim else []
+        by = embed(entries(QQ, boundary_matrix(y, k + 1, QQ).rows, dy.nrows)) if k < y.dim else []
         by_rank = len(rref(QQ, by, len(faces))[0])
         meet = ref_intersection(cycles, bx, len(faces))
         first = next(v for v in meet if len(rref(QQ, by + [v], len(faces))[0]) > by_rank)

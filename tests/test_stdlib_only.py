@@ -26,4 +26,4 @@ def test_package_imports_only_the_standard_library():
         imported = absolute_imports(path)
         assert imported <= sys.stdlib_module_names, (path.name, imported - sys.stdlib_module_names)
         seen |= imported
-    assert {"itertools", "concurrent"} <= seen
+    assert {"itertools", "multiprocessing"} <= seen

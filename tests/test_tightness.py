@@ -1,6 +1,7 @@
 import dataclasses
+import itertools
+import multiprocessing
 import os
-from concurrent.futures import Future
 
 import pytest
 
@@ -84,13 +85,20 @@ class TestBruteForce:
         cores = os.cpu_count() or 1
         asked = []
 
-        class InlinePool:
-            """Runs each task at submit; records the worker count asked for."""
+        class Done:
+            def __init__(self, value):
+                self.value = value
 
-            def __init__(self, max_workers, **kwargs):
-                asked.append(max_workers)
-                if max_workers > cores:
-                    raise AssertionError(f"{max_workers} workers asked for on {cores} cores")
+            def get(self):
+                return self.value
+
+        class InlinePool:
+            """Runs each task at submission; records the worker count asked for."""
+
+            def __init__(self, processes):
+                asked.append(processes)
+                if processes > cores:
+                    raise AssertionError(f"{processes} workers asked for on {cores} cores")
 
             def __enter__(self):
                 return self
@@ -98,12 +106,10 @@ class TestBruteForce:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
+            def apply_async(self, fn, args):
+                return Done(fn(*args))
 
-        monkeypatch.setattr(tightness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(tightness, "Pool", InlinePool)
         monkeypatch.setattr(tightness, "PARALLEL_MIN_SUBSETS", 8)
         monkeypatch.setattr(tightness, "_CHUNK", 16)
         for x, field in [(tight9[0], GF2), (tight9[0], QQ), (catalog.icosahedron(), GF2)]:
@@ -119,11 +125,23 @@ class TestBruteForce:
     def test_large_scans_are_serial_by_default(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
-        monkeypatch.setattr(tightness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(tightness, "Pool", no_pool)
         x = catalog.cycle_complex(15)  # 2**15 - 17 subsets, above the parallel threshold
         report = is_tight_bruteforce(x, GF2)
         assert not report.verdict
         assert report.witness == ((0, 2), 0) and report.subsets_scanned == 2
+
+
+    def test_parallel_early_exit_leaves_no_workers(self):
+        # the first subset, the non-edge {0, 1}, fails while the other
+        # worker is still scanning a later block
+        skeleton = Complex.from_facets(f for f in itertools.combinations(range(15), 3)
+                                       if not {0, 1} <= set(f))
+        seq = is_tight_bruteforce(skeleton, GF2, jobs=1)
+        par = is_tight_bruteforce(skeleton, GF2, jobs=2)
+        assert (seq.verdict, seq.witness, seq.subsets_scanned) == \
+            (par.verdict, par.witness, par.subsets_scanned) == (False, ((0, 1), 0), 1)
+        assert multiprocessing.active_children() == []
 
 
 class TestFast3Manifold:
