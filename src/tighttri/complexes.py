@@ -95,17 +95,30 @@ class Complex:
         Distinct input faces of one size are all maximal, so they are kept as
         :attr:`facets`; any other input leaves ``facets`` to be derived.
         """
-        given = {_as_face(f) for f in facets}
-        by_dim: dict = {}
-        for f in given:
-            for size in range(1, len(f) + 1):
-                bucket = by_dim.setdefault(size - 1, set())
-                bucket.update(itertools.combinations(f, size))
-        dims = sorted(by_dim)
-        out = cls(tuple(tuple(sorted(by_dim[k])) for k in dims), _closed=True)
+        return cls._from_faces({_as_face(f) for f in facets})
+
+    @classmethod
+    def _from_faces(cls, faces: Iterable[Face]) -> "Complex":
+        """:meth:`from_facets` on faces the package built itself, which are
+        sorted tuples of distinct non-negative ints and are not re-validated."""
+        given = set(faces)
+        by_dim = []
+        for size in range(1, max(map(len, given), default=0) + 1):
+            # a face with fewer than ``size`` vertices has no such subsets
+            subsets = itertools.chain.from_iterable(
+                map(itertools.combinations, given, itertools.repeat(size)))
+            by_dim.append(tuple(sorted(set(subsets))))
+        out = cls(tuple(by_dim), _closed=True)
         if len({len(f) for f in given}) == 1:
             out.facets = tuple(sorted(given))
         return out
+
+    def _record_closed_manifold(self) -> "Complex":
+        """Record the verdict of :func:`verify_closed_manifold` on a complex
+        that is a closed 2- or 3-manifold by construction, instead of
+        checking it; the verdict equals the one the check returns."""
+        self._closed_manifold_verdict = _CLOSED_MANIFOLD[self.dim]
+        return self
 
     # -- basic queries ------------------------------------------------------
 
@@ -333,7 +346,7 @@ def connected_sum(x: Complex, y: Complex, facet_x: Iterable[int],
         if f == fy:
             continue
         new_facets.append(tuple(sorted(rename[u] for u in f)))
-    out = Complex.from_facets(new_facets)
+    out = Complex._from_faces(new_facets)
     if out.num_vertices != x.num_vertices + y.num_vertices - (d + 1):
         raise InternalInconsistencyError(
             f"connected sum has {out.num_vertices} vertices, expected "
@@ -404,7 +417,10 @@ def verify_closed_manifold(x: Complex) -> Verdict:
     vertex inside a vertex link, and the tetrahedra on each triangle; each
     edge link is walked once.  The witness on failure is the offending
     vertex or facet.  The verdict is kept on the complex, which is
-    immutable, so checking the same object again costs nothing.
+    immutable, so checking the same object again costs nothing.  The
+    package's own constructors of closed manifolds (``stacked_sphere``, the
+    search's spheres and ``handle_addition``) record the verdict instead of
+    checking it.
     """
     return x._closed_manifold_verdict
 
@@ -430,12 +446,16 @@ def _check_closed_manifold(x: Complex) -> Verdict:
         for v in x.vertices:
             if not _walks_one_cycle(opposite[v]):
                 return Verdict(False, witness=v, detail=f"link of vertex {v} is not a single cycle")
-        return Verdict(True, detail="closed 2-manifold")
+        return _CLOSED_MANIFOLD[2]
     bad = _first_bad_vertex_link(x)
     if bad is not None:
         v, reason = bad
         return Verdict(False, witness=v, detail=f"link of vertex {v} is not a 2-sphere: {reason}")
-    return Verdict(True, detail="closed 3-manifold")
+    return _CLOSED_MANIFOLD[3]
+
+
+_CLOSED_MANIFOLD = {2: Verdict(True, detail="closed 2-manifold"),
+                    3: Verdict(True, detail="closed 3-manifold")}
 
 
 def _first_bad_vertex_link(x: Complex) -> Optional[tuple]:

@@ -128,7 +128,9 @@ def stacked_sphere(n: int, d: int, seed=0, tree: Optional[Sequence[int]] = None)
 
     Starts from the boundary of the (d+1)-simplex and performs n-(d+2)
     subdivisions at facets chosen by the seeded generator, or at the given
-    positions in the sorted facet list when ``tree`` is supplied.
+    positions in the sorted facet list when ``tree`` is supplied.  It is a
+    closed d-manifold by construction, so the closed-manifold verdict is
+    recorded on it rather than checked.
     """
     if d not in (2, 3):
         raise UnsupportedDimensionError("stacked spheres are generated for d in {2, 3}")
@@ -149,7 +151,7 @@ def stacked_sphere(n: int, d: int, seed=0, tree: Optional[Sequence[int]] = None)
         facets.remove(target)
         for u in target:
             facets.add(tuple(sorted(set(target) - {u} | {new_vertex})))
-    return Complex.from_facets(facets)
+    return Complex._from_faces(facets)._record_closed_manifold()
 
 
 def _boundary_facets(dim_simplex: int):
@@ -162,15 +164,24 @@ def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
     their vertices along the bijection.
 
     Admissibility requires v and bijection[v] to be non-adjacent for every v
-    (identifying adjacent vertices would collapse an edge).  The result is
-    re-verified as a closed 3-manifold and the f-vector must drop by exactly
-    (4, 6, 4, 2); identifications that merge any extra faces are rejected.
+    (identifying adjacent vertices would collapse an edge), and the f-vector
+    must drop by exactly (4, 6, 4, 2); identifications that merge any extra
+    faces are rejected.
 
-    Both closed-manifold checks stay.  The one on the input is the stated
-    precondition, and its verdict is kept on the complex, so in a chain of
-    additions each intermediate result is checked once, not twice.  The one
-    on the result stays because it is not known whether the admissibility
-    checks and the exact f-vector drop already imply that the quotient is a
+    The input is checked as a closed 3-manifold, the stated precondition;
+    the verdict is kept on the complex, so the package's own spheres and
+    quotients pass it at no cost.  The result's verdict is recorded, not
+    checked, by this lemma.  Let X be a connected closed 3-manifold, s1 and
+    s2 disjoint facets, and p a bijection from s1 onto s2 with v and p(v)
+    non-adjacent for every v.  No face of X then contains both v and p(v),
+    so each face other than s1 and s2 maps onto a face of the same
+    dimension, and the faces of the boundary of s2 merge onto those of the
+    boundary of s1, which alone drops the f-vector by (4, 6, 4, 2).  If it
+    drops by exactly that, no other faces merge, and the result is X minus
+    the interiors of s1 and s2 with the two boundary spheres glued.  The
+    link of each merged vertex v is then the connected sum of the links of
+    v and p(v), two 2-spheres, and every other link is unchanged up to
+    renaming; so every vertex link is a 2-sphere, and the result is a
     closed 3-manifold.
     """
     f1 = tuple(sorted(facet1))
@@ -191,16 +202,13 @@ def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
     rename = {w: v for v, w in bijection.items()}
     new_facets = [tuple(sorted(rename.get(u, u) for u in f))
                   for f in x.facets if f not in (f1, f2)]
-    result = Complex.from_facets(new_facets)
+    result = Complex._from_faces(new_facets)
     f = x.f_vector
     expected = (f[0] - 4, f[1] - 6, f[2] - 4, f[3] - 2)
     if result.f_vector != expected:
         raise AdmissibilityError(
             f"identification merged extra faces: f-vector {result.f_vector}, expected {expected}")
-    check = verify_closed_manifold(result)
-    if not check.ok:
-        raise AdmissibilityError(f"result is not a closed 3-manifold: {check.detail}")
-    return result
+    return result._record_closed_manifold()
 
 
 @dataclass(frozen=True)
@@ -275,18 +283,32 @@ def find_admissible_handle(x: Complex, rng: random.Random):
 
     Beyond the pairwise non-adjacency, matched vertices must share no
     neighbour outside the two facets, otherwise the identification would
-    merge a pair of edges.
+    merge a pair of edges.  Each site gets its clash table once: entry
+    [i][j] says whether f1[i] and f2[j] may be identified, read off the
+    neighbour masks.  The bijections are then tried in the shuffled order
+    of the permutations of f2, drawn as permutations of its indices.  A site
+    of two equal facets where some vertex may be identified with none of
+    the other facet admits no bijection and is passed over, after the
+    shuffle, so that the generator's draws stay the same.
     """
     sites = candidate_handle_sites(x)
     rng.shuffle(sites)
+    pos = x._vertex_position
+    nbr = x._neighbour_masks
     for f1, f2 in sites:
-        ext1 = {v: x.neighbors(v) - set(f1) for v in f1}
-        ext2 = {w: x.neighbors(w) - set(f2) for w in f2}
-        perms = list(itertools.permutations(f2))
+        p1 = [pos[v] for v in f1]
+        p2 = [pos[w] for w in f2]
+        outside1 = ~sum(1 << p for p in p1)
+        outside2 = ~sum(1 << p for p in p2)
+        ext2 = [nbr[p] & outside2 for p in p2]
+        fits = [[not (nbr[p] & outside1 & e2) for e2 in ext2] for p in p1]
+        perms = list(itertools.permutations(range(len(f2))))
         rng.shuffle(perms)
+        if len(f1) == len(f2) and not (all(map(any, fits)) and all(map(any, zip(*fits)))):
+            continue
         for perm in perms:
-            if all(not (ext1[v] & ext2[w]) for v, w in zip(f1, perm)):
-                return f1, f2, dict(zip(f1, perm))
+            if all(row[j] for row, j in zip(fits, perm)):
+                return f1, f2, dict(zip(f1, (f2[j] for j in perm)))
     return None
 
 
@@ -297,7 +319,8 @@ def _grow_search_sphere(n: int, rng: random.Random, bias: float = 0.85) -> Compl
     13-vertex scale only near-path trees have such far-apart ends; uniform
     facet choice essentially never produces them.  With probability ``bias``
     each subdivision extends the newest branch, otherwise it hits a uniform
-    random facet.
+    random facet.  Like :func:`stacked_sphere`, it records its closed-manifold
+    verdict rather than checking it.
     """
     facets = {tuple(sorted(f)) for f in _boundary_facets(4)}
     continuation = None
@@ -311,7 +334,7 @@ def _grow_search_sphere(n: int, rng: random.Random, bias: float = 0.85) -> Compl
         for u in target:
             facets.add(tuple(sorted(set(target) - {u} | {w})))
         continuation = tuple(sorted((set(target) - {min(target)}) | {w}))
-    return Complex.from_facets(facets)
+    return Complex._from_faces(facets)._record_closed_manifold()
 
 
 def _search_attempt(seed, restart: int, k: int, n: int, field: FieldSpec):

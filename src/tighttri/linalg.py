@@ -336,6 +336,16 @@ class FMatrix:
         return self.rowspace_basis().dim
 
     def rowspace_basis(self):
+        """The reduced basis of the row space.  Over Q the rows must hold
+        integers, as boundary rows do; a row with any other entry, such as
+        a ``Fraction`` read out of :meth:`left_nullspace`, raises
+        ``ValueError`` naming the row."""
+        if not self.field.char:
+            for i, r in enumerate(self.rows):
+                bad = next((j for j, v in r.items() if not isinstance(v, int)), None)
+                if bad is not None:
+                    raise ValueError(f"row {i} has the non-integer entry {r[bad]!r} in column "
+                                     f"{bad}; rows over Q must hold integers")
         basis = row_basis(self.field, self.ncols)
         for r in self.rows:
             basis.add(r)
@@ -344,7 +354,8 @@ class FMatrix:
     def left_nullspace(self) -> "FMatrix":
         """The reduced row echelon form of {c : c M = 0}, by :func:`kernel_rows`
         on the pairs (row i | e_i).  Over Q its entries are exact rationals,
-        read out by :func:`echelon_row`: rows to read, not to eliminate."""
+        read out by :func:`echelon_row`: rows to read, not to eliminate
+        (:meth:`rank` rejects them)."""
         if self.field.char == 2:
             pairs = [(r, 1 << i) for i, r in enumerate(self.rows)]
         else:

@@ -87,7 +87,7 @@ def is_stacked_sphere(s: Complex, d: int) -> Verdict:
         removals.append(pick)
         facets = [f for f in current.facets if pick not in f]
         facets.append(replacement)
-        current = Complex.from_facets(facets)
+        current = Complex._from_faces(facets)
     if is_isomorphic(current, boundary_simplex(d + 1)) is None:
         return Verdict(False, witness=tuple(removals),
                        detail="irreducible remainder is not a simplex boundary")
@@ -240,7 +240,7 @@ def _split_at_triangle(s: Complex, tri: tuple) -> Tuple[Complex, Complex]:
         raise HypothesisViolationError(
             f"empty triangle {tri} does not separate the sphere into two sides",
             witness=tri)
-    left, right = (Complex.from_facets(s.induced(c | set(tri)).faces(2) + (tri,))
+    left, right = (Complex._from_faces(s.induced(c | set(tri)).faces(2) + (tri,))
                    for c in interiors)
     return left, right
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from tighttri import (AdmissibilityError, Certificate, Complex, PreconditionErro
                       admissible_k, betti, catalog, classify_topology,
                       find_admissible_handle, handle_addition, is_isomorphic,
                       is_orientable, is_stacked_sphere, search_tight,
-                      stacked_sphere, verify_stacked_certificate)
-from tighttri.construct import HandleStep, _grow_search_sphere, candidate_handle_sites
+                      stacked_sphere, verify_closed_manifold, verify_stacked_certificate)
+from tighttri.complexes import _check_closed_manifold
+from tighttri.construct import (HandleStep, _grow_search_sphere, _search_attempt,
+                                candidate_handle_sites)
 from tighttri.linalg import GF2, QQ
 
 
@@ -163,6 +166,95 @@ def test_candidate_sites_match_pairwise_definition():
         assert candidate_handle_sites(x) == want
         found += len(want)
     assert found > 0
+
+
+def assert_recorded_verdict(x: Complex) -> None:
+    """The closed-manifold verdict was recorded when ``x`` was built, and
+    equals the check's, recomputed on the same complex."""
+    assert "_closed_manifold_verdict" in vars(x)
+    assert verify_closed_manifold(x) == _check_closed_manifold(x)
+    assert verify_closed_manifold(x).ok
+
+
+def test_recorded_verdicts_match_the_check():
+    """Stacked 2- and 3-spheres, search spheres, k = 1 and k = 2 handle
+    quotients, and the quotients of certificate replays."""
+    quotients = {1: 0, 2: 0}
+    for s in range(60):
+        for d in (2, 3):
+            assert_recorded_verdict(stacked_sphere(d + 2 + s % 17, d, seed=s))
+        rng = random.Random(f"{s}:0")
+        x = _grow_search_sphere(13 + s % 14, rng) if s % 2 else stacked_sphere(20 + s % 9, 3, seed=s)
+        assert_recorded_verdict(x)
+        for k in (1, 2):
+            choice = find_admissible_handle(x, rng)
+            if choice is None:
+                break
+            x = handle_addition(x, *choice)
+            assert_recorded_verdict(x)
+            quotients[k] += 1
+    assert quotients[1] >= 20 and quotients[2] >= 5
+    replays = 0
+    for restart in range(40):
+        found = _search_attempt(7, restart, 1, 13, GF2)
+        if found is None:
+            continue
+        cert = found[1]
+        current = cert.seed_complex()
+        for step in cert.steps:
+            current = handle_addition(current, step.facet1, step.facet2, dict(step.bijection))
+            assert_recorded_verdict(current)
+        assert current.f_vector == cert.final_f_vector
+        replays += 1
+    assert replays >= 5
+
+
+def pairwise_find_admissible_handle(x, rng):
+    """The earlier site search: neighbour sets intersected afresh for each
+    shuffled bijection of each site."""
+    sites = candidate_handle_sites(x)
+    rng.shuffle(sites)
+    for f1, f2 in sites:
+        ext1 = {v: x.neighbors(v) - set(f1) for v in f1}
+        ext2 = {w: x.neighbors(w) - set(f2) for w in f2}
+        perms = list(itertools.permutations(f2))
+        rng.shuffle(perms)
+        for perm in perms:
+            if all(not (ext1[v] & ext2[w]) for v, w in zip(f1, perm)):
+                return f1, f2, dict(zip(f1, perm))
+    return None
+
+
+def test_clash_table_matches_pairwise_search():
+    """Same triple and same generator state afterwards, on stacked 3- and
+    2-spheres, search spheres, quotients, relabelled copies and complexes
+    with facets of two sizes."""
+    spheres = [stacked_sphere(18 + s % 13, 3, seed=s) for s in range(150)]
+    spheres += [stacked_sphere(12 + s % 15, 2, seed=s) for s in range(100)]
+    spheres += [_grow_search_sphere(13 + s % 8, random.Random(f"{s}:0")) for s in range(150)]
+    rng = random.Random(5)
+    extra = []
+    for i, x in enumerate(spheres[::10]):
+        labels = rng.sample(range(3, 4 * x.num_vertices), x.num_vertices)
+        rename = dict(zip(x.vertices, labels))
+        extra.append(Complex.from_facets([[rename[v] for v in f] for f in x.facets]))
+        # a stacked 2-sphere sharing half its labels with x: sites that pair
+        # a tetrahedron with a triangle, with clashes on both sides
+        shift = x.num_vertices // 2
+        glued = [tuple(v + shift for v in f) for f in stacked_sphere(x.num_vertices, 2, seed=i).facets]
+        extra.append(Complex.from_facets(list(x.facets) + glued))
+    found = {3: 0, 4: 0}
+    for i, x in enumerate(spheres + extra):
+        for seed in (i, i + 1000):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            got = find_admissible_handle(x, mine)
+            assert got == pairwise_find_admissible_handle(x, theirs)
+            assert mine.getstate() == theirs.getstate()
+            if got is not None:
+                found[len(got[0])] += 1
+                if seed == i and i < len(spheres) and len(got[0]) == 4:
+                    assert handle_addition(x, *got).f_vector[0] == x.f_vector[0] - 4
+    assert found[3] >= 20 and found[4] >= 50
 
 
 class TestAdmissibleK:

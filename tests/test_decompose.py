@@ -2,10 +2,22 @@
 replaced, which searched the whole sphere for a chordless cycle of length
 = 1 (mod 3) before cutting and split each piece by a facet-adjacency search.
 Every input must give the same summands and cuts, or the same exception
-type, message and witness."""
+type, message and witness.
 
+The three largest input families (300 spheres) are compared with the
+reference's outcomes recorded in ``decompose_reference.json``, because the
+reference spends seconds on them; a few entries of each are replayed
+through the live reference on every run, so the file cannot drift.  To
+re-record it, run ``PYTHONPATH=src python tests/test_decompose.py``.
+"""
+
+import dataclasses
+import hashlib
+import json
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 from typing import Dict, List
 
 import pytest
@@ -173,33 +185,105 @@ def suspended_cycles() -> List[Complex]:
 
 # -- tests ----------------------------------------------------------------------
 
-def test_acceptance_sums_match_reference():
+def reference_families() -> Dict[str, list]:
+    """The inputs whose reference outcomes are recorded, by family: 200
+    seeded T/I sums with their recipes, 60 flipped violators, and the first
+    flip of each of 40 sums where one exists (``None`` recipes)."""
     rng = random.Random(20160108)
-    for _ in range(200):
-        x, expected = random_ti_sum(rng, max_summands=6)
-        got = assert_same(x)
-        assert got[0] == {"T": expected.get("T", 0), "I": expected.get("I", 0)}
-
-
-def test_flipped_violators_match_reference():
-    witnesses = 0
-    for x in flipped_violators(60, seed=5):
-        got = assert_same(x)
-        assert got[0] is HypothesisViolationError
-        witnesses += got[2] is not None
-    assert witnesses == 60
-
-
-def test_single_flips_match_reference():
-    """The first flip of each sum, whether it creates a violation or leaves
-    a sum of summands."""
+    sums = [random_ti_sum(rng, max_summands=6) for _ in range(200)]
     rng = random.Random(11)
-    results = Counter()
+    single = []
     for _ in range(40):
         kinds = [rng.choice("TI") for _ in range(rng.randint(1, 4))]
         y = next(flips(ti_sum(kinds, rng), rng), None)
         if y is not None:
-            results[assert_same(y)[0] is HypothesisViolationError] += 1
+            single.append((y, None))
+    return {"sums": sums,
+            "flipped_violators": [(y, None) for y in flipped_violators(60, seed=5)],
+            "single_flips": single}
+
+
+def facets_digest(x: Complex) -> str:
+    return hashlib.sha256(repr(sorted(x.facets)).encode()).hexdigest()[:16]
+
+
+def encode(result: tuple) -> dict:
+    """An :func:`outcome` as JSON: summands and cuts, or the exception's
+    type name, message and witness (a cycle, a triangle or none)."""
+    if isinstance(result[0], dict):
+        return {"summands": result[0], "cuts": result[1]}
+    kind, message, witness = result
+    if isinstance(witness, stacked.CycleWitness):
+        witness = {"cycle": dataclasses.asdict(witness)}
+    return {"error": kind.__name__, "message": message, "witness": witness}
+
+
+def recorded_form(x: Complex, result: tuple) -> dict:
+    """One file entry: the input's facet digest and its encoded outcome,
+    through JSON so that tuples read back as lists."""
+    return json.loads(json.dumps({"input": facets_digest(x), **encode(result)}))
+
+
+REFERENCE_FILE = Path(__file__).parent / "decompose_reference.json"
+
+
+def record_reference() -> None:
+    """Write the reference's outcomes on :func:`reference_families`."""
+    doc = {name: [recorded_form(x, outcome(reference_decompose_ti, x)) for x, _ in inputs]
+           for name, inputs in reference_families().items()}
+    with open(REFERENCE_FILE, "w") as out:
+        out.write("{\n" + ",\n".join(
+            f" {json.dumps(name)}: [\n" + ",\n".join(f"  {json.dumps(e, separators=(',', ':'))}"
+                                                      for e in entries) + "\n ]"
+            for name, entries in doc.items()) + "\n}\n")
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(REFERENCE_FILE.read_text())
+
+
+@pytest.fixture(scope="module")
+def families():
+    return reference_families()
+
+
+def assert_recorded(recorded, families, name: str) -> list:
+    """``decompose_ti`` on every input of the family matches the file."""
+    entries = recorded[name]
+    assert len(entries) == len(families[name])
+    got = []
+    for (x, _), want in zip(families[name], entries):
+        result = outcome(decompose_ti, x)
+        assert recorded_form(x, result) == want
+        got.append(result)
+    return got
+
+
+def test_recorded_reference_replays(recorded, families):
+    """The first entries of each family, through the live reference."""
+    for name, inputs in families.items():
+        for (x, _), want in list(zip(inputs, recorded[name]))[:4]:
+            assert recorded_form(x, outcome(reference_decompose_ti, x)) == want, name
+
+
+def test_acceptance_sums_match_reference(recorded, families):
+    results = assert_recorded(recorded, families, "sums")
+    for (_, expected), got in zip(families["sums"], results):
+        assert got[0] == {"T": expected.get("T", 0), "I": expected.get("I", 0)}
+
+
+def test_flipped_violators_match_reference(recorded, families):
+    results = assert_recorded(recorded, families, "flipped_violators")
+    assert len(results) == 60
+    assert all(got[0] is HypothesisViolationError and got[2] is not None for got in results)
+
+
+def test_single_flips_match_reference(recorded, families):
+    """The first flip of each sum, whether it creates a violation or leaves
+    a sum of summands."""
+    results = Counter(got[0] is HypothesisViolationError
+                      for got in assert_recorded(recorded, families, "single_flips"))
     assert results[True] > 0 and results[False] > 0
 
 
@@ -259,3 +343,7 @@ def test_non_spheres_match_reference():
     for x in (catalog.projective_plane_6(), catalog.torus_7(), catalog.cycle_complex(5),
               catalog.boundary_simplex(4)):
         assert assert_same(x)[0] is PreconditionError
+
+
+if __name__ == "__main__":
+    sys.exit(record_reference())

@@ -168,6 +168,15 @@ class TestNullspaces:
         assert m.rank() == 0
         assert m.left_nullspace().nrows == 4
 
+    def test_rational_rows_are_rejected_by_name(self):
+        with pytest.raises(ValueError, match="row 0 has the non-integer entry Fraction"):
+            FMatrix(QQ, 1, 2, [{0: 1, 1: Fraction(1, 2)}]).rank()
+        n = matrix(QQ, [[2, 1], [1, 0], [0, 3]]).left_nullspace()
+        assert any(type(v) is Fraction for r in n.rows for v in r.values())
+        with pytest.raises(ValueError, match="row 0 has the non-integer entry"):
+            n.rank()
+        assert matrix(QQ, [[2, 1], [1, 0], [0, 3]]).rank() == 2
+
 
 # -- GF(p) elimination against a dense oracle ----------------------------------
 

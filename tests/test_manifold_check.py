@@ -199,7 +199,9 @@ def test_vertex_links_match_link():
 
 
 def test_verdict_is_kept_on_the_complex(monkeypatch):
-    x = stacked_sphere(8, 3, seed=1)
+    # built through from_facets: stacked_sphere records its verdict unchecked
+    facets = stacked_sphere(8, 3, seed=1).facets
+    x = from_facets(facets)
     first = verify_closed_manifold(x)
 
     def fail(_):
@@ -208,7 +210,7 @@ def test_verdict_is_kept_on_the_complex(monkeypatch):
     monkeypatch.setattr(complexes, "_check_closed_manifold", fail)
     assert verify_closed_manifold(x) is first
     with pytest.raises(AssertionError):
-        verify_closed_manifold(stacked_sphere(8, 3, seed=1))
+        verify_closed_manifold(from_facets(facets))
 
 
 def test_dimension_cap_is_raised_on_every_call():
