@@ -16,7 +16,8 @@ from .complexes import (Complex, Face, InternalInconsistencyError, MalformedComp
 from .construct import (AdmissibilityError, AdmissibleK, Certificate, HandleStep,
                         MalformedCertificateError, TopologyClass, admissible_k,
                         candidate_handle_sites, classify_topology, find_admissible_handle,
-                        handle_addition, search_tight, stacked_sphere)
+                        handle_addition, search_tight, stacked_sphere,
+                        verify_stacked_certificate)
 from .homology import (ChainData, betti, boundary_matrix, chain_data,
                        induced_map_injective, is_orientable)
 from .linalg import GF2, QQ, FMatrix, FieldSpec
@@ -24,7 +25,7 @@ from .planarity import KuratowskiWitness, find_kuratowski_subdivision, is_planar
 from .stacked import (CycleWitness, HypothesisViolationError, SummandList,
                       decompose_ti, induced_cycles, is_locally_stacked,
                       is_stacked_sphere, mod3_obstruction, triangle_bound_check,
-                      verify_moebius, verify_stacked_certificate)
+                      verify_moebius)
 from .tightness import (CrossValidation, SurfaceFVector,
                         TightnessReport, cross_validate, is_tight_bruteforce,
                         is_tight_fast_3manifold, is_tight_surface,

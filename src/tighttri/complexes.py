@@ -238,18 +238,17 @@ class Complex:
                 buckets.append(sel)
         return Complex(tuple(buckets), _closed=True)
 
+    @cached_property
+    def _links(self) -> dict:
+        return vertex_links(self)
+
     def link(self, v: int) -> "Complex":
-        """Faces disjoint from v whose union with v is again a face."""
-        if v not in self.vertex_set:
-            raise UnknownVertexError(f"vertex {v} is not in the complex")
-        by_dim: dict = {}
-        for bucket in self._faces[1:]:
-            for f in bucket:
-                if v in f:
-                    rest = tuple(u for u in f if u != v)
-                    by_dim.setdefault(len(rest) - 1, []).append(rest)
-        dims = sorted(by_dim)
-        return Complex(tuple(tuple(sorted(by_dim[k])) for k in dims), _closed=True)
+        """Faces disjoint from v whose union with v is again a face, read
+        off :func:`vertex_links`, which runs once per complex."""
+        try:
+            return self._links[v]
+        except KeyError:
+            raise UnknownVertexError(f"vertex {v} is not in the complex") from None
 
     def one_skeleton(self) -> "Complex":
         """The underlying graph: faces of dimension at most one."""
@@ -358,9 +357,8 @@ def vertex_links(x: Complex) -> dict:
     """The link of every vertex, from one pass over the faces.
 
     A face with m vertices adds one (m-1)-vertex face to the link of each of
-    its vertices.  Each link equals ``x.link(v)``: removing a vertex common
-    to two sorted faces keeps their lexicographic order, so every link
-    bucket comes out sorted.
+    its vertices: removing a vertex common to two sorted faces keeps their
+    lexicographic order, so every link bucket comes out sorted.
     """
     by_vertex = {v: [[] for _ in range(x.dim)] for v in x.vertices}
     for k in range(1, x.dim + 1):

@@ -17,9 +17,10 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
-                        verify_closed_manifold)
+                        Verdict, is_isomorphic, verify_closed_manifold)
 from .homology import is_orientable
 from .linalg import QQ, FieldSpec
+from .stacked import _subdivide, is_stacked_sphere
 from .tightness import _first_hit, cross_validate, is_tight_fast_3manifold
 
 # A successful candidate is confirmed by the definitional decider only when
@@ -30,6 +31,8 @@ BRUTE_CONFIRM_MAX_VERTICES = 12
 # is tens of milliseconds of work, far more than sending it costs, and a hit
 # is read no later than its block ends.
 _SEARCH_BLOCK = 16
+# Chance that a search sphere's subdivision extends its newest branch.
+_BRANCH_BIAS = 0.85
 
 
 class AdmissibilityError(ValueError):
@@ -123,39 +126,23 @@ class Certificate:
         )
 
 
-def stacked_sphere(n: int, d: int, seed=0, tree: Optional[Sequence[int]] = None) -> Complex:
+def stacked_sphere(n: int, d: int, seed=0) -> Complex:
     """A stacked d-sphere on n vertices built by repeated facet subdivision.
 
     Starts from the boundary of the (d+1)-simplex and performs n-(d+2)
-    subdivisions at facets chosen by the seeded generator, or at the given
-    positions in the sorted facet list when ``tree`` is supplied.  It is a
-    closed d-manifold by construction, so the closed-manifold verdict is
-    recorded on it rather than checked.
+    subdivisions at facets chosen by the seeded generator.  It is a closed
+    d-manifold by construction, so the closed-manifold verdict is recorded
+    on it rather than checked.
     """
     if d not in (2, 3):
         raise UnsupportedDimensionError("stacked spheres are generated for d in {2, 3}")
     if n < d + 2:
         raise ValueError(f"a {d}-sphere needs at least {d + 2} vertices")
-    steps = n - (d + 2)
-    if tree is not None and len(tree) != steps:
-        raise ValueError(f"tree must list {steps} facet choices")
     rng = random.Random(seed)
-    facets = {tuple(c) for c in _boundary_facets(d + 1)}
-    for i in range(steps):
-        ordered = sorted(facets)
-        pos = tree[i] if tree is not None else rng.randrange(len(ordered))
-        if not 0 <= pos < len(ordered):
-            raise ValueError(f"tree position {pos} out of range")
-        target = ordered[pos]
-        new_vertex = d + 2 + i
-        facets.remove(target)
-        for u in target:
-            facets.add(tuple(sorted(set(target) - {u} | {new_vertex})))
+    facets = set(itertools.combinations(range(d + 2), d + 1))
+    for w in range(d + 2, n):
+        _subdivide(facets, sorted(facets)[rng.randrange(len(facets))], w)
     return Complex._from_faces(facets)._record_closed_manifold()
-
-
-def _boundary_facets(dim_simplex: int):
-    return itertools.combinations(range(dim_simplex + 1), dim_simplex)
 
 
 def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
@@ -209,6 +196,29 @@ def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
         raise AdmissibilityError(
             f"identification merged extra faces: f-vector {result.f_vector}, expected {expected}")
     return result._record_closed_manifold()
+
+
+def verify_stacked_certificate(m: Complex, cert: Certificate) -> Verdict:
+    """Replay a construction certificate against a target 3-manifold.
+
+    Checks the recorded seed is a stacked 3-sphere, replays every handle
+    addition (invalid steps raise), and accepts iff the result is isomorphic
+    to ``m`` with the recorded final f-vector.
+    """
+    seed = cert.seed_complex()
+    sv = is_stacked_sphere(seed, 3)
+    if not sv.ok:
+        return Verdict(False, detail=f"certificate seed is not a stacked 3-sphere: {sv.detail}")
+    current = seed
+    for step in cert.steps:
+        current = handle_addition(current, step.facet1, step.facet2, dict(step.bijection))
+    if tuple(cert.final_f_vector) != current.f_vector:
+        return Verdict(False, witness=current.f_vector,
+                       detail="replayed f-vector differs from the certificate")
+    if is_isomorphic(current, m) is None:
+        return Verdict(False, witness=current.f_vector,
+                       detail="replayed complex is not isomorphic to the target")
+    return Verdict(True, detail=f"replayed {len(cert.steps)} handle addition(s)")
 
 
 @dataclass(frozen=True)
@@ -312,28 +322,25 @@ def find_admissible_handle(x: Complex, rng: random.Random):
     return None
 
 
-def _grow_search_sphere(n: int, rng: random.Random, bias: float = 0.85) -> Complex:
+def _grow_search_sphere(n: int, rng: random.Random) -> Complex:
     """Stacked 3-sphere biased toward elongated simplex trees.
 
     A handle needs two facets with no edges between them, and at the tight
     13-vertex scale only near-path trees have such far-apart ends; uniform
-    facet choice essentially never produces them.  With probability ``bias``
-    each subdivision extends the newest branch, otherwise it hits a uniform
-    random facet.  Like :func:`stacked_sphere`, it records its closed-manifold
-    verdict rather than checking it.
+    facet choice essentially never produces them.  With probability
+    ``_BRANCH_BIAS`` each subdivision extends the newest branch, otherwise
+    it hits a uniform random facet.  Like :func:`stacked_sphere`, it
+    records its closed-manifold verdict rather than checking it.
     """
-    facets = {tuple(sorted(f)) for f in _boundary_facets(4)}
+    facets = set(itertools.combinations(range(5), 4))
     continuation = None
     for w in range(5, n):
-        if continuation is not None and continuation in facets and rng.random() < bias:
+        if continuation in facets and rng.random() < _BRANCH_BIAS:
             target = continuation
         else:
-            ordered = sorted(facets)
-            target = ordered[rng.randrange(len(ordered))]
-        facets.remove(target)
-        for u in target:
-            facets.add(tuple(sorted(set(target) - {u} | {w})))
-        continuation = tuple(sorted((set(target) - {min(target)}) | {w}))
+            target = sorted(facets)[rng.randrange(len(facets))]
+        _subdivide(facets, target, w)
+        continuation = target[1:] + (w,)
     return Complex._from_faces(facets)._record_closed_manifold()
 
 
@@ -418,8 +425,6 @@ class TopologyClass:
 def classify_topology(m: Complex, cert: Certificate) -> TopologyClass:
     """S3 for an empty certificate; otherwise the k-fold handle sum, split by
     rational orientability.  The certificate must replay onto ``m``."""
-    from .stacked import verify_stacked_certificate
-
     v = verify_stacked_certificate(m, cert)
     if not v.ok:
         raise PreconditionError(f"certificate does not verify: {v.detail}")

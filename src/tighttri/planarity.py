@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .complexes import Complex, PreconditionError
+from .complexes import Complex, InternalInconsistencyError, PreconditionError
 
 KURATOWSKI_VERTEX_CAP = 60
 
@@ -47,8 +47,8 @@ def find_kuratowski_subdivision(g: Complex) -> Optional[KuratowskiWitness]:
         return None
     witness = _search_pattern(adj, "K5") or _search_pattern(adj, "K33")
     if witness is None:
-        raise RuntimeError("internal inconsistency: graph judged non-planar "
-                           "but no Kuratowski subdivision found")
+        raise InternalInconsistencyError("internal inconsistency: graph judged non-planar "
+                                         "but no Kuratowski subdivision found")
     return witness
 
 
@@ -188,7 +188,7 @@ def _find_cycle(adj: Dict[int, Set[int]]) -> List[int]:
 
     cycle = dfs(start)
     if cycle is None:
-        raise ValueError("graph has no cycle")
+        raise InternalInconsistencyError("graph has no cycle")
     return cycle
 
 
@@ -247,7 +247,7 @@ def _fragment_path(adj, attachments: FrozenSet[int], inner: FrozenSet[int]) -> L
             if w in inner and w not in parent:
                 parent[w] = u
                 queue.append(w)
-    raise ValueError("fragment with fewer than two reachable attachments")
+    raise InternalInconsistencyError("fragment with fewer than two reachable attachments")
 
 
 # -- witness search ----------------------------------------------------------

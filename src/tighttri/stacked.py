@@ -1,5 +1,5 @@
-"""Stacked-sphere recognition, tetrahedron/icosahedron summand decomposition,
-chordless-cycle machinery, and certificate replay for stacked 3-manifolds.
+"""Stacked-sphere recognition, tetrahedron/icosahedron summand decomposition
+and chordless-cycle machinery.
 
 Stacked spheres are recognised by greedy reverse subdivisions: a d-sphere on
 more than d+2 vertices is stacked iff some vertex link is the boundary of a
@@ -15,9 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .catalog import boundary_simplex, icosahedron
 from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
-                        Verdict, is_isomorphic, verify_closed_manifold, vertex_links)
+                        Verdict, verify_closed_manifold)
 
 
 class HypothesisViolationError(ValueError):
@@ -53,13 +52,36 @@ class SummandList:
     def as_dict(self) -> dict:
         return {"T": self.tetrahedra, "I": self.icosahedra}
 
-    @property
-    def total(self) -> int:
-        return self.tetrahedra + self.icosahedra
+
+def _subdivide(facets: Set[tuple], target: tuple, w: int) -> None:
+    """Stellar subdivision: replace the facet ``target`` by the cone from
+    the new vertex ``w`` over its boundary.  ``w`` must exceed every label
+    in use, so each new facet comes out sorted."""
+    facets.remove(target)
+    facets.update([target[:i] + target[i + 1:] + (w,) for i in range(len(target))])
+
+
+def _weld(facets: Set[tuple], link: tuple, v: int) -> None:
+    """Inverse of :func:`_subdivide`: replace the star of ``v``, the cone
+    from ``v`` over the boundary of the simplex ``link``, by ``link``."""
+    for i in range(len(link)):
+        facets.remove(tuple(sorted(link[:i] + link[i + 1:] + (v,))))
+    facets.add(link)
 
 
 def is_stacked_sphere(s: Complex, d: int) -> Verdict:
-    """Greedy reverse-subdivision test; witness is the vertex-removal sequence."""
+    """Greedy reverse-subdivision test; witness is the vertex-removal sequence.
+
+    The removals run on a facet set and a neighbour map; no complex is
+    built.  Each is a bistellar move on a closed d-manifold (d <= 3): a
+    vertex v with d+1 neighbours has a (d-1)-sphere on them as its link,
+    the boundary of their d-simplex, and the move replaces v's d+1 star
+    facets by that simplex unless it is already a face (a d-face of a pure
+    d-complex is a facet, so that is a lookup).  Only v leaves the
+    neighbour sets.  The loop ends at a closed d-manifold on d+2 vertices,
+    the boundary of the (d+1)-simplex: the facet missing a vertex a shares
+    its ridge without b with one other facet, which can only miss b.
+    """
     if d not in (2, 3):
         raise UnsupportedDimensionError("stacked-sphere recognition supports d in {2, 3}")
     man = verify_closed_manifold(s)
@@ -67,30 +89,23 @@ def is_stacked_sphere(s: Complex, d: int) -> Verdict:
         raise PreconditionError(f"not a closed {d}-manifold: {man.detail or 'wrong dimension'}")
     if not s.is_connected():
         return Verdict(False, detail="disconnected, hence not a sphere")
-    current = s
+    facets = set(s.facets)
+    # in ascending vertex order, which removals keep
+    nbrs = {v: set(s.neighbors(v)) for v in s.vertices}
     removals: List[int] = []
-    while current.num_vertices > d + 2:
-        pick = None
-        replacement = None
-        for v in current.vertices:
-            # current stays a closed manifold, so v's link spans its neighbours
-            link_vertices = tuple(sorted(current.neighbors(v)))
-            if len(link_vertices) != d + 1:
-                continue
-            if current.has_face(link_vertices):
-                continue  # removal would double an existing facet
-            pick, replacement = v, link_vertices
-            break
-        if pick is None:
+    while len(nbrs) > d + 2:
+        for v, around in nbrs.items():
+            if len(around) == d + 1:
+                link = tuple(sorted(around))
+                if link not in facets:
+                    break
+        else:
             return Verdict(False, witness=tuple(removals),
-                           detail=f"no reverse-subdivision vertex at f0={current.num_vertices}")
-        removals.append(pick)
-        facets = [f for f in current.facets if pick not in f]
-        facets.append(replacement)
-        current = Complex._from_faces(facets)
-    if is_isomorphic(current, boundary_simplex(d + 1)) is None:
-        return Verdict(False, witness=tuple(removals),
-                       detail="irreducible remainder is not a simplex boundary")
+                           detail=f"no reverse-subdivision vertex at f0={len(nbrs)}")
+        removals.append(v)
+        _weld(facets, link, v)
+        for u in nbrs.pop(v):
+            nbrs[u].discard(v)
     return Verdict(True, witness=tuple(removals))
 
 
@@ -203,9 +218,8 @@ def is_locally_stacked(m: Complex) -> Verdict:
     man = verify_closed_manifold(m)
     if not man.ok or m.dim != 3:
         raise PreconditionError(f"not a closed 3-manifold: {man.detail or 'wrong dimension'}")
-    links = vertex_links(m)
     for v in m.vertices:
-        if not is_stacked_sphere(links[v], 2).ok:
+        if not is_stacked_sphere(m.link(v), 2).ok:
             return Verdict(False, witness=v, detail=f"link of vertex {v} is not stacked")
     return Verdict(True)
 
@@ -257,6 +271,13 @@ def decompose_ti(s: Complex) -> SummandList:
     such cycle in (length, vertices) order raises, and otherwise the first
     unrecognised piece does, since the decomposition theorem rules both out
     for admissible input.
+
+    Each piece is a 2-sphere, recognised by counting.  It is T exactly when
+    it has 4 vertices (by Euler's formula it has 4 triangles, all triples),
+    and I exactly when every degree is 5: then 5 f0 = 2 f1 = 3 f2, so
+    f0 / 6 = 2 and f0 = 12, and the icosahedron boundary is the only
+    2-sphere with every degree 5 (around any vertex the degrees force a
+    pentagon, a second pentagon and an antipode).
     """
     man = verify_closed_manifold(s)
     if not man.ok or s.dim != 2 or not s.is_connected():
@@ -268,15 +289,13 @@ def decompose_ti(s: Complex) -> SummandList:
     cuts: List[tuple] = []
     unrecognised: List[Complex] = []
     stack = [s]
-    tetra = boundary_simplex(3)
-    icosa = icosahedron()
     while stack:
         piece = stack.pop()
         tri = _empty_triangle(piece)
         if tri is None:
-            if is_isomorphic(piece, tetra) is not None:
+            if piece.num_vertices == 4:
                 counts["T"] += 1
-            elif is_isomorphic(piece, icosa) is not None:
+            elif all(len(piece.neighbors(v)) == 5 for v in piece.vertices):
                 counts["I"] += 1
             else:
                 unrecognised.append(piece)
@@ -296,28 +315,3 @@ def decompose_ti(s: Complex) -> SummandList:
             f"prime summand with f-vector {unrecognised[0].f_vector} is neither "
             "the tetrahedron nor the icosahedron boundary")
     return SummandList(counts["T"], counts["I"], tuple(cuts))
-
-
-def verify_stacked_certificate(m: Complex, cert) -> Verdict:
-    """Replay a construction certificate against a target 3-manifold.
-
-    Checks the recorded seed is a stacked 3-sphere, replays every handle
-    addition (invalid steps raise), and accepts iff the result is isomorphic
-    to ``m`` with the recorded final f-vector.
-    """
-    from .construct import handle_addition  # deferred: constructions builds on this module
-
-    seed = cert.seed_complex()
-    sv = is_stacked_sphere(seed, 3)
-    if not sv.ok:
-        return Verdict(False, detail=f"certificate seed is not a stacked 3-sphere: {sv.detail}")
-    current = seed
-    for step in cert.steps:
-        current = handle_addition(current, step.facet1, step.facet2, dict(step.bijection))
-    if tuple(cert.final_f_vector) != current.f_vector:
-        return Verdict(False, witness=current.f_vector,
-                       detail="replayed f-vector differs from the certificate")
-    if is_isomorphic(current, m) is None:
-        return Verdict(False, witness=current.f_vector,
-                       detail="replayed complex is not isomorphic to the target")
-    return Verdict(True, detail=f"replayed {len(cert.steps)} handle addition(s)")

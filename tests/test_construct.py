@@ -34,13 +34,6 @@ class TestStackedSphereGenerator:
     def test_seed_determinism(self):
         assert stacked_sphere(12, 3, seed=7) == stacked_sphere(12, 3, seed=7)
 
-    def test_explicit_tree(self):
-        a = stacked_sphere(9, 3, tree=[0, 3, 1, 5])
-        b = stacked_sphere(9, 3, tree=[0, 3, 1, 5])
-        assert a == b
-        with pytest.raises(ValueError):
-            stacked_sphere(9, 3, tree=[0, 3])
-
     def test_links_are_stacked_2_spheres(self):
         s = stacked_sphere(11, 3, seed=2)
         for v in s.vertices:

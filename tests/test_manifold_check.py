@@ -189,13 +189,23 @@ def test_perturbed_stacked_spheres(d, extra, seed):
     check_against_reference(facets)
 
 
+def face_scan_link(x: Complex, v: int) -> list:
+    """The faces of the link of v by definition, per dimension: each face
+    containing v, with v taken out."""
+    faces = [sorted(tuple(u for u in f if u != v) for f in x.faces(k) if v in f)
+             for k in range(1, x.dim + 1)]
+    return [bucket for bucket in faces if bucket]
+
+
 def test_vertex_links_match_link():
     for x in (catalog.boundary_simplex(4), catalog.torus_7(), catalog.cycle_complex(5),
               from_facets([(0, 1, 2, 3), (3, 4), (5,), (2, 6, 7)]), stacked_sphere(9, 3, seed=2)):
         links = vertex_links(x)
         assert list(links) == list(x.vertices)
         for v in x.vertices:
-            assert links[v] == x.link(v)
+            want = face_scan_link(x, v)
+            for lk in (links[v], x.link(v)):
+                assert [list(lk.faces(k)) for k in range(lk.dim + 1)] == want
 
 
 def test_verdict_is_kept_on_the_complex(monkeypatch):

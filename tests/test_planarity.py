@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from tighttri import (Complex, PreconditionError, catalog,
-                      find_kuratowski_subdivision, is_planar_graph)
+from tighttri import (Complex, InternalInconsistencyError, PreconditionError, catalog,
+                      find_kuratowski_subdivision, is_planar_graph, planarity)
 
 
 def petersen():
@@ -100,6 +100,16 @@ class TestPlanarSide:
     def test_vertex_cap(self):
         with pytest.raises(PreconditionError):
             find_kuratowski_subdivision(catalog.cycle_complex(61))
+
+    def test_non_planar_verdict_without_witness_is_internal(self, monkeypatch):
+        # A wrong "non-planar" verdict is a bug, not bad input, so it must not
+        # surface as a ValueError.  The witness search on the icosahedron's
+        # graph runs for minutes; the octahedron's (planar, every degree 4)
+        # takes both pattern searches to their end in milliseconds.
+        monkeypatch.setattr(planarity, "_is_planar", lambda adj: False)
+        octahedron = catalog.suspension(catalog.cycle_complex(4))
+        with pytest.raises(InternalInconsistencyError):
+            find_kuratowski_subdivision(octahedron.one_skeleton())
 
 
 class TestPlanarityFilter:

@@ -1,15 +1,16 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from tighttri import (Complex, PreconditionError, catalog, connected_sum,
+from tighttri import (Complex, PreconditionError, Verdict, catalog, connected_sum,
                       decompose_ti, from_facets, induced_cycles, is_isomorphic,
                       is_locally_stacked, is_stacked_sphere, mod3_obstruction,
-                      stacked_sphere, triangle_bound_check, verify_moebius,
-                      verify_stacked_certificate)
+                      stacked_sphere, triangle_bound_check, verify_closed_manifold,
+                      verify_moebius, verify_stacked_certificate)
 from tighttri.construct import Certificate, HandleStep
-from tighttri.stacked import HypothesisViolationError
+from tighttri.stacked import HypothesisViolationError, _empty_triangle, _split_at_triangle
 from conftest import random_ti_sum
 
 
@@ -81,6 +82,86 @@ class TestStackedSphereRecognition:
             current = Complex.from_facets(
                 [f for f in current.facets if vertex not in f] + [link_vertices])
         assert is_isomorphic(current, catalog.boundary_simplex(4)) is not None
+
+
+def reference_is_stacked_sphere(s, d):
+    """The recogniser before it ran on a facet set: it rebuilt the complex
+    after every removal and compared the remainder with the simplex
+    boundary by isomorphism search."""
+    assert verify_closed_manifold(s).ok and s.dim == d
+    if not s.is_connected():
+        return Verdict(False, detail="disconnected, hence not a sphere")
+    current = s
+    removals = []
+    while current.num_vertices > d + 2:
+        pick = None
+        for v in current.vertices:
+            link_vertices = tuple(sorted(current.neighbors(v)))
+            if len(link_vertices) == d + 1 and not current.has_face(link_vertices):
+                pick = v
+                break
+        if pick is None:
+            return Verdict(False, witness=tuple(removals),
+                           detail=f"no reverse-subdivision vertex at f0={current.num_vertices}")
+        removals.append(pick)
+        current = Complex.from_facets(
+            [f for f in current.facets if pick not in f] + [link_vertices])
+    if is_isomorphic(current, catalog.boundary_simplex(d + 1)) is None:
+        return Verdict(False, witness=tuple(removals),
+                       detail="irreducible remainder is not a simplex boundary")
+    return Verdict(True, witness=tuple(removals))
+
+
+def acceptance_sums():
+    """The 200 T/I sums of acceptance criterion 06, same seed and order."""
+    rng = random.Random(20160108)
+    return [random_ti_sum(rng, max_summands=6)[0] for _ in range(200)]
+
+
+def suspended_cycles():
+    return [catalog.suspension(catalog.cycle_complex(k)) for k in range(3, 10)]
+
+
+def prime_pieces(s):
+    """The prime pieces ``decompose_ti`` cuts a 2-sphere into."""
+    stack, out = [s], []
+    while stack:
+        piece = stack.pop()
+        tri = _empty_triangle(piece)
+        if tri is None:
+            out.append(piece)
+        else:
+            stack.extend(_split_at_triangle(piece, tri))
+    return out
+
+
+class TestCountingRecognition:
+    def test_facet_set_recogniser_matches_the_reference(self, quotient_bank):
+        cases = [(x, 2) for x in acceptance_sums() + suspended_cycles()]
+        cases += [(catalog.projective_plane_6(), 2), (catalog.torus_7(), 2),
+                  (catalog.icosahedron(), 2)]
+        cases += [(stacked_sphere(n, d, seed=seed), d)
+                  for d in (2, 3) for n in range(d + 2, 40, 3) for seed in range(3)]
+        cases += [(m.link(v), 2) for m, _ in quotient_bank for v in m.vertices]
+        cases += [(m, 3) for m, _ in quotient_bank]
+        verdicts = Counter()
+        for x, d in cases:
+            got = is_stacked_sphere(x, d)
+            assert got == reference_is_stacked_sphere(x, d), (x.facets, d)
+            verdicts[got.ok] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_counts_recognise_the_summands(self):
+        tetra, icosa = catalog.boundary_simplex(3), catalog.icosahedron()
+        kinds = Counter()
+        for s in acceptance_sums() + suspended_cycles() + [stacked_sphere(12, 2, seed=1)]:
+            for piece in prime_pieces(s):
+                is_t = piece.num_vertices == 4
+                is_i = all(len(piece.neighbors(v)) == 5 for v in piece.vertices)
+                assert is_t == (is_isomorphic(piece, tetra) is not None), piece.facets
+                assert is_i == (is_isomorphic(piece, icosa) is not None), piece.facets
+                kinds["T" if is_t else "I" if is_i else "other"] += 1
+        assert min(kinds.values()) > 0, kinds
 
 
 class TestInducedCycles:
