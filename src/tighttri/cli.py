@@ -13,6 +13,7 @@ sorted within facets, facets sorted lexicographically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -367,7 +368,10 @@ def _env_seed() -> int:
 
 # -- parser --------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use and shared by
+    every :func:`main` call; parsing reads it and nothing may change it."""
     parser = argparse.ArgumentParser(
         prog="tighttri",
         description="Verify and construct tight triangulations of closed 3-manifolds.")

@@ -9,13 +9,14 @@ of the ambient matrices at the subcomplex's faces, no sign correction
 needed.  The injectivity test never builds the subcomplex: a vertex mask
 selects its faces, looked up as subsets of its vertices, and, by a flood
 over adjacency masks, its components; it takes ranks of ambient rows and of
-the kept bases Betti numbers share.
+the kept bases Betti numbers share.  On a closed 2- or 3-manifold the top
+Betti number comes from a flood over the facets instead of elimination.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
@@ -32,7 +33,8 @@ def boundary_matrix(x: Complex, k: int, field: FieldSpec) -> FMatrix:
 
 class ChainData:
     """Per-(complex, field) chain complex: face indexes, boundary rows, and
-    the reduced bases of their row spaces, each eliminated once.
+    the reduced bases of their row spaces, each eliminated once, and the
+    Betti numbers, computed once: the complex is immutable, and so is this.
 
     Boundary rows are built straight from the faces in the row bases' own
     format: bit masks over GF(2), ``{column: ±1 mod p}`` dicts over GF(p)
@@ -68,6 +70,28 @@ class ChainData:
             self._bases[k] = basis
         return self._bases[k]
 
+    @cached_property
+    def betti(self) -> tuple:
+        """See :func:`betti`."""
+        x = self.complex
+        f = x.f_vector
+        ranks = [0, f[0] - len(x.components())]
+        if _closed_surface_or_3_manifold(x):
+            ranks += [self.basis(k).dim for k in range(2, x.dim)] + [f[-1] - self.top_betti]
+        else:
+            ranks += [self.basis(k).dim for k in range(2, x.dim + 1)]
+        ranks.append(0)
+        return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(x.dim + 1))
+
+    @cached_property
+    def top_betti(self) -> int:
+        """beta_dim: by :func:`_top_cycles` on a closed 2- or 3-manifold,
+        which eliminates nothing, and from :attr:`betti` otherwise."""
+        x = self.complex
+        if _closed_surface_or_3_manifold(x):
+            return _top_cycles(x, self.field)
+        return self.betti[x.dim]
+
 
 def _boundary_rows(x: Complex, k: int, field: FieldSpec, index: Sequence[dict]) -> list:
     kfaces = x.faces(k)
@@ -89,29 +113,89 @@ def chain_data(x: Complex, field: FieldSpec) -> ChainData:
     return ChainData(x, field)
 
 
+def _closed_surface_or_3_manifold(x: Complex) -> bool:
+    return 2 <= x.dim <= 3 and verify_closed_manifold(x).ok
+
+
+def _top_cycles(x: Complex, field: FieldSpec) -> int:
+    """beta_dim of the closed 2- or 3-manifold ``x``, by a flood over its
+    facets: the number of components over GF(2), else the number of
+    components whose facets can be oriented coherently.
+
+    Every ridge of a closed manifold lies in exactly two facets, and each
+    component is strongly connected, that is connected across its ridges:
+    two facets through a vertex v are, since the link of v (a cycle, or a
+    2-sphere, itself strongly connected by the same argument) is, and a
+    path of edges joins any two vertices of the component.  There are no
+    (dim+1)-faces, so H_dim = Z_dim.  A top cycle c on a component must
+    have c(s) [s:r] + c(t) [t:r] = 0 on the two facets s, t of each ridge
+    r, where [s:r] = (-1)**i when r is s without its i-th vertex: so c(t)
+    = -[s:r][t:r] c(s), and one coefficient fixes all of them.  Over GF(2)
+    the signs vanish and the constant chain is a cycle: one dimension per
+    component.  Otherwise c exists, up to scale, iff the signs ±1 carried
+    along the ridges never contradict themselves, which is a coherent
+    orientation; a contradiction forces c(s) = -c(s), and char != 2 makes
+    that c = 0.
+    """
+    if field.char == 2:
+        return len(x.components())
+    d = x.dim
+    facets = x.faces(d)
+    across: list = [[] for _ in facets]  # facet -> [(neighbour, sign flip)]
+    unpaired: dict = {}                  # ridge -> (its first facet, position dropped)
+    for s, face in enumerate(facets):
+        for i in range(d + 1):
+            ridge = face[:i] + face[i + 1:]
+            if ridge in unpaired:
+                t, j = unpaired.pop(ridge)
+                # c(s) = -(-1)**(i + j) c(t): the sign flips iff i and j have one parity
+                flip = (i ^ j ^ 1) & 1
+                across[s].append((t, flip))
+                across[t].append((s, flip))
+            else:
+                unpaired[ridge] = s, i
+    sign = [-1] * len(facets)
+    oriented = 0
+    for start in range(len(facets)):
+        if sign[start] >= 0:
+            continue
+        sign[start] = 0
+        stack = [start]
+        coherent = True
+        while stack:
+            s = stack.pop()
+            for t, flip in across[s]:
+                if sign[t] < 0:
+                    sign[t] = sign[s] ^ flip
+                    stack.append(t)
+                elif sign[t] != sign[s] ^ flip:
+                    coherent = False
+        oriented += coherent
+    return oriented
+
+
 def betti(x: Complex, field: FieldSpec) -> tuple:
     """Unreduced Betti numbers beta_0..beta_dim over the given field.
 
     beta_k = f_k - rank d_k - rank d_{k+1}, with rank d_0 = 0 and rank d_1
-    = f_0 minus the number of components, on every complex; the higher
-    ranks are those of the cached reduced bases.
+    = f_0 minus the number of components, on every complex.  On a closed
+    2- or 3-manifold rank d_dim = f_dim - beta_dim with beta_dim from the
+    flood of :func:`_top_cycles`; the other ranks are those of the cached
+    reduced bases.  The tuple is kept on the complex's cached
+    :class:`ChainData`, so it is computed once per complex and field.
     """
     if x.dim < 0:
         raise PreconditionError("Betti numbers need a nonempty complex")
-    cd = chain_data(x, field)
-    f = x.f_vector
-    ranks = [0, f[0] - len(component_masks(x, (1 << f[0]) - 1))]
-    ranks += [cd.basis(k).dim for k in range(2, x.dim + 1)]
-    ranks.append(0)
-    return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(x.dim + 1))
+    return chain_data(x, field).betti
 
 
 def is_orientable(x: Complex, field: FieldSpec) -> bool:
-    """Top homology over the field is nonzero.  Requires a closed manifold."""
+    """Top homology over the field is nonzero.  Requires a closed manifold.
+    On a closed 2- or 3-manifold this is a flood, with no elimination."""
     v = verify_closed_manifold(x)
     if not v.ok:
         raise PreconditionError(f"not a closed manifold: {v.detail}")
-    return betti(x, field)[x.dim] > 0
+    return chain_data(x, field).top_betti > 0
 
 
 def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -> Verdict:

@@ -61,26 +61,23 @@ def _subdivide(facets: Set[tuple], target: tuple, w: int) -> None:
     facets.update([target[:i] + target[i + 1:] + (w,) for i in range(len(target))])
 
 
-def _weld(facets: Set[tuple], link: tuple, v: int) -> None:
-    """Inverse of :func:`_subdivide`: replace the star of ``v``, the cone
-    from ``v`` over the boundary of the simplex ``link``, by ``link``."""
-    for i in range(len(link)):
-        facets.remove(tuple(sorted(link[:i] + link[i + 1:] + (v,))))
-    facets.add(link)
-
-
 def is_stacked_sphere(s: Complex, d: int) -> Verdict:
     """Greedy reverse-subdivision test; witness is the vertex-removal sequence.
 
-    The removals run on a facet set and a neighbour map; no complex is
-    built.  Each is a bistellar move on a closed d-manifold (d <= 3): a
-    vertex v with d+1 neighbours has a (d-1)-sphere on them as its link,
-    the boundary of their d-simplex, and the move replaces v's d+1 star
-    facets by that simplex unless it is already a face (a d-face of a pure
-    d-complex is a facet, so that is a lookup).  Only v leaves the
-    neighbour sets.  The loop ends at a closed d-manifold on d+2 vertices,
-    the boundary of the (d+1)-simplex: the facet missing a vertex a shares
-    its ridge without b with one other facet, which can only miss b.
+    The removals run on neighbour sets alone; no complex is built.  Each is
+    a bistellar move on a closed d-manifold (d <= 3): a vertex v with d+1
+    neighbours has a (d-1)-sphere on them as its link, the boundary of
+    their d-simplex, and the move replaces v's d+1 star facets by that
+    simplex.  Only v leaves the neighbour sets.  The simplex is never
+    already a face while more than d+2 vertices remain: it would be a
+    facet, since a d-face of a pure d-complex is one, and with v's star it
+    would make up the boundary of the (d+1)-simplex, every ridge of which
+    lies in two of its facets; a connected closed manifold is connected
+    across its ridges, so nothing else would remain.  So the lowest vertex
+    of degree d+1 is removed.  The loop ends at a closed d-manifold on d+2
+    vertices, the boundary of the (d+1)-simplex: the facet missing a vertex
+    a shares its ridge without b with one other facet, which can only miss
+    b.
     """
     if d not in (2, 3):
         raise UnsupportedDimensionError("stacked-sphere recognition supports d in {2, 3}")
@@ -89,21 +86,15 @@ def is_stacked_sphere(s: Complex, d: int) -> Verdict:
         raise PreconditionError(f"not a closed {d}-manifold: {man.detail or 'wrong dimension'}")
     if not s.is_connected():
         return Verdict(False, detail="disconnected, hence not a sphere")
-    facets = set(s.facets)
     # in ascending vertex order, which removals keep
     nbrs = {v: set(s.neighbors(v)) for v in s.vertices}
     removals: List[int] = []
     while len(nbrs) > d + 2:
-        for v, around in nbrs.items():
-            if len(around) == d + 1:
-                link = tuple(sorted(around))
-                if link not in facets:
-                    break
-        else:
+        v = next((v for v, around in nbrs.items() if len(around) == d + 1), None)
+        if v is None:
             return Verdict(False, witness=tuple(removals),
                            detail=f"no reverse-subdivision vertex at f0={len(nbrs)}")
         removals.append(v)
-        _weld(facets, link, v)
         for u in nbrs.pop(v):
             nbrs[u].discard(v)
     return Verdict(True, witness=tuple(removals))

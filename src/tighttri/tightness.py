@@ -27,7 +27,7 @@ from typing import Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
                         verify_closed_manifold)
-from .homology import betti, injectivity_on_mask
+from .homology import betti, injectivity_on_mask, is_orientable
 from .linalg import FieldSpec
 
 BRUTE_FORCE_VERTEX_CAP = 30
@@ -68,7 +68,7 @@ def _subset_masks(n: int, last: int):
 
 def _duality_applies(x: Complex, field: FieldSpec) -> bool:
     """Whether the connected ``x`` is a closed F-orientable 2- or 3-manifold."""
-    return x.dim in (2, 3) and verify_closed_manifold(x).ok and betti(x, field)[x.dim] > 0
+    return x.dim in (2, 3) and verify_closed_manifold(x).ok and is_orientable(x, field)
 
 
 def _first_failure(x: Complex, field: FieldSpec, top: int, block: tuple) -> Optional[tuple]:
@@ -191,7 +191,7 @@ def is_tight_surface(x: Complex, field: FieldSpec) -> TightnessReport:
     if not v.ok or x.dim != 2:
         raise PreconditionError(
             f"the surface criterion applies to closed 2-manifolds only: {v.detail or 'dimension ' + str(x.dim)}")
-    orientable = betti(x, field)[2] > 0
+    orientable = is_orientable(x, field)
     neigh = x.is_neighbourly()
     return TightnessReport(orientable and neigh, "surface", field, x.f_vector,
                            orientable=orientable, neighbourly=neigh,

@@ -2,14 +2,18 @@ import contextlib
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tighttri import catalog, stacked_sphere
-from tighttri.cli import complex_document, dumps, load_complex, main, parse_field
+from tighttri.cli import build_parser, complex_document, dumps, load_complex, main, parse_field
 from tighttri.linalg import GF2, QQ
 
 
@@ -350,6 +354,44 @@ class TestDeterminism:
         d1.pop("wall_time_s"); d2.pop("wall_time_s")
         d1["report"].pop("wall_time_s"); d2["report"].pop("wall_time_s")
         assert d1 == d2
+
+
+class TestParserReuse:
+    """Every ``main`` call in a process shares one parser; a fresh
+    interpreter builds its own.  Both must print the same bytes."""
+
+    ARGVS = [
+        ["check", "tight"],                                        # usage error
+        ["check", "tight", "builtin:rp2-6", "--mode", "sideways"],  # usage error
+        ["--help"],
+        ["check", "tight", "builtin:rp2-6", "--field", "q", "--mode", "brute", "--json"],
+        ["check", "tight", "builtin:rp2-6", "--field", "2", "--mode", "auto", "--json"],
+        ["check", "tight", "builtin:boundary-delta4", "--mode", "auto", "--json"],
+        ["homology", "builtin:rp2-6", "--field", "2"],
+        ["homology", "builtin:boundary-delta4", "--json"],
+        ["search", "tight", "--k", "1", "--field", "2", "--seed", "3", "--budget", "500"],
+    ]
+
+    @staticmethod
+    def _timeless(text: str) -> str:
+        return re.sub(r'"wall_time_s": [-+.0-9e]+', '"wall_time_s": 0', text)
+
+    def test_build_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_in_process_output_matches_a_fresh_interpreter(self, capsys, monkeypatch, argv):
+        # help text wraps at the terminal width, so fix it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        fresh = subprocess.run([sys.executable, "-m", "tighttri.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=300)
+        code, out, err = run(capsys, *argv)
+        assert (code, self._timeless(out), err) == \
+            (fresh.returncode, self._timeless(fresh.stdout), fresh.stderr)
+        assert out or err
 
 
 # Every subcommand that reads a complex, with the options each needs; the

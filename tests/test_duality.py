@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import cyclic_polytope_boundary, subdivide_facet
 from oracle import entries, left_nullspace, library_rows, matmul, rank, rref
-from tighttri import (Complex, betti, boundary_matrix, catalog, chain_data, induced_map_injective,
+from tighttri import (Complex, boundary_matrix, catalog, chain_data, induced_map_injective,
                       is_isomorphic, is_tight_bruteforce)
 from tighttri.homology import injectivity_on_mask
 from tighttri.complexes import PreconditionError, UnknownVertexError, Verdict
@@ -136,7 +136,10 @@ def assert_per_degree_duality(x: Complex, field: FieldSpec) -> None:
 
 
 def orientable(x: Complex, field: FieldSpec) -> bool:
-    return betti(x, field)[x.dim] > 0
+    """beta_dim > 0, that is rank d_dim < f_dim, by the dense oracle: the
+    library's top Betti number is what the duality gate reads."""
+    d = x.dim
+    return rank(field, boundary_matrix(x, d, field).rows, len(x.faces(d - 1))) < x.f_vector[d]
 
 
 # -- (a) per-degree duality ----------------------------------------------------

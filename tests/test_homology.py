@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import subdivide_facet
 from oracle import entries, is_zero, library_rows, matmul, rank
 from tighttri import (Complex, InternalInconsistencyError, PreconditionError, betti,
                       boundary_matrix, catalog, chain_data, from_facets, homology,
-                      induced_map_injective, is_orientable, is_tight_bruteforce)
+                      induced_map_injective, is_orientable, is_tight_bruteforce,
+                      stacked_sphere, verify_closed_manifold)
 from tighttri.homology import ChainData, _face_rows
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
 
@@ -173,6 +175,92 @@ class TestOrientability:
         for name, x in corpus3:
             b = betti(x, GF2)
             assert b[0] == 1 and b[3] == 1 and b[1] == b[2], name
+
+
+def oracle_betti(x: Complex, field: FieldSpec) -> tuple:
+    """Betti numbers with every rank d_k by the dense oracle's elimination."""
+    ranks = [oracle_rank(x, k, field) for k in range(x.dim + 1)] + [0]
+    f = x.f_vector
+    return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(x.dim + 1))
+
+
+def shifted(x: Complex, offset: int) -> Complex:
+    return Complex.from_facets([tuple(v + offset for v in f) for f in x.facets])
+
+
+class TestTopFlood:
+    """``betti`` reads beta_dim of a closed 2- or 3-manifold off a flood
+    over the facets and eliminates everywhere else; both must agree with
+    plain elimination on every input."""
+
+    @pytest.fixture(scope="class")
+    def closed(self, quotient_bank):
+        out = [("rp2-6", catalog.projective_plane_6()), ("torus-7", catalog.torus_7()),
+               ("torus-7+rp2-6", from_facets(list(catalog.torus_7().facets) +
+                                             list(shifted(catalog.projective_plane_6(), 7).facets)))]
+        out += [(f"quotient-{i}", m) for i, (m, _) in enumerate(quotient_bank)]
+        out += [(f"quotient-{i}-subdivided", subdivide_facet(m, m.facets[-1]))
+                for i, (m, _) in enumerate(quotient_bank[:3])]
+        for d in (2, 3):
+            for n in (d + 2, 7, 10):
+                s = stacked_sphere(n, d, seed=n)
+                out += [(f"stacked-{d}-{n}", s),
+                        (f"stacked-{d}-{n}-subdivided", subdivide_facet(s, s.facets[0]))]
+        return out
+
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_closed_manifolds_match_the_oracle(self, closed, field):
+        orientable = set()
+        for name, x in closed:
+            assert verify_closed_manifold(x).ok, name
+            want = oracle_betti(x, field)
+            assert betti(x, field) == want, name
+            assert is_orientable(x, field) == (want[-1] > 0), name
+            if want[-1]:
+                orientable.add(name)
+        # both branches of the flood are reached over the odd fields
+        assert ("quotient-0" in orientable) == (field == GF2)
+        assert "torus-7" in orientable
+
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_disjoint_union_counts_oriented_components(self, field):
+        x = from_facets(list(catalog.torus_7().facets) +
+                        list(shifted(catalog.projective_plane_6(), 7).facets))
+        assert betti(x, field)[2] == (2 if field == GF2 else 1)
+
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_non_manifolds_and_other_dimensions_match_the_oracle(self, field):
+        tetra = catalog.boundary_simplex(3)
+        cases = [
+            ("delta5-2-skeleton", from_facets(itertools.combinations(range(6), 3))),
+            ("delta5-3-skeleton", from_facets(itertools.combinations(range(6), 4))),
+            ("moebius-5", catalog.moebius_band_5()),
+            # every ridge on two facets, but the shared vertex's link is two circles
+            ("wedge-of-2-spheres", from_facets(list(tetra.facets) + list(shifted(tetra, 3).facets))),
+            ("cycle-5", catalog.cycle_complex(5)),
+            ("graph", from_facets([(0, 1), (1, 2), (2, 0), (2, 3), (5,)])),
+            ("boundary-delta5", catalog.boundary_simplex(5)),
+        ]
+        for name, x in cases:
+            assert betti(x, field) == oracle_betti(x, field), name
+            if x.dim in (2, 3):
+                with pytest.raises(PreconditionError):
+                    is_orientable(x, field)
+
+    def test_a_second_call_eliminates_nothing(self, monkeypatch):
+        calls = []
+        basis = ChainData.basis
+        monkeypatch.setattr(ChainData, "basis", lambda self, k: calls.append(k) or basis(self, k))
+        # fresh labels, so no earlier test has filled the cache
+        cases = [(shifted(stacked_sphere(9, 3, seed=4), 500), [2]),
+                 (shifted(catalog.projective_plane_6(), 500), []),
+                 (from_facets(itertools.combinations(range(500, 506), 4)), [2, 3])]
+        for x, first in cases:
+            for field in (GF2, QQ):
+                del calls[:]
+                b = betti(x, field)
+                assert calls == first
+                assert betti(x, field) == b and calls == first
 
 
 class TestInducedMapInjective:
