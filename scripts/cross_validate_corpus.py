@@ -13,37 +13,23 @@ import argparse
 import sys
 import time
 
-from tighttri import (Complex, catalog, cross_validate, search_tight,
-                      stacked_sphere)
+from corpus import closed_3_manifolds, subdivide_facet
+from tighttri import cross_validate, search_tight
 from tighttri.linalg import GF2, QQ, FieldSpec
 
 FIELDS = (GF2, FieldSpec.gf(3), QQ)
 
 
-def subdivide_first_facet(x: Complex) -> Complex:
-    w = max(x.vertex_set) + 1
-    base = x.facets[0]
-    facets = [f for f in x.facets if f != base]
-    facets.extend(tuple(sorted(set(base) - {u} | {w})) for u in base)
-    return Complex.from_facets(facets)
-
-
 def build_corpus(quotients: int):
-    corpus = [("boundary-delta4", catalog.boundary_simplex(4))]
-    for n in range(5, 13):
-        for seed in range(4):
-            corpus.append((f"stacked-{n}-s{seed}", stacked_sphere(n, 3, seed=seed)))
+    found = []
     for seed in range(quotients):
-        found = search_tight(1, GF2, budget=2000, seed=seed)
-        if found is None:
+        res = search_tight(1, GF2, budget=2000, seed=seed)
+        if res is None:
             continue
-        m, _ = found
-        corpus.append((f"quotient-s{seed}", m))
-        corpus.append((f"quotient-s{seed}-subdivided", subdivide_first_facet(m)))
-    corpus.append(("susp-delta3", catalog.suspension(catalog.boundary_simplex(3))))
-    corpus.append(("susp-octahedron",
-                   catalog.suspension(catalog.suspension(catalog.cycle_complex(4)))))
-    return corpus
+        m, _ = res
+        found.append((f"quotient-s{seed}", m))
+        found.append((f"quotient-s{seed}-subdivided", subdivide_facet(m, m.facets[0])))
+    return closed_3_manifolds(found)
 
 
 def main() -> int:

@@ -154,6 +154,8 @@ def _tightness_json(name: str, x: Complex, report: TightnessReport,
 
 
 def _emit(args, doc: dict, human: str) -> None:
+    """``doc`` as JSON under ``--json`` or when its verdict is false, else
+    the text ``human``."""
     if getattr(args, "json", False) or not doc.get("verdict", True):
         sys.stdout.write(dumps(doc))
     else:
@@ -217,10 +219,7 @@ def _cmd_homology(args) -> int:
     field = parse_field(args.field)
     doc = {"name": name, "field": str(field), "f_vector": list(x.f_vector),
            "betti": list(betti(x, field))}
-    if args.json:
-        sys.stdout.write(dumps(doc))
-    else:
-        print(f"{name}: f-vector {tuple(x.f_vector)}, betti {tuple(doc['betti'])} over {field}")
+    _emit(args, doc, f"{name}: f-vector {tuple(x.f_vector)}, betti {tuple(doc['betti'])} over {field}")
     return 0
 
 
@@ -232,16 +231,13 @@ def _cmd_decompose(args) -> int:
         witness = getattr(e, "witness", None)
         doc = {"name": name, "verdict": False, "error": str(e),
                "witness": list(witness.vertices) if witness is not None else None}
-        sys.stdout.write(dumps(doc))
+        _emit(args, doc, "")  # a false verdict always prints the document
         return 1
     doc = {"name": name, "summands": summands.as_dict(),
            "cuts": [{"triangle": list(t), "sides": [list(a), list(b)]}
                     for t, (a, b) in summands.cuts]}
-    if args.json:
-        sys.stdout.write(dumps(doc))
-    else:
-        print(f"{name}: T^{summands.tetrahedra} # I^{summands.icosahedra} "
-              f"({len(summands.cuts)} cuts)")
+    _emit(args, doc, f"{name}: T^{summands.tetrahedra} # I^{summands.icosahedra} "
+                     f"({len(summands.cuts)} cuts)")
     return 0
 
 
@@ -261,12 +257,9 @@ def _cmd_cycles(args) -> int:
     doc = {"name": name, "max_len": max_len,
            "cycles": [{"vertices": list(c.vertices), "length": c.length,
                        "residue": c.residue} for c in cycles]}
-    if args.json:
-        sys.stdout.write(dumps(doc))
-    else:
-        print(f"{name}: {len(cycles)} chordless cycles up to length {max_len}")
-        for c in cycles:
-            print(f"  {c.vertices} length={c.length} residue={c.residue}")
+    lines = [f"{name}: {len(cycles)} chordless cycles up to length {max_len}"]
+    lines += [f"  {c.vertices} length={c.length} residue={c.residue}" for c in cycles]
+    _emit(args, doc, "\n".join(lines))
     return 0
 
 
@@ -341,11 +334,7 @@ def _cmd_classify(args) -> int:
         topo = classify_topology(x, cert)
     except (PreconditionError, KeyError, ValueError) as e:
         raise InputError(f"certificate does not verify: {e}") from None
-    doc = {"name": name, "kind": topo.kind, "k": topo.k}
-    if args.json:
-        sys.stdout.write(dumps(doc))
-    else:
-        print(f"{name}: {topo}")
+    _emit(args, {"name": name, "kind": topo.kind, "k": topo.k}, f"{name}: {topo}")
     return 0
 
 

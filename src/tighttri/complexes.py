@@ -157,10 +157,6 @@ class Complex:
         return tuple(sorted(face)) in self._face_set
 
     @cached_property
-    def edges(self) -> frozenset:
-        return frozenset(self.faces(1))
-
-    @cached_property
     def _adjacency(self) -> dict:
         adj: dict = {v: set() for v in self.vertices}
         for a, b in self.faces(1):
@@ -573,8 +569,9 @@ def is_isomorphic(x: Complex, y: Complex) -> Optional[dict]:
     used: set = set()
 
     def consistent(v: int, w: int) -> bool:
+        nx, ny = x.neighbors(v), y.neighbors(w)
         for u, img in mapping.items():
-            if ((min(u, v), max(u, v)) in x.edges) != ((min(img, w), max(img, w)) in y.edges):
+            if (u in nx) != (img in ny):
                 return False
         if has_tri_x:
             items = list(mapping.items())

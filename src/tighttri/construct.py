@@ -16,16 +16,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
-                        Verdict, is_isomorphic, verify_closed_manifold)
+from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
+                        UnsupportedDimensionError, Verdict, is_isomorphic, verify_closed_manifold)
 from .homology import is_orientable
 from .linalg import QQ, FieldSpec
 from .stacked import _subdivide, is_stacked_sphere
 from .tightness import _first_hit, cross_validate, is_tight_fast_3manifold
 
 # A successful candidate is confirmed by the definitional decider only when
-# the subset scan is this small (2**12 subsets); bigger quotients keep the
-# polynomial certificate alone.
+# the subset scan is this small (2**12 subsets); bigger quotients by the
+# polynomial criterion.
 BRUTE_CONFIRM_MAX_VERTICES = 12
 # Restarts per process-pool task of a parallel search: a block without a hit
 # is tens of milliseconds of work, far more than sending it costs, and a hit
@@ -345,8 +345,22 @@ def _grow_search_sphere(n: int, rng: random.Random) -> Complex:
 
 
 def _search_attempt(seed, restart: int, k: int, n: int, field: FieldSpec):
-    """One restart: fresh sphere, k random handles, neighbourliness filter,
-    then the polynomial tightness check.  Returns (complex, certificate)."""
+    """One restart: a fresh search sphere on n = f0 + 4k vertices, k random
+    handles, then acceptance on orientability over the field.  Returns
+    (complex, certificate), or None when a step finds no handle site.
+
+    By the paper's theorem, as :func:`is_tight_fast_3manifold` reads it, a
+    quotient is tight iff it is orientable and (f0-4)(f0-5) = 20 beta_1.
+    :func:`_vertex_count_for_k` makes (f0-4)(f0-5) = 20k.  Every site that
+    :func:`find_admissible_handle` returns passes :func:`handle_addition`:
+    beyond the facets' boundaries, a merged edge, triangle or tetrahedron
+    needs a common neighbour of some v and its image outside both facets,
+    which the clash table excludes.  So the handles remove exactly 6k of
+    the sphere's 4n - 10 edges, leaving 4 f0 - 10 + 10k = C(f0, 2): the
+    quotient is neighbourly.  Each handle is a connected sum with an
+    S^2-bundle over S^1, so beta_1 = k over every field, and tightness is
+    orientability, an orientation flood with no elimination.
+    """
     rng = random.Random(f"{seed}:{restart}")
     sphere = _grow_search_sphere(n, rng)
     current = sphere
@@ -356,14 +370,9 @@ def _search_attempt(seed, restart: int, k: int, n: int, field: FieldSpec):
         if choice is None:
             return None
         f1, f2, bijection = choice
-        try:
-            current = handle_addition(current, f1, f2, bijection)
-        except AdmissibilityError:
-            return None
+        current = handle_addition(current, f1, f2, bijection)
         steps.append(HandleStep.make(f1, f2, bijection))
-    if not current.is_neighbourly():
-        return None
-    if not is_tight_fast_3manifold(current, field).verdict:
+    if not is_orientable(current, field):
         return None
     cert = Certificate(
         seed_facets=tuple(sorted(sphere.facets)),
@@ -389,11 +398,13 @@ def search_tight(k: int, field: FieldSpec, budget: int = 10_000, seed=0,
 
     Each restart builds a stacked 3-sphere on f0+4k vertices and applies k
     random admissible handle additions; a candidate is accepted when it is
-    neighbourly and passes the polynomial tightness criterion over the given
-    field, and small candidates are re-confirmed against the definitional
-    decider before being returned.  Restarts are independent, so with
-    ``jobs`` > 1 they run in blocks on min(jobs, cores) processes and the
-    lowest successful restart index wins, keeping results seed-deterministic.
+    orientable over the given field, which for these quotients is tightness
+    (see :func:`_search_attempt`).  The definitional decider, or above
+    ``BRUTE_CONFIRM_MAX_VERTICES`` the polynomial criterion, must then
+    call it tight, else :class:`InternalInconsistencyError` is raised.
+    Restarts are independent, so with ``jobs`` > 1 they run in blocks on
+    min(jobs, cores) processes and the lowest successful restart index
+    wins, keeping results seed-deterministic.
     """
     f0 = _vertex_count_for_k(k)  # raises for inadmissible k
     n = f0 + 4 * k
@@ -406,8 +417,10 @@ def search_tight(k: int, field: FieldSpec, budget: int = 10_000, seed=0,
     if found is None:
         return None
     complex_, cert = found
-    if complex_.num_vertices <= BRUTE_CONFIRM_MAX_VERTICES:
-        cross_validate(complex_, field)  # raises on any disagreement
+    small = complex_.num_vertices <= BRUTE_CONFIRM_MAX_VERTICES
+    # cross_validate raises on any disagreement between the deciders
+    if not (cross_validate if small else is_tight_fast_3manifold)(complex_, field).verdict:
+        raise InternalInconsistencyError(f"the search accepted a quotient that is not {field}-tight")
     return complex_, cert
 
 

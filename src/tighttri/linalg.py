@@ -50,10 +50,6 @@ class FieldSpec:
                 raise ValueError(f"{self.char} is not prime")
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(0)
-
-    @classmethod
     def gf(cls, p: int) -> "FieldSpec":
         return cls(p)
 

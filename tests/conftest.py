@@ -1,26 +1,18 @@
 """Shared fixtures: the deterministic corpus of small closed 3-manifolds,
-the searched 9-vertex tight instance, and a bank of 2-sphere skeletons."""
+the searched 9-vertex tight instance, and a bank of 2-sphere skeletons;
+and the drawn small complexes.  The corpus itself is built by
+``scripts/corpus.py``, which the scripts share."""
 
 from __future__ import annotations
 
 import itertools
-import random
-from collections import Counter
 
 import pytest
+from hypothesis import strategies as st
 
-from tighttri import (Complex, catalog, connected_sum, search_tight,
-                      stacked_sphere)
+from corpus import closed_3_manifolds, subdivide_facet
+from tighttri import Complex, catalog, search_tight, stacked_sphere
 from tighttri.linalg import GF2
-
-
-def subdivide_facet(x: Complex, facet) -> Complex:
-    """Bistellar 0-move: replace a facet by the cone over its boundary."""
-    w = max(x.vertex_set) + 1
-    facets = [f for f in x.facets if f != tuple(sorted(facet))]
-    base = tuple(sorted(facet))
-    facets.extend(tuple(sorted(set(base) - {u} | {w})) for u in base)
-    return Complex.from_facets(facets)
 
 
 def cyclic_polytope_boundary(n: int, d: int) -> Complex:
@@ -34,27 +26,13 @@ def cyclic_polytope_boundary(n: int, d: int) -> Complex:
     return Complex.from_facets(facets)
 
 
-def random_ti_sum(rng: random.Random, max_summands: int = 6):
-    """A connected sum of tetrahedron/icosahedron boundaries, with its recipe."""
-    kinds = [rng.choice("TI") for _ in range(rng.randint(1, max_summands))]
-    pieces = {"T": catalog.boundary_simplex(3), "I": catalog.icosahedron()}
-    x = pieces[kinds[0]]
-    for kind in kinds[1:]:
-        y = pieces[kind]
-        fx = rng.choice(sorted(x.facets))
-        fy = rng.choice(sorted(y.facets))
-        perm = list(fx)
-        rng.shuffle(perm)
-        x = connected_sum(x, y, fx, fy, dict(zip(fy, perm)))
-    return x, Counter(kinds)
-
-
-@pytest.fixture(scope="session")
-def tight9():
-    """The 9-vertex tight instance produced by the seeded search."""
-    result = search_tight(1, GF2, budget=2000, seed=0)
-    assert result is not None, "seeded search failed to find the 9-vertex instance"
-    return result  # (complex, certificate)
+@st.composite
+def small_complexes(draw, max_vertices=6):
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    facets = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=6))
+    return Complex.from_facets(facets)
 
 
 @pytest.fixture(scope="session")
@@ -69,23 +47,22 @@ def quotient_bank():
 
 
 @pytest.fixture(scope="session")
+def tight9(quotient_bank):
+    """The 9-vertex tight instance of the seed-0 search, with its certificate."""
+    return quotient_bank[0]
+
+
+@pytest.fixture(scope="session")
 def corpus3(quotient_bank):
     """>= 50 closed 3-manifold triangulations on <= 12 vertices.
 
     Stacked spheres, tight handle quotients, their non-tight subdivisions,
     and a couple of deliberately non-tight suspensions.
     """
-    corpus = [("boundary-delta4", catalog.boundary_simplex(4))]
-    for n in range(5, 13):
-        for seed in range(4):
-            corpus.append((f"stacked-{n}-s{seed}", stacked_sphere(n, 3, seed=seed)))
-    for i, (m, _) in enumerate(quotient_bank):
-        corpus.append((f"quotient-{i}", m))
-    for i, (m, _) in enumerate(quotient_bank[:8]):
-        corpus.append((f"quotient-{i}-subdivided", subdivide_facet(m, m.facets[0])))
-    corpus.append(("susp-delta3", catalog.suspension(catalog.boundary_simplex(3))))
-    corpus.append(("susp-octahedron", catalog.suspension(catalog.suspension(catalog.cycle_complex(4)))))
-    return corpus
+    quotients = [(f"quotient-{i}", m) for i, (m, _) in enumerate(quotient_bank)]
+    quotients += [(f"quotient-{i}-subdivided", subdivide_facet(m, m.facets[0]))
+                  for i, (m, _) in enumerate(quotient_bank[:8])]
+    return closed_3_manifolds(quotients)
 
 
 @pytest.fixture(scope="session")

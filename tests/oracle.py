@@ -5,8 +5,9 @@ in ``Fraction`` arithmetic, over GF(p) on ints mod p.  Rows come in as bit
 masks over GF(2) (bit j is column j), and otherwise as dense lists of
 entries or the library's ``{column: entry}`` dicts; they go out as masks
 over GF(2) and dense lists otherwise.  :func:`library_rows` turns dense
-rows of ints and Fractions into the library's row format.  Nothing here
-calls the library's elimination.
+rows of ints and Fractions into the library's row format, and
+:func:`echelon_rank` ranks rows in that format without densifying them.
+Nothing here calls the library's elimination.
 """
 
 from fractions import Fraction
@@ -80,6 +81,37 @@ def rref(field: FieldSpec, rows, ncols: int):
 
 def rank(field: FieldSpec, rows, ncols: int) -> int:
     return len(rref(field, rows, ncols)[0])
+
+
+def echelon_rank(field: FieldSpec, rows) -> int:
+    """Rank of rows in the library's format, by a plain echelon form that
+    keeps each row under its leading column: the highest bit of a GF(2)
+    mask, the least column of a ``{column: entry}`` dict.  Entries are ints
+    mod p over GF(p) and Fractions over Q."""
+    p = field.char
+    leading: dict = {}
+    for r in rows:
+        if p == 2:
+            while r and r.bit_length() in leading:
+                r ^= leading[r.bit_length()]
+            if r:
+                leading[r.bit_length()] = r
+            continue
+        d = {j: c % p if p else Fraction(c) for j, c in r.items()}
+        d = {j: c for j, c in d.items() if c}
+        while d and min(d) in leading:
+            lead = min(d)
+            b = leading[lead]
+            c = d[lead] * pow(b[lead], -1, p) if p else d[lead] / b[lead]
+            for j, v in b.items():
+                nv = (d.get(j, 0) - c * v) % p if p else d.get(j, 0) - c * v
+                if nv:
+                    d[j] = nv
+                else:
+                    d.pop(j, None)
+        if d:
+            leading[min(d)] = d
+    return len(leading)
 
 
 def right_nullspace(field: FieldSpec, rows, ncols: int) -> list:

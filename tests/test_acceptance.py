@@ -18,7 +18,7 @@ from tighttri.cli import main
 from tighttri.construct import AdmissibilityError
 from tighttri.linalg import GF2, QQ
 
-from conftest import random_ti_sum
+from corpus import random_ti_sum
 
 
 def test_criterion_01_decider_agreement_on_corpus(corpus3, capsys):

@@ -314,6 +314,106 @@ class TestSearchAndClassify:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+# Inputs for the branches of the CLI that no other test reaches.  Files
+# are written to a temporary directory and named by placeholders; "{missing}"
+# names a file that does not exist.
+BRANCH_FILES = {
+    "bad_json": '{"facets": [[0, 1]',
+    "no_facets": '{"name": "x"}',
+    "bad_token": "0 1 2\n0 1 x\n",
+    "empty": "# nothing but a comment\n",
+    "dim4": "0 1 2 3 4\n",
+    "bad_cert": "{not json",
+}
+
+# (argv, environment, the line on stderr, or its last line after argparse's
+# usage): every one exits 2 with no output.
+BRANCH_ERRORS = [
+    (["search", "tight", "--budget", "ten"], {},
+     "tighttri search tight: error: argument --budget: expected an integer, got 'ten'"),
+    (["homology", "{bad_json}"], {}, "error: invalid JSON: "),
+    (["homology", "{no_facets}"], {}, "error: JSON complex documents need a 'facets' field"),
+    (["homology", "{bad_token}"], {}, "error: line 2: expected whitespace-separated integers"),
+    (["homology", "{empty}"], {}, "error: no facets found in input"),
+    (["check", "manifold", "{dim4}"], {},
+     "error: manifold verification supports dimension <= 3, got 4"),
+    (["gen", "handle", "builtin:boundary-delta4", "--facets", "0", "--bijection", "0:1"], {},
+     "error: --facets expects two comma-separated facet indexes"),
+    (["gen", "handle", "builtin:boundary-delta4", "--facets", "0,1", "--bijection", "0-1"], {},
+     "error: --bijection expects v:w pairs, comma-separated"),
+    (["classify", "builtin:boundary-delta4", "--cert", "{missing}"], {}, "error: cannot read "),
+    (["classify", "builtin:boundary-delta4", "--cert", "{bad_cert}"], {},
+     "error: invalid certificate JSON: "),
+    (["gen", "stacked-sphere", "--n", "6", "--dim", "2"], {"TIGHTTRI_SEED": "abc"},
+     "error: TIGHTTRI_SEED must be an integer"),
+    (["homology", "builtin:complete:0"], {}, "error: complete graphs need at least one vertex"),
+    (["homology", "builtin:complete-bipartite:0,3"], {}, "error: both parts must be nonempty"),
+    (["homology", "builtin:complete-bipartite:3"], {},
+     "error: expected complete-bipartite:<m>,<n>, got 'complete-bipartite:3'"),
+    (["homology", "builtin:cycle:x"], {}, "error: bad numeric argument in builtin 'cycle:x'"),
+]
+
+# (argv, stdout) for plain-text and JSON outputs, as printed before the
+# handlers shared one output path.  "{sphere}" is a stacked 2-sphere,
+# "{quotient}" and "{search}" the complex and the whole document of a
+# `search tight` run.
+BRANCH_OUTPUTS = [
+    (["decompose", "{sphere}"], "s: T^4 # I^0 (3 cuts)\n"),
+    (["decompose", "builtin:icosahedron"], "icosahedron: T^0 # I^1 (0 cuts)\n"),
+    (["cycles", "builtin:boundary-delta3"],
+     "boundary-delta3: 4 chordless cycles up to length 4\n"
+     "  (0, 1, 2) length=3 residue=0\n  (0, 1, 3) length=3 residue=0\n"
+     "  (0, 2, 3) length=3 residue=0\n  (1, 2, 3) length=3 residue=0\n"),
+    (["cycles", "builtin:complete-bipartite:2,3"],
+     "complete-bipartite:2,3: 3 chordless cycles up to length 5\n"
+     "  (0, 2, 1, 3) length=4 residue=1\n  (0, 2, 1, 4) length=4 residue=1\n"
+     "  (0, 3, 1, 4) length=4 residue=1\n"),
+    (["cycles", "builtin:complete:2"], "complete:2: 0 chordless cycles up to length 2\n"),
+    (["classify", "{quotient}", "--cert", "{search}"], "tight-k1: nonorientable-handle-sum(1)\n"),
+    (["classify", "{quotient}", "--cert", "{search}", "--json"],
+     '{\n  "k": 1,\n  "kind": "nonorientable-handle-sum",\n  "name": "tight-k1"\n}\n'),
+]
+
+
+class TestBranches:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("branches")
+        out = {"missing": str(tmp / "missing.json")}
+        for name, text in BRANCH_FILES.items():
+            (tmp / name).write_text(text)
+            out[name] = str(tmp / name)
+        sphere = tmp / "s.json"
+        sphere.write_text(dumps(complex_document("s", stacked_sphere(7, 2, seed=1))))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["search", "tight", "--k", "1", "--field", "2", "--seed", "0",
+                         "--budget", "500"]) == 0
+        (tmp / "search.json").write_text(buf.getvalue())
+        (tmp / "m.json").write_text(dumps(json.loads(buf.getvalue())["complex"]))
+        out.update(sphere=str(sphere), search=str(tmp / "search.json"),
+                   quotient=str(tmp / "m.json"))
+        return out
+
+    @pytest.mark.parametrize("argv,env,message", BRANCH_ERRORS,
+                             ids=[" ".join(a) for a, _, _ in BRANCH_ERRORS])
+    def test_input_error(self, capsys, monkeypatch, paths, argv, env, message):
+        monkeypatch.setenv("COLUMNS", "80")
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2 and out == "" and "Traceback" not in err
+        lines = err.splitlines()
+        if lines[0].startswith("usage:"):
+            lines = lines[-1:]
+        assert len(lines) == 1 and lines[0].startswith(message), err
+
+    @pytest.mark.parametrize("argv,want", BRANCH_OUTPUTS,
+                             ids=[" ".join(a) for a, _ in BRANCH_OUTPUTS])
+    def test_output(self, capsys, paths, argv, want):
+        assert run(capsys, *(a.format(**paths) for a in argv)) == (0, want, "")
+
+
 class TestAdmissibleK:
     def test_table(self, capsys):
         code, out, _ = run(capsys, "admissible-k", "--limit", "600")

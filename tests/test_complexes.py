@@ -5,20 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_complexes
 from tighttri import (Complex, MalformedComplexError, PreconditionError,
                       UnknownVertexError, UnsupportedDimensionError, catalog,
                       connected_sum, from_facets, is_isomorphic,
                       stacked_sphere, verify_closed_manifold)
 from tighttri.complexes import vertex_links
-
-
-@st.composite
-def small_complexes(draw, max_vertices=6):
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
-    facets = draw(st.lists(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
-        min_size=1, max_size=6))
-    return Complex.from_facets(facets)
 
 
 def maximal_faces(x):

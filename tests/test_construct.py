@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from tighttri import (AdmissibilityError, Certificate, Complex, PreconditionError,
-                      admissible_k, betti, catalog, classify_topology,
-                      find_admissible_handle, handle_addition, is_isomorphic,
-                      is_orientable, is_stacked_sphere, search_tight,
+from tighttri import (AdmissibilityError, Certificate, Complex, InternalInconsistencyError,
+                      PreconditionError, admissible_k, betti, catalog, classify_topology,
+                      construct, find_admissible_handle, handle_addition, is_isomorphic,
+                      is_orientable, is_stacked_sphere, is_tight_fast_3manifold, search_tight,
                       stacked_sphere, verify_closed_manifold, verify_stacked_certificate)
 from tighttri.complexes import _check_closed_manifold
 from tighttri.construct import (HandleStep, _grow_search_sphere, _search_attempt,
                                 candidate_handle_sites)
-from tighttri.linalg import GF2, QQ
+from tighttri.linalg import GF2, QQ, FieldSpec
 
 
 class TestStackedSphereGenerator:
@@ -250,6 +250,32 @@ def test_clash_table_matches_pairwise_search():
     assert found[3] >= 20 and found[4] >= 50
 
 
+def criterion_attempt(seed, restart: int, k: int, n: int, field):
+    """A search restart as it was before it accepted on orientability: it
+    gave up on a failed handle addition and on a quotient that is not
+    neighbourly, and accepted on the polynomial criterion.  Returns its
+    outcome and the quotient it built, or None if it built none."""
+    rng = random.Random(f"{seed}:{restart}")
+    sphere = _grow_search_sphere(n, rng)
+    current = sphere
+    steps = []
+    for _ in range(k):
+        choice = find_admissible_handle(current, rng)
+        if choice is None:
+            return None, None
+        f1, f2, bijection = choice
+        try:
+            current = handle_addition(current, f1, f2, bijection)
+        except AdmissibilityError:
+            return None, None
+        steps.append(HandleStep.make(f1, f2, bijection))
+    if not current.is_neighbourly() or not is_tight_fast_3manifold(current, field).verdict:
+        return None, current
+    cert = Certificate(seed_facets=tuple(sorted(sphere.facets)), steps=tuple(steps),
+                       final_f_vector=current.f_vector, rng_seed=f"{seed}:{restart}")
+    return (current, cert), current
+
+
 class TestAdmissibleK:
     def test_table_to_600(self):
         table = admissible_k(600)
@@ -289,6 +315,31 @@ class TestSearch:
 
     def test_k1_over_q_finds_nothing(self):
         assert search_tight(1, QQ, budget=120, seed=0) is None
+
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_restarts_match_the_criterion_acceptance(self, field):
+        """Accepting on orientability gives the outcome that skipping failed
+        handle additions and non-neighbourly quotients and then asking the
+        polynomial criterion gave; every quotient built is neighbourly
+        with beta_1 = 1."""
+        built = 0
+        for seed in (7, 11):
+            for restart in range(200):
+                want, quotient = criterion_attempt(seed, restart, 1, 13, field)
+                assert _search_attempt(seed, restart, 1, 13, field) == want
+                if quotient is not None:
+                    built += 1
+                    assert quotient.is_neighbourly() and betti(quotient, field)[1] == 1
+        assert built >= 100
+
+    @pytest.mark.parametrize("confirm_max", [12, 0])
+    def test_a_quotient_that_is_not_tight_raises(self, monkeypatch, confirm_max):
+        """If a restart accepted a non-orientable quotient, the check before
+        returning (definitional, or polynomial above the cut-off) raises."""
+        monkeypatch.setattr(construct, "is_orientable", lambda x, field: True)
+        monkeypatch.setattr(construct, "BRUTE_CONFIRM_MAX_VERTICES", confirm_max)
+        with pytest.raises(InternalInconsistencyError):
+            search_tight(1, QQ, budget=40, seed=0)
 
     def test_determinism(self, tight9):
         again = search_tight(1, GF2, budget=2000, seed=0)

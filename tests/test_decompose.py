@@ -8,7 +8,7 @@ The three largest input families (300 spheres) are compared with the
 reference's outcomes recorded in ``decompose_reference.json``, because the
 reference spends seconds on them; a few entries of each are replayed
 through the live reference on every run, so the file cannot drift.  To
-re-record it, run ``PYTHONPATH=src python tests/test_decompose.py``.
+re-record it, run ``PYTHONPATH=src:scripts python tests/test_decompose.py``.
 """
 
 import dataclasses
@@ -23,14 +23,14 @@ from typing import Dict, List
 import pytest
 
 from tighttri import (Complex, HypothesisViolationError, PreconditionError, SummandList,
-                      Verdict, catalog, connected_sum, decompose_ti, mod3_obstruction,
+                      Verdict, catalog, decompose_ti, mod3_obstruction,
                       stacked_sphere, verify_closed_manifold)
 from tighttri import stacked
 from tighttri.catalog import boundary_simplex, icosahedron
 from tighttri.complexes import is_isomorphic
 from tighttri.stacked import _empty_triangle
 
-from conftest import random_ti_sum
+from corpus import glue, random_ti_sum, ti_sum
 
 
 # -- reference: up-front obstruction, facet-adjacency split --------------------
@@ -133,22 +133,6 @@ def assert_same(x: Complex) -> tuple:
 
 
 # -- input families -------------------------------------------------------------
-
-def ti_sum(kinds, rng: random.Random) -> Complex:
-    pieces = {"T": catalog.boundary_simplex(3), "I": catalog.icosahedron()}
-    x = pieces[kinds[0]]
-    for kind in kinds[1:]:
-        x = glue(x, pieces[kind], rng)
-    return x
-
-
-def glue(x: Complex, y: Complex, rng: random.Random) -> Complex:
-    fx = rng.choice(sorted(x.facets))
-    fy = rng.choice(sorted(y.facets))
-    perm = list(fx)
-    rng.shuffle(perm)
-    return connected_sum(x, y, fx, fy, dict(zip(fy, perm)))
-
 
 def flips(x: Complex, rng: random.Random):
     """Every edge flip of a 2-sphere that keeps it simplicial, in seeded order."""

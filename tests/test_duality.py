@@ -3,7 +3,9 @@
 The oracle is the plain definitional scan: ``induced_map_injective`` on
 every subset in enumeration order.  The per-degree oracle for the duality
 itself is independent of the decider: it embeds the cycles of the induced
-subcomplex into the ambient chains and compares ranks.
+subcomplex into the ambient chains and compares ranks, taken by
+``oracle.py`` and never by the library's elimination, on echelon rows of
+B_k(X) computed once per complex, degree and field.
 """
 
 import itertools
@@ -13,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cyclic_polytope_boundary, subdivide_facet
-from oracle import entries, left_nullspace, library_rows, matmul, rank, rref
+from conftest import cyclic_polytope_boundary
+from corpus import subdivide_facet
+from oracle import echelon_rank, entries, left_nullspace, library_rows, matmul, rank, rref
 from tighttri import (Complex, boundary_matrix, catalog, chain_data, induced_map_injective,
                       is_isomorphic, is_tight_bruteforce)
 from tighttri.homology import injectivity_on_mask
 from tighttri.complexes import PreconditionError, UnknownVertexError, Verdict
-from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
+from tighttri.linalg import GF2, QQ, FieldSpec, row_basis
 from tighttri import tightness
 
 FIELDS = [GF2, FieldSpec.gf(3), QQ]
@@ -40,54 +43,22 @@ def oracle_scan(x: Complex, field: FieldSpec) -> tuple:
     return True, None, (1 << n) - n - 2
 
 
-def _zero_columns(field: FieldSpec, rows: list, cols: list) -> list:
+def _zero_columns(field: FieldSpec, rows: list, cols) -> list:
+    """The rows, in the library's format, with the columns ``cols`` zeroed."""
     if field.char == 2:
         mask = sum(1 << j for j in cols)
         return [r & ~mask for r in rows]
-    out = [list(r) for r in rows]
-    for r in out:
-        for j in cols:
-            r[j] = 0
-    return out
-
-
-def _rank(field: FieldSpec, rows: list, ncols: int) -> int:
-    """Rank of rows in the library's format: over Q by the library's
-    elimination; over GF(p) by a plain echelon form, each row kept under
-    its leading column."""
-    p = field.char
-    if p == 0:
-        return FMatrix(field, len(rows), ncols, rows).rank()
-    leading: dict = {}
-    for r in rows:
-        if p == 2:
-            while r and r.bit_length() in leading:
-                r ^= leading[r.bit_length()]
-            if r:
-                leading[r.bit_length()] = r
-            continue
-        d = dict(r)
-        while d and min(d) in leading:
-            lead = min(d)
-            b = leading[lead]
-            c = d[lead] * pow(b[lead], -1, p)
-            for j, v in b.items():
-                nv = (d.get(j, 0) - c * v) % p
-                if nv:
-                    d[j] = nv
-                else:
-                    d.pop(j, None)
-        if d:
-            leading[min(d)] = d
-    return len(leading)
+    cols = set(cols)
+    return [{j: c for j, c in r.items() if j not in cols} for r in rows]
 
 
 @lru_cache(maxsize=64)
 def boundaries_rref(x: Complex, k: int, field: FieldSpec) -> tuple:
     """(pivots, rows) of the reduced echelon form of B_k(x), the row space
-    of d_{k+1}, by the dense oracle."""
+    of d_{k+1}, by the dense oracle; the rows in the library's format."""
     b = boundary_matrix(x, k + 1, field)
-    return rref(field, b.rows, b.ncols)
+    pivots, rows = rref(field, b.rows, b.ncols)
+    return pivots, rows if field.char == 2 else library_rows(field, rows)
 
 
 def failing_degrees(x: Complex, w, field: FieldSpec) -> frozenset:
@@ -101,11 +72,9 @@ def failing_degrees(x: Complex, w, field: FieldSpec) -> frozenset:
     fails = set()
     for k in range(x.dim):
         _, bx = boundaries_rref(x, k, field)
-        ncols = len(x.faces(k))
-        zeroed = _zero_columns(field, bx, inside[k])
-        off = _rank(field, zeroed if field.char == 2 else library_rows(field, zeroed), ncols)
-        b = cd.boundary(k + 1)
-        if len(bx) - off > _rank(field, [b.rows[i] for i in inside[k + 1]], ncols):
+        off = echelon_rank(field, _zero_columns(field, bx, inside[k]))
+        rows = cd.rows(k + 1)
+        if len(bx) - off > echelon_rank(field, [rows[i] for i in inside[k + 1]]):
             fails.add(k)
     return frozenset(fails)
 

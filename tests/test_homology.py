@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import subdivide_facet
+from conftest import small_complexes
+from corpus import subdivide_facet
 from oracle import entries, is_zero, library_rows, matmul, rank
 from tighttri import (Complex, InternalInconsistencyError, PreconditionError, betti,
                       boundary_matrix, catalog, chain_data, from_facets, homology,
@@ -23,15 +24,6 @@ FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5)]
 def is_composite_zero(dk: FMatrix, dk1: FMatrix) -> bool:
     """d_k followed by d_{k-1} is the zero map."""
     return is_zero(dk.field, matmul(dk.field, dk.rows, dk1.rows, dk1.ncols), dk1.ncols)
-
-
-@st.composite
-def small_complexes(draw, max_vertices=6):
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
-    facets = draw(st.lists(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
-        min_size=1, max_size=6))
-    return Complex.from_facets(facets)
 
 
 @st.composite

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import (entries, is_zero, left_nullspace, library_rows, matmul, rank, right_nullspace,
-                    rref, transpose)
+from oracle import (echelon_rank, entries, is_zero, left_nullspace, library_rows, matmul, rank,
+                    right_nullspace, rref, transpose)
 from tighttri import boundary_matrix, catalog, chain_data
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, echelon_row, kernel_rows
 
@@ -89,6 +89,16 @@ class TestRank:
     def test_rank_equals_transpose_rank(self, rows, field):
         m = matrix(field, rows)
         assert m.rank() == transposed(m).rank()
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_matrix, st.sampled_from(FIELDS))
+    def test_oracle_ranks_agree(self, rows, field):
+        # the sparse echelon rank that the duality tests use, against the
+        # dense Gauss-Jordan rank and the library's
+        packed = library_rows(field, rows)
+        want = rank(field, packed, len(rows[0]))
+        assert echelon_rank(field, packed) == want
+        assert matrix(field, rows).rank() == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4),

@@ -11,7 +11,7 @@ from tighttri import (Complex, PreconditionError, Verdict, catalog, connected_su
                       verify_moebius, verify_stacked_certificate)
 from tighttri.construct import Certificate, HandleStep
 from tighttri.stacked import HypothesisViolationError, _empty_triangle, _split_at_triangle
-from conftest import random_ti_sum
+from corpus import random_ti_sum
 
 
 def exhaustive_stacked(s, d):
