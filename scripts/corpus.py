@@ -21,6 +21,18 @@ def subdivide_facet(x: Complex, facet) -> Complex:
     return Complex.from_facets(facets)
 
 
+def subdivide_edges(s: Complex) -> Complex:
+    """Split each triangle of a 2-complex into four at its edge midpoints;
+    the midpoint of the i-th edge in lexicographic order gets the label
+    i + 1 above the largest vertex."""
+    mid = {e: max(s.vertex_set) + 1 + i for i, e in enumerate(s.faces(1))}
+    facets = []
+    for a, b, c in s.faces(2):
+        ab, ac, bc = mid[a, b], mid[a, c], mid[b, c]
+        facets += [(a, ab, ac), (b, ab, bc), (c, ac, bc), (ab, ac, bc)]
+    return Complex.from_facets(facets)
+
+
 def glue(x: Complex, y: Complex, rng: random.Random) -> Complex:
     """The connected sum of x and y at a random facet of each, along a
     random bijection."""

@@ -357,11 +357,19 @@ def _env_seed() -> int:
 
 # -- parser --------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print the one line ``prog: error: message`` and exit 2;
+    subparsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process on first use and shared by
     every :func:`main` call; parsing reads it and nothing may change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tighttri",
         description="Verify and construct tight triangulations of closed 3-manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -61,11 +61,17 @@ class Verdict:
 
 Face = tuple  # sorted tuple of non-negative integer vertex labels
 
+# the closure of a facet on m vertices has 2^m - 1 faces
+MAX_FACET_VERTICES = 16
+
 
 def _as_face(vertices: Iterable[int]) -> Face:
     vs = list(vertices)
     if not vs:
         raise MalformedComplexError("faces must be nonempty")
+    if len(vs) > MAX_FACET_VERTICES:
+        raise MalformedComplexError(
+            f"a facet has {len(vs)} vertices, more than the {MAX_FACET_VERTICES} supported")
     for v in vs:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise MalformedComplexError(f"vertex labels must be non-negative integers, got {v!r}")
@@ -93,7 +99,8 @@ class Complex:
         """Downward closure of the given facets; non-maximal inputs are absorbed.
 
         Distinct input faces of one size are all maximal, so they are kept as
-        :attr:`facets`; any other input leaves ``facets`` to be derived.
+        :attr:`facets`; any other input leaves ``facets`` to be derived.  A
+        facet on more than :data:`MAX_FACET_VERTICES` vertices is refused.
         """
         return cls._from_faces({_as_face(f) for f in facets})
 
@@ -175,21 +182,6 @@ class Complex:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _face_masks(self) -> tuple:
-        """Per dimension, a bitmask over vertex positions for each face."""
-        pos = self._vertex_position
-        out = []
-        for bucket in self._faces:
-            masks = []
-            for f in bucket:
-                m = 0
-                for v in f:
-                    m |= 1 << pos[v]
-                masks.append(m)
-            out.append(tuple(masks))
-        return tuple(out)
-
-    @cached_property
     def _neighbour_masks(self) -> tuple:
         """Per vertex position, a bitmask over the positions of its neighbours."""
         pos = self._vertex_position
@@ -222,17 +214,8 @@ class Complex:
         if not sub <= self.vertex_set:
             missing = sorted(sub - self.vertex_set)
             raise UnknownVertexError(f"vertices {missing} are not in the complex")
-        pos = self._vertex_position
-        wmask = 0
-        for v in sub:
-            wmask |= 1 << pos[v]
-        keep = ~wmask
-        buckets = []
-        for bucket, masks in zip(self._faces, self._face_masks):
-            sel = tuple(f for f, m in zip(bucket, masks) if not (m & keep))
-            if sel:
-                buckets.append(sel)
-        return Complex(tuple(buckets), _closed=True)
+        buckets = (tuple(f for f in bucket if sub.issuperset(f)) for bucket in self._faces)
+        return Complex(tuple(b for b in buckets if b), _closed=True)
 
     @cached_property
     def _links(self) -> dict:

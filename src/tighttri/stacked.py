@@ -11,12 +11,14 @@ a certificate.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
-                        Verdict, verify_closed_manifold)
+                        Verdict, component_masks, verify_closed_manifold)
 
 
 class HypothesisViolationError(ValueError):
@@ -101,46 +103,54 @@ def is_stacked_sphere(s: Complex, d: int) -> Verdict:
 
 
 def induced_cycles(g: Complex, max_len: int) -> List[CycleWitness]:
-    """All chordless cycles of length <= max_len in a graph, once each.
-
-    Canonical form: start at the least vertex of the cycle and run toward
-    the smaller of its two cycle neighbours.  Depth-first extension prunes
-    any path whose tip is adjacent to an interior vertex.
-    """
+    """All chordless cycles of length <= max_len in a graph, once each, in
+    (length, vertices) order."""
     if g.dim > 1:
         raise PreconditionError("induced_cycles expects a graph (dimension <= 1)")
     if max_len < 3:
         raise PreconditionError(f"a cycle has at least 3 vertices, so max_len {max_len} < 3 is meaningless")
-    adj: Dict[int, Set[int]] = {v: set(g.neighbors(v)) for v in g.vertices}
-    found: List[CycleWitness] = []
-    for s in g.vertices:
-        higher = sorted(w for w in adj[s] if w > s)
-        for v1 in higher:
-            _extend_chordless(adj, s, [s, v1], {s, v1}, max_len, found)
-    found.sort(key=lambda c: (c.length, c.vertices))
-    return found
+    found = [_witness(g, cyc) for cyc in
+             _chordless_cycles(g._neighbour_masks, (1 << g.num_vertices) - 1, 3, max_len)]
+    return sorted(found, key=lambda c: (c.length, c.vertices))
 
 
-def _extend_chordless(adj, s: int, path: List[int], on_path: Set[int],
-                      max_len: int, found: List[CycleWitness]) -> None:
-    tip = path[-1]
-    interior = path[1:-1]
-    for u in sorted(adj[tip]):
-        if u <= s or u in on_path:
-            continue
-        if any(u in adj[w] for w in interior):
-            continue  # chord to the path interior
-        if u in adj[s]:
-            if len(path) >= 2 and path[1] < u:
-                cyc = tuple(path) + (u,)
-                found.append(CycleWitness(cyc, len(cyc), len(cyc) % 3))
-            continue  # a longer cycle through u would have the chord {u, s}
-        if len(path) + 1 < max_len:
-            path.append(u)
-            on_path.add(u)
-            _extend_chordless(adj, s, path, on_path, max_len, found)
-            path.pop()
-            on_path.remove(u)
+def _chordless_cycles(nbr: Sequence[int], within: int, lo: int, hi: int) -> Iterator[tuple]:
+    """Chordless cycles with lo to hi vertices in the graph on the vertex
+    positions set in ``within``, whose neighbour masks are ``nbr``, once
+    each: from the least position toward the smaller of its two cycle
+    neighbours.  A path grows only through ``free`` positions, above its
+    start, off the path and not adjacent to its interior, so it stays
+    chordless; a step to a neighbour of the start closes it and goes no
+    further, as a longer path would have a chord to the start.  The search
+    is depth-first in ascending order, so cycles of one length come out in
+    lexicographic order."""
+    def grow(path: tuple, free: int) -> Iterator[tuple]:
+        tip = path[-1]
+        for u in _positions(nbr[tip] & free):
+            if ring >> u & 1:
+                if len(path) >= lo - 1 and path[1] < u:
+                    yield path + (u,)
+            elif len(path) < hi - 1:
+                yield from grow(path + (u,), free & ~nbr[tip])
+
+    for start in _positions(within):
+        above = within >> start + 1 << start + 1
+        ring = nbr[start] & above
+        for first in _positions(ring):
+            yield from grow((start, first), above & ~(1 << first))
+
+
+def _positions(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _witness(g: Complex, cyc: tuple) -> CycleWitness:
+    vs = tuple(g.vertices[i] for i in cyc)
+    return CycleWitness(vs, len(vs), len(vs) % 3)
 
 
 def mod3_obstruction(s: Complex) -> Verdict:
@@ -148,14 +158,30 @@ def mod3_obstruction(s: Complex) -> Verdict:
 
     Vertex links of tight complexes satisfy this, so a violation rules out
     appearing as such a link; the witness is the first violating cycle in
-    (length, vertices) order.
+    (length, vertices) order.  On a 2-sphere only the prime pieces that are
+    neither T nor I are searched, as one graph: it is induced from the
+    sphere's, so its chordless cycles are the sphere's inside it, and those
+    of length = 1 (mod 3) are the pieces' (see :func:`decompose_ti`).
     """
-    g = s.one_skeleton()
-    for cyc in induced_cycles(g, max_len=max(g.num_vertices, 3)):
-        if cyc.residue == 1:
-            return Verdict(False, witness=cyc,
-                           detail=f"chordless {cyc.length}-cycle with length = 1 (mod 3)")
-    return Verdict(True)
+    within = (1 << s.num_vertices) - 1
+    if s.dim == 2 and s.is_connected() and verify_closed_manifold(s).ok \
+            and s.f_vector[0] - s.f_vector[1] + s.f_vector[2] == 2:
+        within = functools.reduce(operator.or_, _prime_pieces(s)[2], 0)
+    cyc = _mod3_witness(s, within)
+    if cyc is None:
+        return Verdict(True)
+    return Verdict(False, witness=cyc, detail=f"chordless {cyc.length}-cycle with length = 1 (mod 3)")
+
+
+def _mod3_witness(s: Complex, within: int) -> Optional[CycleWitness]:
+    """The least chordless cycle of length = 1 (mod 3) in (length, vertices)
+    order in the graph of ``s`` on the positions in ``within``: the first
+    found at the least of the lengths 4, 7, 10, ... that has one."""
+    for length in range(4, within.bit_count() + 1, 3):
+        cyc = next(_chordless_cycles(s._neighbour_masks, within, length, length), None)
+        if cyc is not None:
+            return _witness(s, cyc)
+    return None
 
 
 def _expected_moebius(cycle: Sequence[int]) -> Complex:
@@ -217,51 +243,58 @@ def is_locally_stacked(m: Complex) -> Verdict:
 
 # -- summand decomposition ----------------------------------------------------
 
-def _empty_triangle(s: Complex) -> Optional[tuple]:
-    """Lexicographically first 3-clique of the skeleton that is not a face."""
-    for a in s.vertices:
-        na = s.neighbors(a)
-        for b in sorted(na):
-            if b <= a:
-                continue
-            for c in sorted(na & s.neighbors(b)):
-                if c <= b:
-                    continue
-                if not s.has_face((a, b, c)):
-                    return (a, b, c)
-    return None
+def _prime_pieces(s: Complex) -> Tuple[Counter, List[tuple], List[int]]:
+    """Cut the 2-sphere ``s`` into prime pieces, as masks over its vertex
+    positions: the counts of T and I pieces, the cuts, and the other
+    pieces in cutting order.
 
-
-def _split_at_triangle(s: Complex, tri: tuple) -> Tuple[Complex, Complex]:
-    """Cut a 2-sphere along an empty triangle into its two closed sides.
-
-    Without the triangle's vertices the sphere falls into the interiors of
-    the two disks the triangle bounds, ordered by least vertex; each side is
-    the subcomplex induced on one interior and the triangle, plus the
-    triangle as a facet.
+    A piece is cut at its lexicographically first empty triangle, into the
+    two interiors the triangle bounds, ordered by least vertex, each with
+    the triangle.  A piece's graph is induced from the sphere's, and its
+    triangles are the sphere's in it and the triangles cut at, which lie in
+    no other pieces; so its empty triangles are the sphere's in it that are
+    not cut at yet.
     """
-    interiors = s.induced(s.vertex_set - set(tri)).components()
-    if len(interiors) != 2:
-        raise HypothesisViolationError(
-            f"empty triangle {tri} does not separate the sphere into two sides",
-            witness=tri)
-    left, right = (Complex._from_faces(s.induced(c | set(tri)).faces(2) + (tri,))
-                   for c in interiors)
-    return left, right
+    verts, nbr, pos = s.vertices, s._neighbour_masks, s._vertex_position
+    empty = {(a, b, c): 1 << pos[a] | 1 << pos[b] | 1 << pos[c]
+             for a, b in s.faces(1) for c in sorted(s.neighbors(a) & s.neighbors(b))
+             if c > b and not s.has_face((a, b, c))}
+    counts, cuts, others = Counter(), [], []
+    stack = [(1 << len(verts)) - 1]
+    while stack:
+        piece = stack.pop()
+        tri = next((t for t, m in empty.items() if m & piece == m), None)
+        if tri is None:
+            if piece.bit_count() == 4:
+                counts["T"] += 1
+            elif all((nbr[i] & piece).bit_count() == 5 for i in _positions(piece)):
+                counts["I"] += 1
+            else:
+                others.append(piece)
+            continue
+        m = empty.pop(tri)
+        interiors = component_masks(s, piece & ~m)
+        if len(interiors) != 2:
+            raise HypothesisViolationError(
+                f"empty triangle {tri} does not separate the sphere into two sides",
+                witness=tri)
+        left, right = (c | m for c in interiors)
+        cuts.append((tri, tuple(tuple(verts[i] for i in _positions(side)) for side in (left, right))))
+        stack += [right, left]
+    return counts, cuts, others
 
 
 def decompose_ti(s: Complex) -> SummandList:
     """Decompose a 2-sphere into tetrahedron/icosahedron boundary summands.
 
-    Cuts are made at the lexicographically first empty triangle until every
-    piece is prime.  A chordless cycle of length >= 4 cannot cross an empty
-    triangle (two triangle vertices on it would form a chord), and each
-    piece's graph is induced from the sphere's, so the sphere's chordless
-    cycles of length = 1 (mod 3) are exactly those of its prime pieces; T
-    and I have none.  Only pieces that are neither are searched: the least
-    such cycle in (length, vertices) order raises, and otherwise the first
-    unrecognised piece does, since the decomposition theorem rules both out
-    for admissible input.
+    The cuts are those of :func:`_prime_pieces`.  A chordless cycle of
+    length >= 4 cannot cross an empty triangle (two triangle vertices on it
+    would form a chord), and each piece's graph is induced from the
+    sphere's, so the sphere's chordless cycles of length = 1 (mod 3) are
+    exactly those of its prime pieces; T and I have none.  Only pieces that
+    are neither are searched: the least such cycle in (length, vertices)
+    order raises, and otherwise the first unrecognised piece does, since
+    the decomposition theorem rules both out for admissible input.
 
     Each piece is a 2-sphere, recognised by counting.  It is T exactly when
     it has 4 vertices (by Euler's formula it has 4 triangles, all triples),
@@ -276,33 +309,15 @@ def decompose_ti(s: Complex) -> SummandList:
     f = s.f_vector
     if f[0] - f[1] + f[2] != 2:
         raise PreconditionError("not a 2-sphere: Euler characteristic differs from 2")
-    counts: Counter = Counter()
-    cuts: List[tuple] = []
-    unrecognised: List[Complex] = []
-    stack = [s]
-    while stack:
-        piece = stack.pop()
-        tri = _empty_triangle(piece)
-        if tri is None:
-            if piece.num_vertices == 4:
-                counts["T"] += 1
-            elif all(len(piece.neighbors(v)) == 5 for v in piece.vertices):
-                counts["I"] += 1
-            else:
-                unrecognised.append(piece)
-            continue
-        left, right = _split_at_triangle(piece, tri)
-        cuts.append((tri, (tuple(sorted(left.vertex_set)), tuple(sorted(right.vertex_set)))))
-        stack.append(right)
-        stack.append(left)
-    violations = [v.witness for v in map(mod3_obstruction, unrecognised) if not v.ok]
-    if violations:
-        witness = min(violations, key=lambda c: (c.length, c.vertices))
+    counts, cuts, others = _prime_pieces(s)
+    witness = _mod3_witness(s, functools.reduce(operator.or_, others, 0))
+    if witness is not None:
         raise HypothesisViolationError(
             f"sphere has a chordless cycle of length = 1 (mod 3): {witness.vertices}",
             witness=witness)
-    if unrecognised:
+    if others:
+        n = others[0].bit_count()  # a 2-sphere on n vertices has f-vector (n, 3n - 6, 2n - 4)
         raise HypothesisViolationError(
-            f"prime summand with f-vector {unrecognised[0].f_vector} is neither "
+            f"prime summand with f-vector {(n, 3 * n - 6, 2 * n - 4)} is neither "
             "the tetrahedron nor the icosahedron boundary")
     return SummandList(counts["T"], counts["I"], tuple(cuts))

@@ -1,4 +1,5 @@
-"""Dense linear algebra for the tests to compare the library against.
+"""Dense linear algebra and exhaustive 2-sphere structure for the tests to
+compare the library against.
 
 Textbook Gauss-Jordan elimination, column by column on dense rows: over Q
 in ``Fraction`` arithmetic, over GF(p) on ints mod p.  Rows come in as bit
@@ -8,11 +9,18 @@ over GF(2) and dense lists otherwise.  :func:`library_rows` turns dense
 rows of ints and Fractions into the library's row format, and
 :func:`echelon_rank` ranks rows in that format without densifying them.
 Nothing here calls the library's elimination.
+
+The chordless-cycle and sphere-cutting references at the end are the
+library's earlier code, on adjacency sets and one ``Complex`` per piece:
+:func:`induced_cycles` enumerates every cycle up to the bound, and
+:func:`mod3_obstruction` keeps the first with length = 1 (mod 3) of all of
+them.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from tighttri import Complex, CycleWitness, HypothesisViolationError, Verdict
 from tighttri.linalg import FieldSpec
 
 
@@ -152,3 +160,68 @@ def matmul(field: FieldSpec, a, b, ncols: int) -> list:
         acc = [sum(c * brow[t] for c, brow in zip(r, db)) for t in range(ncols)]
         out.append([v % p for v in acc] if p else acc)
     return _packed(field, out)
+
+
+# -- chordless cycles and sphere cuts --------------------------------------------
+
+def induced_cycles(g: Complex, max_len: int) -> list:
+    """All chordless cycles of length <= max_len in a graph, once each,
+    sorted by (length, vertices): from the least vertex toward the smaller
+    of its two cycle neighbours, pruning any path whose tip is adjacent to
+    an interior vertex."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    found = []
+
+    def extend(s, path, on_path):
+        tip = path[-1]
+        for u in sorted(adj[tip]):
+            if u <= s or u in on_path or any(u in adj[w] for w in path[1:-1]):
+                continue
+            if u in adj[s]:
+                if path[1] < u:
+                    cyc = tuple(path) + (u,)
+                    found.append(CycleWitness(cyc, len(cyc), len(cyc) % 3))
+                continue
+            if len(path) + 1 < max_len:
+                extend(s, path + [u], on_path | {u})
+
+    for s in g.vertices:
+        for v1 in sorted(w for w in adj[s] if w > s):
+            extend(s, [s, v1], {s, v1})
+    found.sort(key=lambda c: (c.length, c.vertices))
+    return found
+
+
+def mod3_obstruction(s: Complex) -> Verdict:
+    """The first of all chordless cycles with length = 1 (mod 3)."""
+    g = s.one_skeleton()
+    for cyc in induced_cycles(g, max(g.num_vertices, 3)):
+        if cyc.residue == 1:
+            return Verdict(False, witness=cyc,
+                           detail=f"chordless {cyc.length}-cycle with length = 1 (mod 3)")
+    return Verdict(True)
+
+
+def empty_triangle(s: Complex):
+    """Lexicographically first 3-clique of the skeleton that is not a face."""
+    for a in s.vertices:
+        for b in sorted(s.neighbors(a)):
+            if b <= a:
+                continue
+            for c in sorted(s.neighbors(a) & s.neighbors(b)):
+                if c > b and not s.has_face((a, b, c)):
+                    return (a, b, c)
+    return None
+
+
+def split_at_triangle(s: Complex, tri: tuple) -> tuple:
+    """The two closed sides of a 2-sphere cut along an empty triangle, each
+    a complex: induced on one interior and the triangle, plus the
+    triangle, ordered by least interior vertex."""
+    interiors = s.induced(s.vertex_set - set(tri)).components()
+    if len(interiors) != 2:
+        raise HypothesisViolationError(
+            f"empty triangle {tri} does not separate the sphere into two sides",
+            witness=tri)
+    return tuple(Complex.from_facets(s.induced(c | set(tri)).faces(2) + (tri,))
+                 for c in interiors)

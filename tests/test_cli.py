@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 from tighttri import catalog, stacked_sphere
 from tighttri.cli import build_parser, complex_document, dumps, load_complex, main, parse_field
 from tighttri.linalg import GF2, QQ
+
+from corpus import subdivide_edges, ti_sum
+from oracle import induced_cycles as reference_induced_cycles
 
 
 def run(capsys, *argv):
@@ -324,10 +329,11 @@ BRANCH_FILES = {
     "empty": "# nothing but a comment\n",
     "dim4": "0 1 2 3 4\n",
     "bad_cert": "{not json",
+    "big_facet": " ".join(map(str, range(17))) + "\n",
 }
 
-# (argv, environment, the line on stderr, or its last line after argparse's
-# usage): every one exits 2 with no output.
+# (argv, environment, the start of the one line on stderr): every one exits
+# 2 with no output.
 BRANCH_ERRORS = [
     (["search", "tight", "--budget", "ten"], {},
      "tighttri search tight: error: argument --budget: expected an integer, got 'ten'"),
@@ -335,6 +341,8 @@ BRANCH_ERRORS = [
     (["homology", "{no_facets}"], {}, "error: JSON complex documents need a 'facets' field"),
     (["homology", "{bad_token}"], {}, "error: line 2: expected whitespace-separated integers"),
     (["homology", "{empty}"], {}, "error: no facets found in input"),
+    (["homology", "{big_facet}"], {},
+     "error: bad facet list: a facet has 17 vertices, more than the 16 supported"),
     (["check", "manifold", "{dim4}"], {},
      "error: manifold verification supports dimension <= 3, got 4"),
     (["gen", "handle", "builtin:boundary-delta4", "--facets", "0", "--bijection", "0:1"], {},
@@ -404,14 +412,68 @@ class TestBranches:
         code, out, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2 and out == "" and "Traceback" not in err
         lines = err.splitlines()
-        if lines[0].startswith("usage:"):
-            lines = lines[-1:]
         assert len(lines) == 1 and lines[0].startswith(message), err
 
     @pytest.mark.parametrize("argv,want", BRANCH_OUTPUTS,
                              ids=[" ".join(a) for a, _ in BRANCH_OUTPUTS])
     def test_output(self, capsys, paths, argv, want):
         assert run(capsys, *(a.format(**paths) for a in argv)) == (0, want, "")
+
+
+class TestLargeSpheres:
+    """``decompose`` and ``cycles --mod3`` on spheres where a search through
+    every chordless cycle takes minutes: the icosahedron with each triangle
+    split into four at its edge midpoints (42 vertices), that sphere split
+    again (162 vertices), and a connected sum of 16 icosahedra."""
+
+    WITNESS = {"s42": [0, 12, 17, 22, 23, 21, 14], "s162": [12, 102, 43, 44, 45, 46, 103]}
+
+    @pytest.fixture(scope="class")
+    def spheres(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("large")
+        s42 = subdivide_edges(catalog.icosahedron())
+        out = {}
+        for name, x in (("s42", s42), ("s162", subdivide_edges(s42)),
+                        ("i16", ti_sum("I" * 16, random.Random(0)))):
+            (tmp / f"{name}.json").write_text(dumps(complex_document(name, x)))
+            out[name] = (x, str(tmp / f"{name}.json"))
+        return out
+
+    def test_witnesses_are_the_least_cycles_of_length_4_or_7(self, spheres):
+        for name, want in self.WITNESS.items():
+            x, _ = spheres[name]
+            cycles = reference_induced_cycles(x.one_skeleton(), 7)
+            assert list(next(c for c in cycles if c.residue == 1).vertices) == want, name
+
+    @staticmethod
+    def timed(capsys, *argv):
+        """``run``, which must take well under the minutes of a search
+        through every cycle."""
+        t0 = time.perf_counter()
+        out = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 5, argv
+        return out
+
+    @pytest.mark.parametrize("name", ["s42", "s162"])
+    def test_violations(self, capsys, spheres, name):
+        path = spheres[name][1]
+        code, out, err = self.timed(capsys, "decompose", path)
+        assert (code, json.loads(out)["witness"], err) == (1, self.WITNESS[name], "")
+        assert json.loads(out)["error"] == (
+            f"sphere has a chordless cycle of length = 1 (mod 3): {tuple(self.WITNESS[name])}")
+        code, out, err = self.timed(capsys, "cycles", path, "--mod3")
+        assert (code, json.loads(out), err) == (1, {"name": name, "verdict": False, "witness": {
+            "vertices": self.WITNESS[name], "length": 7}}, "")
+
+    def test_icosahedron_sum(self, capsys, spheres):
+        path = spheres["i16"][1]
+        assert self.timed(capsys, "decompose", path) == (0, "i16: T^0 # I^16 (15 cuts)\n", "")
+        code, out, _ = self.timed(capsys, "decompose", path, "--json")
+        cuts = json.loads(out)["cuts"]
+        assert code == 0 and len(cuts) == 15
+        assert all(set(c["sides"][0]) & set(c["sides"][1]) == set(c["triangle"]) for c in cuts)
+        assert self.timed(capsys, "cycles", path, "--mod3") == (
+            0, "i16: no chordless cycle of length 1 mod 3 = True\n", "")
 
 
 class TestAdmissibleK:

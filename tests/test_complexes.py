@@ -67,6 +67,11 @@ class TestFromFacets:
         with pytest.raises(MalformedComplexError):
             from_facets([[-1, 0]])
 
+    def test_facets_above_sixteen_vertices_rejected(self):
+        assert from_facets([range(16)]).f_vector[-1] == 1
+        with pytest.raises(MalformedComplexError, match="a facet has 17 vertices"):
+            from_facets([[0, 1], range(17)])
+
     def test_input_order_irrelevant(self):
         a = from_facets([[3, 1, 2], [4, 2, 1]])
         b = from_facets([[1, 2, 4], [1, 2, 3]])

@@ -1,6 +1,8 @@
 """Differential tests of the T/I decomposition against the reference it
 replaced, which searched the whole sphere for a chordless cycle of length
 = 1 (mod 3) before cutting and split each piece by a facet-adjacency search.
+The reference finds empty triangles and cycles with the exhaustive code in
+``oracle.py``, not with the library's.
 Every input must give the same summands and cuts, or the same exception
 type, message and witness.
 
@@ -9,10 +11,15 @@ reference's outcomes recorded in ``decompose_reference.json``, because the
 reference spends seconds on them; a few entries of each are replayed
 through the live reference on every run, so the file cannot drift.  To
 re-record it, run ``PYTHONPATH=src:scripts python tests/test_decompose.py``.
+
+``mod3_obstruction`` and ``induced_cycles`` are compared the same way with
+the exhaustive search in ``oracle.py``: live on a sample of spheres and on
+seeded graphs, and on every recorded sphere through the recorded witness.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -23,14 +30,16 @@ from typing import Dict, List
 import pytest
 
 from tighttri import (Complex, HypothesisViolationError, PreconditionError, SummandList,
-                      Verdict, catalog, decompose_ti, mod3_obstruction,
+                      Verdict, catalog, decompose_ti, induced_cycles, mod3_obstruction,
                       stacked_sphere, verify_closed_manifold)
 from tighttri import stacked
 from tighttri.catalog import boundary_simplex, icosahedron
 from tighttri.complexes import is_isomorphic
-from tighttri.stacked import _empty_triangle
 
 from corpus import glue, random_ti_sum, ti_sum
+from oracle import empty_triangle
+from oracle import induced_cycles as reference_induced_cycles
+from oracle import mod3_obstruction as reference_mod3_obstruction
 
 
 # -- reference: up-front obstruction, facet-adjacency split --------------------
@@ -88,7 +97,7 @@ def reference_decompose_ti(s: Complex) -> SummandList:
     f = s.f_vector
     if f[0] - f[1] + f[2] != 2:
         raise PreconditionError("not a 2-sphere: Euler characteristic differs from 2")
-    obstruction = mod3_obstruction(s)
+    obstruction = reference_mod3_obstruction(s)
     if not obstruction.ok:
         raise HypothesisViolationError(
             f"sphere has a chordless cycle of length = 1 (mod 3): {obstruction.witness.vertices}",
@@ -100,7 +109,7 @@ def reference_decompose_ti(s: Complex) -> SummandList:
     icosa = icosahedron()
     while stack:
         piece = stack.pop()
-        tri = _empty_triangle(piece)
+        tri = empty_triangle(piece)
         if tri is None:
             if is_isomorphic(piece, tetra) is not None:
                 counts["T"] += 1
@@ -307,11 +316,8 @@ def test_violations_in_several_pieces_match_reference():
 def test_unrecognised_pieces_without_witness_match_reference(monkeypatch):
     """With the cycle search switched off, the first prime piece that is
     neither summand raises, in the reference's cutting order."""
-    def no_obstruction(s):
-        return Verdict(True)
-
-    monkeypatch.setattr(stacked, "mod3_obstruction", no_obstruction)
-    monkeypatch.setitem(globals(), "mod3_obstruction", no_obstruction)
+    monkeypatch.setattr(stacked, "_mod3_witness", lambda s, within: None)
+    monkeypatch.setitem(globals(), "reference_mod3_obstruction", lambda s: Verdict(True))
     rng = random.Random(4)
     octa, susp5 = suspended_cycles()[1:3]
     messages = set()
@@ -327,6 +333,63 @@ def test_non_spheres_match_reference():
     for x in (catalog.projective_plane_6(), catalog.torus_7(), catalog.cycle_complex(5),
               catalog.boundary_simplex(4)):
         assert assert_same(x)[0] is PreconditionError
+
+
+# -- chordless cycles -------------------------------------------------------------
+
+def random_graphs(count: int, seed: int) -> List[Complex]:
+    """Seeded graphs on 4 to 13 vertices of every density, on labels
+    scattered below 60 so that positions and labels differ."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        labels = sorted(rng.sample(range(60), rng.randint(4, 13)))
+        p = rng.uniform(0.25, 0.75)
+        edges = [e for e in itertools.combinations(labels, 2) if rng.random() < p]
+        out.append(Complex.from_facets(edges + [(v,) for v in labels]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cycle_inputs(families, sphere_skeletons):
+    """The sphere fixtures, the first acceptance-06 sums and flipped
+    violators, the suspended cycles, two surfaces that are not spheres and
+    seeded graphs."""
+    xs = [x for _, x in sphere_skeletons]
+    xs += [x for x, _ in families["sums"][:25] + families["flipped_violators"][:25]]
+    xs += suspended_cycles() + [catalog.projective_plane_6(), catalog.torus_7()]
+    return xs + random_graphs(80, seed=17)
+
+
+def test_mod3_obstruction_matches_reference(cycle_inputs):
+    verdicts = Counter()
+    for x in cycle_inputs:
+        got = mod3_obstruction(x)
+        assert got == reference_mod3_obstruction(x), x.facets
+        verdicts[got.ok] += 1
+    assert verdicts[True] > 40 and verdicts[False] > 40, verdicts
+
+
+def test_induced_cycles_match_reference(cycle_inputs):
+    """Every cycle up to the vertex count, or up to length 8 on the spheres
+    above 20 vertices, where there are too many."""
+    for x in cycle_inputs:
+        g = x.one_skeleton()
+        bound = 8 if g.num_vertices > 20 else max(g.num_vertices, 3)
+        assert induced_cycles(g, bound) == reference_induced_cycles(g, bound), x.facets
+
+
+def test_mod3_obstruction_matches_recorded_reference(recorded, families):
+    """The reference decomposition ran the reference obstruction on the
+    whole sphere first, so a recorded cycle is its witness, and a sphere
+    without one passed it."""
+    for name, inputs in families.items():
+        for (x, _), want in zip(inputs, recorded[name]):
+            got = mod3_obstruction(x)
+            cycle = want["witness"]["cycle"] if isinstance(want.get("witness"), dict) else None
+            assert got.ok == (cycle is None), (name, want)
+            if cycle is not None:
+                assert json.loads(json.dumps(dataclasses.asdict(got.witness))) == cycle
 
 
 if __name__ == "__main__":

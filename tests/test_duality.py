@@ -67,8 +67,9 @@ def failing_degrees(x: Complex, w, field: FieldSpec) -> frozenset:
     rank of B_k(X) off Y's k-faces, the second the rank of the rows of
     d_{k+1} at Y's (k+1)-faces; degree 0 is not special."""
     cd = chain_data(x, field)
-    out = ~sum(1 << x.vertices.index(v) for v in w)
-    inside = [[i for i, m in enumerate(masks) if not m & out] for masks in x._face_masks]
+    sub = set(w)
+    inside = [[i for i, f in enumerate(x.faces(k)) if sub.issuperset(f)]
+              for k in range(x.dim + 1)]
     fails = set()
     for k in range(x.dim):
         _, bx = boundaries_rref(x, k, field)

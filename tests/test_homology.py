@@ -361,7 +361,9 @@ class TestInducedMapInjective:
         inside W, in the ambient order, in every degree."""
         cd = chain_data(x, GF2)
         for w in range(1, 1 << x.num_vertices):
-            want = [[i for i, m in enumerate(masks) if not m & ~w] for masks in x._face_masks]
+            inside = {v for i, v in enumerate(x.vertices) if w >> i & 1}
+            want = [[i for i, f in enumerate(x.faces(k)) if inside.issuperset(f)]
+                    for k in range(x.dim + 1)]
             assert _face_rows(cd, w, x.dim) == want, w
 
     def test_degree_zero_matches_linear_algebra_oracle(self):

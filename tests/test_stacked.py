@@ -10,8 +10,9 @@ from tighttri import (Complex, PreconditionError, Verdict, catalog, connected_su
                       stacked_sphere, triangle_bound_check, verify_closed_manifold,
                       verify_moebius, verify_stacked_certificate)
 from tighttri.construct import Certificate, HandleStep
-from tighttri.stacked import HypothesisViolationError, _empty_triangle, _split_at_triangle
+from tighttri.stacked import HypothesisViolationError
 from corpus import random_ti_sum
+from oracle import empty_triangle, split_at_triangle
 
 
 def exhaustive_stacked(s, d):
@@ -123,15 +124,16 @@ def suspended_cycles():
 
 
 def prime_pieces(s):
-    """The prime pieces ``decompose_ti`` cuts a 2-sphere into."""
+    """The prime pieces ``decompose_ti`` cuts a 2-sphere into, by the
+    reference cut."""
     stack, out = [s], []
     while stack:
         piece = stack.pop()
-        tri = _empty_triangle(piece)
+        tri = empty_triangle(piece)
         if tri is None:
             out.append(piece)
         else:
-            stack.extend(_split_at_triangle(piece, tri))
+            stack.extend(split_at_triangle(piece, tri))
     return out
 
 
