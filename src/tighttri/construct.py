@@ -139,9 +139,9 @@ def stacked_sphere(n: int, d: int, seed=0) -> Complex:
     if n < d + 2:
         raise ValueError(f"a {d}-sphere needs at least {d + 2} vertices")
     rng = random.Random(seed)
-    facets = set(itertools.combinations(range(d + 2), d + 1))
+    facets = list(itertools.combinations(range(d + 2), d + 1))
     for w in range(d + 2, n):
-        _subdivide(facets, sorted(facets)[rng.randrange(len(facets))], w)
+        _subdivide(facets, facets[rng.randrange(len(facets))], w)
     return Complex._from_faces(facets)._record_closed_manifold()
 
 
@@ -332,13 +332,14 @@ def _grow_search_sphere(n: int, rng: random.Random) -> Complex:
     it hits a uniform random facet.  Like :func:`stacked_sphere`, it
     records its closed-manifold verdict rather than checking it.
     """
-    facets = set(itertools.combinations(range(5), 4))
+    facets = list(itertools.combinations(range(5), 4))
     continuation = None
     for w in range(5, n):
-        if continuation in facets and rng.random() < _BRANCH_BIAS:
+        # the newest branch's facet is one the last subdivision made
+        if continuation and rng.random() < _BRANCH_BIAS:
             target = continuation
         else:
-            target = sorted(facets)[rng.randrange(len(facets))]
+            target = facets[rng.randrange(len(facets))]
         _subdivide(facets, target, w)
         continuation = target[1:] + (w,)
     return Complex._from_faces(facets)._record_closed_manifold()

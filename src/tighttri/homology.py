@@ -9,8 +9,13 @@ of the ambient matrices at the subcomplex's faces, no sign correction
 needed.  The injectivity test never builds the subcomplex: a vertex mask
 selects its faces, looked up as subsets of its vertices, and, by a flood
 over adjacency masks, its components; it takes ranks of ambient rows and of
-the kept bases Betti numbers share.  On a closed 2- or 3-manifold the top
-Betti number comes from a flood over the facets instead of elimination.
+the kept bases Betti numbers share.  Its own bases of B_k(Y) pivot on each
+row's last column instead of its first, on a reflected copy of the rows,
+so that the star of Y's least vertex enters them with no elimination; the
+meet and its witness come from the ambient first-column bases, and a
+witness row is reflected only to be reduced.  On a closed 2- or 3-manifold
+the top Betti number comes from a flood over the facets instead of
+elimination.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ class ChainData:
     Boundary rows are built straight from the faces in the row bases' own
     format: bit masks over GF(2), ``{column: ±1 mod p}`` dicts over GF(p)
     and ``{column: ±1}`` dicts over Q, with columns in ascending order.
-    :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them.
+    :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them,
+    and :meth:`reflected_rows` a copy with the columns numbered backwards.
     """
 
     def __init__(self, x: Complex, field: FieldSpec):
@@ -49,6 +55,7 @@ class ChainData:
             {f: i for i, f in enumerate(x.faces(k))} for k in range(x.dim + 1)
         ]
         self._rows: dict = {}
+        self._reflected: dict = {}
         self._bases: dict = {}
 
     def rows(self, k: int) -> list:
@@ -56,6 +63,14 @@ class ChainData:
         if k not in self._rows:
             self._rows[k] = _boundary_rows(self.complex, k, self.field, self.index)
         return self._rows[k]
+
+    def reflected_rows(self, k: int) -> list:
+        """The rows of boundary(k) with column j numbered n-1-j, n the number
+        of (k-1)-faces, so that a row pivots on its face's last column: the
+        face without its least vertex.  The per-subset bases use them."""
+        if k not in self._reflected:
+            self._reflected[k] = _boundary_rows(self.complex, k, self.field, self.index, True)
+        return self._reflected[k]
 
     def boundary(self, k: int) -> FMatrix:
         rows = self.rows(k)
@@ -93,14 +108,19 @@ class ChainData:
         return self.betti[x.dim]
 
 
-def _boundary_rows(x: Complex, k: int, field: FieldSpec, index: Sequence[dict]) -> list:
+def _boundary_rows(x: Complex, k: int, field: FieldSpec, index: Sequence[dict],
+                   reflected: bool = False) -> list:
     kfaces = x.faces(k)
     p = field.char
     if k == 0:
         return [0 if p == 2 else {} for _ in kfaces]
     cols = index[k - 1]
+    if reflected:
+        last = len(cols) - 1
+        cols = {g: last - j for g, j in cols.items()}
     # combinations(f, k) drops the vertices of f from the last to the first,
-    # so the columns come out ascending and vertex i carries (-1)**i
+    # so the columns come out ascending (descending if reflected) and vertex
+    # i carries (-1)**i
     if p == 2:
         return [sum(1 << cols[g] for g in itertools.combinations(f, k)) for f in kfaces]
     signs = [(-1) ** i % p if p else (-1) ** i for i in range(k, -1, -1)]
@@ -280,7 +300,7 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
             continue
         # the combinations whose parts outside Y cancel, applied to the rows
         for v in kernel_rows(field, zip(outside, meet_rows), n, n):
-            if by.reduce(v):
+            if by.reduce(_reflect(field, v, n)):
                 chain = _decode_chain(echelon_row(field, v), x.faces(k), field)
                 return Verdict(False, witness=(k, chain),
                                detail=f"a {k}-cycle of the subcomplex bounds in the complex but not in the subcomplex")
@@ -309,15 +329,37 @@ def _face_rows(cd: ChainData, wmask: int, top: int) -> list:
 
 
 def _rows_basis(cd: ChainData, k: int, rows: Sequence[int], cap: int):
-    """Reduced basis of the span of the given rows of boundary(k); it stops
-    adding rows once its dimension reaches ``cap``."""
-    bk = cd.rows(k)
+    """Reduced basis of the span of the given rows of boundary(k), on the
+    reflected columns of :meth:`ChainData.reflected_rows`; it stops adding
+    rows once its dimension reaches ``cap``.
+
+    Each row pivots on its face's last column, the face without its least
+    vertex.  Y's k-faces through its least vertex v0 come first in face
+    order, and each such face v0 + t pivots on its own t, where no other
+    face in v0's star has an entry: so v0's star enters the basis with no
+    elimination, where first-column pivots collide at the columns (v0, a).
+    The caller reads only the dimension, which is the rank of the rows
+    added, and whether :meth:`reduce` returns zero, which it asks only of
+    a basis that holds every row; neither depends on the pivots.
+    """
     basis = row_basis(cd.field, len(cd.index[k - 1]))
+    if not rows:
+        # the reflected rows are built on first use, and a scan that ends
+        # among pairs of vertices never needs them
+        return basis
+    bk = cd.reflected_rows(k)
     for i in rows:
         if basis.dim == cap:
             break
         basis.add(bk[i])
     return basis
+
+
+def _reflect(field: FieldSpec, row, n: int):
+    """The row on n columns with column j numbered n-1-j."""
+    if field.char == 2:
+        return int(format(row, f"0{n}b")[::-1], 2)
+    return {n - 1 - j: c for j, c in row.items()}
 
 
 def _decode_chain(vec, faces: tuple, field: FieldSpec) -> tuple:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import functools
 import operator
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
                         Verdict, component_masks, verify_closed_manifold)
@@ -55,12 +56,14 @@ class SummandList:
         return {"T": self.tetrahedra, "I": self.icosahedra}
 
 
-def _subdivide(facets: Set[tuple], target: tuple, w: int) -> None:
-    """Stellar subdivision: replace the facet ``target`` by the cone from
-    the new vertex ``w`` over its boundary.  ``w`` must exceed every label
-    in use, so each new facet comes out sorted."""
-    facets.remove(target)
-    facets.update([target[:i] + target[i + 1:] + (w,) for i in range(len(target))])
+def _subdivide(facets: List[tuple], target: tuple, w: int) -> None:
+    """Stellar subdivision: replace the facet ``target`` of the sorted list
+    ``facets`` by the cone from the new vertex ``w`` over its boundary,
+    keeping the list sorted by bisection.  ``w`` must exceed every label in
+    use, so each new facet comes out sorted."""
+    del facets[bisect_left(facets, target)]
+    for i in range(len(target)):
+        insort(facets, target[:i] + target[i + 1:] + (w,))
 
 
 def is_stacked_sphere(s: Complex, d: int) -> Verdict:

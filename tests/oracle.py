@@ -14,13 +14,17 @@ The chordless-cycle and sphere-cutting references at the end are the
 library's earlier code, on adjacency sets and one ``Complex`` per piece:
 :func:`induced_cycles` enumerates every cycle up to the bound, and
 :func:`mod3_obstruction` keeps the first with length = 1 (mod 3) of all of
-them.
+them.  So are the sphere generators after them, which sort the facet set
+afresh before every draw.
 """
 
+import itertools
+import random
 from fractions import Fraction
 from math import lcm
 
 from tighttri import Complex, CycleWitness, HypothesisViolationError, Verdict
+from tighttri.construct import _BRANCH_BIAS
 from tighttri.linalg import FieldSpec
 
 
@@ -225,3 +229,35 @@ def split_at_triangle(s: Complex, tri: tuple) -> tuple:
             witness=tri)
     return tuple(Complex.from_facets(s.induced(c | set(tri)).faces(2) + (tri,))
                  for c in interiors)
+
+
+# -- sphere generators ------------------------------------------------------------
+
+def _cone(facets: set, target: tuple, w: int) -> None:
+    facets.remove(target)
+    facets.update(target[:i] + target[i + 1:] + (w,) for i in range(len(target)))
+
+
+def stacked_sphere_facets(n: int, d: int, seed=0) -> tuple:
+    """The sorted facets of ``stacked_sphere(n, d, seed)``: each subdivision
+    draws its facet by index into the facet set sorted afresh."""
+    rng = random.Random(seed)
+    facets = set(itertools.combinations(range(d + 2), d + 1))
+    for w in range(d + 2, n):
+        _cone(facets, sorted(facets)[rng.randrange(len(facets))], w)
+    return tuple(sorted(facets))
+
+
+def grow_search_sphere_facets(n: int, rng) -> tuple:
+    """The sorted facets of ``_grow_search_sphere(n, rng)``, by the same
+    per-draw sort."""
+    facets = set(itertools.combinations(range(5), 4))
+    continuation = None
+    for w in range(5, n):
+        if continuation in facets and rng.random() < _BRANCH_BIAS:
+            target = continuation
+        else:
+            target = sorted(facets)[rng.randrange(len(facets))]
+        _cone(facets, target, w)
+        continuation = target[1:] + (w,)
+    return tuple(sorted(facets))

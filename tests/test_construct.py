@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracle import grow_search_sphere_facets, stacked_sphere_facets
 from tighttri import (AdmissibilityError, Certificate, Complex, InternalInconsistencyError,
                       PreconditionError, admissible_k, betti, catalog, classify_topology,
                       construct, find_admissible_handle, handle_addition, is_isomorphic,
@@ -33,6 +34,17 @@ class TestStackedSphereGenerator:
 
     def test_seed_determinism(self):
         assert stacked_sphere(12, 3, seed=7) == stacked_sphere(12, 3, seed=7)
+
+    def test_draws_match_the_per_step_sort(self):
+        # the bisected facet list draws what sorting the set afresh drew
+        for seed in range(40):
+            for d in (2, 3):
+                n = d + 2 + 3 * seed
+                assert stacked_sphere(n, d, seed=seed).facets == stacked_sphere_facets(n, d, seed)
+            n = 13 + seed % 14
+            rng, ref = random.Random(f"{seed}:0"), random.Random(f"{seed}:0")
+            assert _grow_search_sphere(n, rng).facets == grow_search_sphere_facets(n, ref)
+            assert rng.getstate() == ref.getstate()
 
     def test_links_are_stacked_2_spheres(self):
         s = stacked_sphere(11, 3, seed=2)

@@ -40,6 +40,13 @@ class TestBruteForce:
         r = is_tight_bruteforce(catalog.cycle_complex(7), QQ)
         assert not r.verdict and r.witness == ((0, 2), 0)
 
+    @pytest.mark.parametrize("field", [FieldSpec.gf(3), QQ], ids=str)
+    def test_delta10_2_skeleton_full_scan(self, field):
+        # every subset's d_2 rows start with its least vertex's star
+        skeleton = Complex.from_facets(itertools.combinations(range(11), 3))
+        r = is_tight_bruteforce(skeleton, field, jobs=1)
+        assert (r.verdict, r.witness, r.subsets_scanned) == (True, None, 2**11 - 11 - 2)
+
     def test_disconnected_complex(self):
         x = from_facets([(0, 1), (2, 3)])
         r = is_tight_bruteforce(x, QQ)
