@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 
 class MalformedComplexError(ValueError):
@@ -270,6 +270,14 @@ class Complex:
 
     def __repr__(self) -> str:
         return f"Complex(f_vector={self.f_vector})"
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def component_masks(x: Complex, mask: int) -> list:

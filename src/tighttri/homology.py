@@ -7,25 +7,31 @@ next boundary matrix.  An induced subcomplex shares its faces, and so its
 boundary matrices, with the ambient complex literally: they are the rows
 of the ambient matrices at the subcomplex's faces, no sign correction
 needed.  The injectivity test never builds the subcomplex: a vertex mask
-selects its faces, looked up as subsets of its vertices, and, by a flood
-over adjacency masks, its components; it takes ranks of ambient rows and of
-the kept bases Betti numbers share.  Its own bases of B_k(Y) pivot on each
-row's last column instead of its first, on a reflected copy of the rows,
-so that the star of Y's least vertex enters them with no elimination; the
-meet and its witness come from the ambient first-column bases, and a
-witness row is reflected only to be reduced.  On a closed 2- or 3-manifold
-the top Betti number comes from a flood over the facets instead of
-elimination.
+selects its faces, those through no vertex outside it, as a mask over the
+ambient faces read off per-vertex face masks, and, by a flood over
+adjacency masks, its components.  In degree k it first counts Y's
+(k+1)-faces through its least vertex v0: each such face v0 + t has a ±1
+entry at its own k-face t and no other face through v0 has one there, so
+their boundaries are independent over every field, and since B_k(Y) lies
+in Z_k(Y), a count equal to dim Z_k(Y) proves H_k(Y) = 0 with no
+elimination.  Only a shortfall eliminates, on ambient rows and on the kept
+bases Betti numbers share.  Its own bases of B_k(Y) pivot on each row's
+last column instead of its first, on a reflected copy of the rows, so that
+the star of v0 enters them with no elimination; the meet and its witness
+come from the ambient first-column bases, and a witness row is reflected
+only to be reduced.  On a closed 2- or 3-manifold the top Betti number
+comes from a flood over the facets instead of elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
-                        UnknownVertexError, Verdict, component_masks, verify_closed_manifold)
+                        UnknownVertexError, Verdict, bit_positions, component_masks,
+                        verify_closed_manifold)
 from .linalg import FMatrix, FieldSpec, echelon_row, kernel_rows, row_basis
 
 
@@ -46,6 +52,7 @@ class ChainData:
     and ``{column: ±1}`` dicts over Q, with columns in ascending order.
     :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them,
     and :meth:`reflected_rows` a copy with the columns numbered backwards.
+    :meth:`through` holds, per vertex, the mask of the faces through it.
     """
 
     def __init__(self, x: Complex, field: FieldSpec):
@@ -56,6 +63,7 @@ class ChainData:
         ]
         self._rows: dict = {}
         self._reflected: dict = {}
+        self._through: dict = {}
         self._bases: dict = {}
 
     def rows(self, k: int) -> list:
@@ -67,10 +75,26 @@ class ChainData:
     def reflected_rows(self, k: int) -> list:
         """The rows of boundary(k) with column j numbered n-1-j, n the number
         of (k-1)-faces, so that a row pivots on its face's last column: the
-        face without its least vertex.  The per-subset bases use them."""
+        face without its least vertex.  The per-subset bases use them; they
+        are :meth:`rows` reflected, and building those once serves both."""
         if k not in self._reflected:
-            self._reflected[k] = _boundary_rows(self.complex, k, self.field, self.index, True)
+            n = len(self.index[k - 1])
+            self._reflected[k] = [_reflect(self.field, r, n) for r in self.rows(k)]
         return self._reflected[k]
+
+    def through(self, k: int) -> list:
+        """Per vertex position, the mask of the k-faces through that vertex:
+        bit j is set iff the j-th k-face contains it.  Built on first use, so
+        only for the degrees a scan reaches."""
+        if k not in self._through:
+            pos = self.complex._vertex_position
+            masks = [0] * self.complex.num_vertices
+            for j, f in enumerate(self.complex.faces(k)):
+                bit = 1 << j
+                for v in f:
+                    masks[pos[v]] |= bit
+            self._through[k] = masks
+        return self._through[k]
 
     def boundary(self, k: int) -> FMatrix:
         rows = self.rows(k)
@@ -108,19 +132,14 @@ class ChainData:
         return self.betti[x.dim]
 
 
-def _boundary_rows(x: Complex, k: int, field: FieldSpec, index: Sequence[dict],
-                   reflected: bool = False) -> list:
+def _boundary_rows(x: Complex, k: int, field: FieldSpec, index: Sequence[dict]) -> list:
     kfaces = x.faces(k)
     p = field.char
     if k == 0:
         return [0 if p == 2 else {} for _ in kfaces]
     cols = index[k - 1]
-    if reflected:
-        last = len(cols) - 1
-        cols = {g: last - j for g, j in cols.items()}
     # combinations(f, k) drops the vertices of f from the last to the first,
-    # so the columns come out ascending (descending if reflected) and vertex
-    # i carries (-1)**i
+    # so the columns come out ascending and vertex i carries (-1)**i
     if p == 2:
         return [sum(1 << cols[g] for g in itertools.combinations(f, k)) for f in kfaces]
     signs = [(-1) ** i % p if p else (-1) ** i for i in range(k, -1, -1)]
@@ -250,7 +269,17 @@ def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -
 def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> Verdict:
     """The test of :func:`induced_map_injective` in degrees 0..top < dim, for
     the induced subcomplex Y on the vertex positions set in ``wmask``.  Y's
-    k-faces are the ambient ones inside ``wmask``, in Y's own order."""
+    k-faces are the ambient ones through no vertex outside ``wmask``, read
+    off :meth:`ChainData.through` as a mask over the ambient k-faces.
+
+    In degree k the (k+1)-faces of Y through its least vertex v0 are counted
+    first.  Each such face v0 + t has a ±1 entry at its own k-face t, which
+    no other face through v0 has, so their boundaries are independent over
+    every field; they lie in B_k(Y), and B_k(Y) lies in Z_k(Y).  So a count
+    equal to dim Z_k(Y) proves H_k(Y) = 0, and is the rank of d_{k+1} on Y.
+    Only a shortfall builds the per-subset basis of B_k(Y), and only a basis
+    still short of dim Z_k(Y) goes on to the meet C_k(Y) ∩ B_k(X).
+    """
     comps = component_masks(x, wmask)
     if len(comps) > 1:
         ambient = component_masks(x, (1 << x.num_vertices) - 1)
@@ -264,91 +293,103 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
                                detail="two components of the subcomplex meet the same ambient component")
             seen[a] = comp & -comp
 
+    size = wmask.bit_count()
+    # Y lies in the simplex on its vertices, which has no nonzero k-cycle for
+    # k >= size - 1, so H_k(Y) = 0 there: a connected pair is an edge
+    top = min(top, size - 2)
+    if top < 1:
+        return Verdict(True)
     cd = chain_data(x, field)
-    rows_of = _face_rows(cd, wmask, top + 1)
+    others = list(bit_positions(((1 << x.num_vertices) - 1) ^ wmask))
+    v0 = (wmask & -wmask).bit_length() - 1
+    ymask = _faces_inside(cd, 1, others)
     # rank of d_k on Y's k-faces; d_1's is |Y_0| minus Y's component count
-    rank_k = len(rows_of[0]) - len(comps)
+    rank_k = size - len(comps)
     for k in range(1, top + 1):
-        cycles_dim = len(rows_of[k]) - rank_k
-        # B_k(Y) lies in Z_k(Y), so once its basis fills dim Z_k(Y), H_k(Y)
-        # is 0 and the basis dimension is the rank of d_{k+1} on Y; the meet
-        # below is reached only with a basis of the whole of B_k(Y)
-        by = _rows_basis(cd, k + 1, rows_of[k + 1], cycles_dim)
-        rank_k = by.dim
-        if by.dim == cycles_dim:
-            continue
-        # an element of B_k(X) is a combination of its reduced basis rows
-        # with coefficients its entries at the pivots; it is supported on
-        # Y's faces iff only rows pivoting there enter and their parts
-        # outside Y's faces cancel
-        meet_rows = cd.basis(k + 1).rows_at(rows_of[k])
-        if field.char == 2:
-            ymask = sum(1 << j for j in rows_of[k])
-            outside = [r & ~ymask for r in meet_rows]
-        else:
-            ycols = set(rows_of[k])
-            outside = [{j: v for j, v in r.items() if j not in ycols} for r in meet_rows]
-        n = len(cd.index[k])
-        outside_basis = row_basis(field, n)
-        for r in outside:
-            outside_basis.add(r)
-        meet_dim = len(meet_rows) - outside_basis.dim
-        if meet_dim < by.dim:
-            raise InternalInconsistencyError(
-                f"degree {k}: C(Y) ∩ B(X) has dimension {meet_dim} < dim B(Y) = {by.dim}")
-        if meet_dim == by.dim:
-            continue
-        # the combinations whose parts outside Y cancel, applied to the rows
-        for v in kernel_rows(field, zip(outside, meet_rows), n, n):
-            if by.reduce(_reflect(field, v, n)):
-                chain = _decode_chain(echelon_row(field, v), x.faces(k), field)
-                return Verdict(False, witness=(k, chain),
-                               detail=f"a {k}-cycle of the subcomplex bounds in the complex but not in the subcomplex")
-        raise InternalInconsistencyError(
-            f"degree {k}: no cycle of C(Y) ∩ B(X) outside B(Y) despite the dimension gap")
+        cycles_dim = ymask.bit_count() - rank_k
+        up = _faces_inside(cd, k + 1, others)
+        # the cone over v0: independent boundaries, so a lower bound on the
+        # rank of d_{k+1} on Y, and the rank itself once it fills Z_k(Y)
+        rank_k = (up & cd.through(k + 1)[v0]).bit_count()
+        if rank_k < cycles_dim:
+            by = _rows_basis(cd, k + 1, up, cycles_dim)
+            rank_k = by.dim
+            if by.dim < cycles_dim:
+                witness = _meet_witness(cd, k, ymask, by)
+                if witness is not None:
+                    return Verdict(False, witness=(k, witness),
+                                   detail=f"a {k}-cycle of the subcomplex bounds in the complex but not in the subcomplex")
+        ymask = up
     return Verdict(True)
 
 
-def _face_rows(cd: ChainData, wmask: int, top: int) -> list:
-    """Per degree 0..top, the rows of the faces of the induced subcomplex on
-    the vertex positions set in ``wmask``, in the ambient order: its k-faces
-    are the (k+1)-subsets of those vertices that are faces, and
-    ``combinations`` lists them lexicographically."""
-    verts = cd.complex.vertices
-    positions = []
-    while wmask:
-        low = wmask & -wmask
-        positions.append(low.bit_length() - 1)
-        wmask ^= low
-    wverts = [verts[i] for i in positions]
-    out = [positions]
-    for k in range(1, top + 1):
-        rows = map(cd.index[k].get, itertools.combinations(wverts, k + 1))
-        out.append([i for i in rows if i is not None])
-    return out
+def _meet_witness(cd: ChainData, k: int, ymask: int, by) -> Optional[tuple]:
+    """The first row of the reduced echelon form of C_k(Y) ∩ B_k(X) outside
+    B_k(Y), as (face, coefficient) pairs, or None when the meet is B_k(Y);
+    ``ymask`` holds Y's k-faces and ``by`` is the full basis of B_k(Y)."""
+    field = cd.field
+    ycols = list(bit_positions(ymask))
+    # an element of B_k(X) is a combination of its reduced basis rows with
+    # coefficients its entries at the pivots; it is supported on Y's faces
+    # iff only rows pivoting there enter and their parts outside Y's faces
+    # cancel
+    meet_rows = cd.basis(k + 1).rows_at(ycols)
+    if field.char == 2:
+        outside = [r & ~ymask for r in meet_rows]
+    else:
+        inside = set(ycols)
+        outside = [{j: v for j, v in r.items() if j not in inside} for r in meet_rows]
+    n = len(cd.index[k])
+    outside_basis = row_basis(field, n)
+    for r in outside:
+        outside_basis.add(r)
+    meet_dim = len(meet_rows) - outside_basis.dim
+    if meet_dim < by.dim:
+        raise InternalInconsistencyError(
+            f"degree {k}: C(Y) ∩ B(X) has dimension {meet_dim} < dim B(Y) = {by.dim}")
+    if meet_dim == by.dim:
+        return None
+    # the combinations whose parts outside Y cancel, applied to the rows
+    for v in kernel_rows(field, zip(outside, meet_rows), n, n):
+        if by.reduce(_reflect(field, v, n)):
+            return _decode_chain(echelon_row(field, v), cd.complex.faces(k), field)
+    raise InternalInconsistencyError(
+        f"degree {k}: no cycle of C(Y) ∩ B(X) outside B(Y) despite the dimension gap")
 
 
-def _rows_basis(cd: ChainData, k: int, rows: Sequence[int], cap: int):
-    """Reduced basis of the span of the given rows of boundary(k), on the
-    reflected columns of :meth:`ChainData.reflected_rows`; it stops adding
-    rows once its dimension reaches ``cap``.
+def _faces_inside(cd: ChainData, k: int, others: Iterable[int]) -> int:
+    """The mask of the k-faces through none of the vertex positions
+    ``others``: those of the subcomplex induced on the rest."""
+    through = cd.through(k)
+    hit = 0
+    for i in others:
+        hit |= through[i]
+    return ((1 << len(cd.index[k])) - 1) ^ hit
 
-    Each row pivots on its face's last column, the face without its least
-    vertex.  Y's k-faces through its least vertex v0 come first in face
-    order, and each such face v0 + t pivots on its own t, where no other
-    face in v0's star has an entry: so v0's star enters the basis with no
+
+def _rows_basis(cd: ChainData, k: int, mask: int, cap: int):
+    """Reduced basis of the span of the rows of boundary(k) at the faces set
+    in ``mask``, on the reflected columns of :meth:`ChainData.reflected_rows`;
+    it stops adding rows once its dimension reaches ``cap``.
+
+    The decider builds it only when counting Y's k-faces through its least
+    vertex v0 falls short of dim Z_{k-1}(Y).  Each row pivots on its face's
+    last column, the face without its least vertex.  Y's faces through v0
+    come first in face order, and each such face v0 + t pivots on its own t,
+    where no other face in v0's star has an entry: so v0's star, the rows
+    the count already knows to be independent, enters the basis with no
     elimination, where first-column pivots collide at the columns (v0, a).
     The caller reads only the dimension, which is the rank of the rows
     added, and whether :meth:`reduce` returns zero, which it asks only of
     a basis that holds every row; neither depends on the pivots.
     """
     basis = row_basis(cd.field, len(cd.index[k - 1]))
-    if not rows:
-        # the reflected rows are built on first use, and a scan that ends
-        # among pairs of vertices never needs them
+    if not mask:
+        # the reflected rows are built on first use, and a subset with no
+        # k-faces needs none
         return basis
     bk = cd.reflected_rows(k)
-    for i in rows:
+    for i in bit_positions(mask):
         if basis.dim == cap:
             break
         basis.add(bk[i])
@@ -364,11 +405,5 @@ def _reflect(field: FieldSpec, row, n: int):
 
 def _decode_chain(vec, faces: tuple, field: FieldSpec) -> tuple:
     if field.char == 2:
-        out = []
-        m = vec
-        while m:
-            j = (m & -m).bit_length() - 1
-            out.append((faces[j], 1))
-            m &= m - 1
-        return tuple(out)
+        return tuple((faces[j], 1) for j in bit_positions(vec))
     return tuple((faces[j], vec[j]) for j in sorted(vec))

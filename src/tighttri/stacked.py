@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
-                        Verdict, component_masks, verify_closed_manifold)
+                        Verdict, bit_positions, component_masks, verify_closed_manifold)
 
 
 class HypothesisViolationError(ValueError):
@@ -129,26 +129,18 @@ def _chordless_cycles(nbr: Sequence[int], within: int, lo: int, hi: int) -> Iter
     lexicographic order."""
     def grow(path: tuple, free: int) -> Iterator[tuple]:
         tip = path[-1]
-        for u in _positions(nbr[tip] & free):
+        for u in bit_positions(nbr[tip] & free):
             if ring >> u & 1:
                 if len(path) >= lo - 1 and path[1] < u:
                     yield path + (u,)
             elif len(path) < hi - 1:
                 yield from grow(path + (u,), free & ~nbr[tip])
 
-    for start in _positions(within):
+    for start in bit_positions(within):
         above = within >> start + 1 << start + 1
         ring = nbr[start] & above
-        for first in _positions(ring):
+        for first in bit_positions(ring):
             yield from grow((start, first), above & ~(1 << first))
-
-
-def _positions(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 def _witness(g: Complex, cyc: tuple) -> CycleWitness:
@@ -270,7 +262,7 @@ def _prime_pieces(s: Complex) -> Tuple[Counter, List[tuple], List[int]]:
         if tri is None:
             if piece.bit_count() == 4:
                 counts["T"] += 1
-            elif all((nbr[i] & piece).bit_count() == 5 for i in _positions(piece)):
+            elif all((nbr[i] & piece).bit_count() == 5 for i in bit_positions(piece)):
                 counts["I"] += 1
             else:
                 others.append(piece)
@@ -282,7 +274,7 @@ def _prime_pieces(s: Complex) -> Tuple[Counter, List[tuple], List[int]]:
                 f"empty triangle {tri} does not separate the sphere into two sides",
                 witness=tri)
         left, right = (c | m for c in interiors)
-        cuts.append((tri, tuple(tuple(verts[i] for i in _positions(side)) for side in (left, right))))
+        cuts.append((tri, tuple(tuple(verts[i] for i in bit_positions(side)) for side in (left, right))))
         stack += [right, left]
     return counts, cuts, others
 

@@ -19,7 +19,7 @@ from conftest import cyclic_polytope_boundary
 from corpus import subdivide_facet
 from oracle import echelon_rank, entries, left_nullspace, library_rows, matmul, rank, rref
 from tighttri import (Complex, boundary_matrix, catalog, chain_data, induced_map_injective,
-                      is_isomorphic, is_tight_bruteforce)
+                      is_isomorphic, is_tight_bruteforce, stacked_sphere)
 from tighttri.homology import injectivity_on_mask
 from tighttri.complexes import PreconditionError, UnknownVertexError, Verdict
 from tighttri.linalg import GF2, QQ, FieldSpec, row_basis
@@ -276,13 +276,26 @@ def _skeleton(n: int, k: int) -> Complex:
     return Complex.from_facets(itertools.combinations(range(n), k + 1))
 
 
+EVERY_SUBSET_INPUTS = {
+    "d6-2skel": lambda request: _skeleton(7, 2),
+    "d7-2skel": lambda request: _skeleton(8, 2),
+    "d6-3skel": lambda request: _skeleton(7, 3),
+    "rp2-6": lambda request: catalog.projective_plane_6(),
+    "quotient-0": lambda request: request.getfixturevalue("tight9")[0],
+    "stacked-9-s0": lambda request: stacked_sphere(9, 3, seed=0),
+}
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("x", [_skeleton(7, 2), _skeleton(8, 2), _skeleton(7, 3),
-                               catalog.projective_plane_6()],
-                         ids=["d6-2skel", "d7-2skel", "d6-3skel", "rp2-6"])
-def test_mask_test_matches_the_induced_reference_on_every_subset(x, field):
-    # dense inputs, where each subset's least vertex has a full star; the
-    # projective plane fails in degree 1 over GF(3) and Q, with witnesses
+@pytest.mark.parametrize("name", list(EVERY_SUBSET_INPUTS))
+def test_mask_test_matches_the_induced_reference_on_every_subset(name, field, request):
+    # the skeleta are dense: each subset's least vertex has a full star, so
+    # the cone count decides every degree.  The projective plane fails in
+    # degree 1 over GF(3) and Q; the seed-0 quotient and the stacked sphere
+    # have subsets whose cones fall short, which go on to the per-subset
+    # basis, the meet and, over Q and at the sphere's missing faces, the
+    # witness
+    x = EVERY_SUBSET_INPUTS[name](request)
     for size in range(1, x.num_vertices + 1):
         for w in itertools.combinations(x.vertices, size):
             got, want = induced_map_injective(x, w, field), induced_reference(x, w, field)

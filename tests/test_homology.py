@@ -15,7 +15,8 @@ from tighttri import (Complex, InternalInconsistencyError, PreconditionError, be
                       boundary_matrix, catalog, chain_data, from_facets, homology,
                       induced_map_injective, is_orientable, is_tight_bruteforce,
                       stacked_sphere, verify_closed_manifold)
-from tighttri.homology import ChainData, _face_rows
+from tighttri.complexes import bit_positions
+from tighttri.homology import ChainData, _faces_inside
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5)]
@@ -356,15 +357,19 @@ class TestInducedMapInjective:
 
     @settings(max_examples=40, deadline=None)
     @given(small_complexes(max_vertices=7))
-    def test_face_rows_are_the_faces_inside_the_mask(self, x):
-        """Y's faces by lookup are the ambient faces whose vertex masks lie
-        inside W, in the ambient order, in every degree."""
+    def test_faces_inside_are_the_faces_inside_the_mask(self, x):
+        """Y's faces by the per-vertex incidence masks are the ambient faces
+        whose vertex masks lie inside W, in the ambient order, in every
+        degree."""
         cd = chain_data(x, GF2)
-        for w in range(1, 1 << x.num_vertices):
+        n = x.num_vertices
+        for w in range(1, 1 << n):
             inside = {v for i, v in enumerate(x.vertices) if w >> i & 1}
+            others = [i for i in range(n) if not w >> i & 1]
             want = [[i for i, f in enumerate(x.faces(k)) if inside.issuperset(f)]
                     for k in range(x.dim + 1)]
-            assert _face_rows(cd, w, x.dim) == want, w
+            got = [list(bit_positions(_faces_inside(cd, k, others))) for k in range(x.dim + 1)]
+            assert got == want, w
 
     def test_degree_zero_matches_linear_algebra_oracle(self):
         # on graphs only degree 0 matters (no 2-faces, nothing bounds), so the

@@ -47,6 +47,14 @@ class TestBruteForce:
         r = is_tight_bruteforce(skeleton, field, jobs=1)
         assert (r.verdict, r.witness, r.subsets_scanned) == (True, None, 2**11 - 11 - 2)
 
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_delta8_3_skeleton_full_scan(self, field):
+        # degree 2 is decided by counting each subset's tetrahedra through
+        # its least vertex, as degree 1 is by its triangles
+        skeleton = Complex.from_facets(itertools.combinations(range(9), 4))
+        r = is_tight_bruteforce(skeleton, field, jobs=1)
+        assert (r.verdict, r.witness, r.subsets_scanned) == (True, None, 501)
+
     def test_disconnected_complex(self):
         x = from_facets([(0, 1), (2, 3)])
         r = is_tight_bruteforce(x, QQ)
