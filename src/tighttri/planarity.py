@@ -1,15 +1,14 @@
 """Planarity filter and Kuratowski-subdivision witnesses for small graphs.
 
-``find_kuratowski_subdivision`` first tries to embed the graph in the plane
-block by block (Demoucron-Malgrange-Pertuiset: grow an embedded subgraph by
-routing one bridge path into an admissible face at a time).  A successful
-embedding certifies that no K5/K33 subdivision exists, so the answer is
-None; otherwise an exhaustive backtracking search over branch-vertex
-assignments and internally-disjoint path systems produces the witness.
-
-The witness search is exponential in the worst case; the whole entry point
-is capped at 60 vertices.  It exists to mechanize small link graphs, not to
-be a production planarity test.
+The filter embeds the graph in the plane block by block
+(Demoucron-Malgrange-Pertuiset: grow an embedded subgraph by routing one
+bridge path into an admissible face at a time); a completed embedding
+certifies planarity.  ``find_kuratowski_subdivision`` gets its witness from
+the same filter: it deletes vertices, then edges, while the graph stays
+non-planar, and reads the K5 or K33 subdivision off what is left.  That is
+at most n + m + 1 filter calls, each polynomial; the entry point is capped at
+60 vertices because it exists to mechanize small link graphs, not to be a
+production planarity test.
 """
 
 from __future__ import annotations
@@ -38,14 +37,45 @@ class KuratowskiWitness:
 
 
 def find_kuratowski_subdivision(g: Complex) -> Optional[KuratowskiWitness]:
-    """A K5 or K33 subdivision in the 1-skeleton, or None if the graph is planar."""
+    """A K5 or K33 subdivision in the 1-skeleton, or None if the graph is planar.
+
+    The witness is what deletion leaves.  A graph whose branch vertices and
+    chains already form one is read directly (see ``_read_subdivision``).
+    Otherwise each vertex in descending label order, then each edge in
+    descending (larger, smaller endpoint) order, is deleted whenever the
+    graph stays non-planar.  The remainder is edge-minimal non-planar, so by
+    Kuratowski's theorem it is a subdivision of K5 or K33.  That takes at
+    most n + m + 1 filter calls; the edge pass is skipped when the vertex
+    pass already leaves a subdivision.
+    """
     if g.num_vertices > KURATOWSKI_VERTEX_CAP:
         raise PreconditionError(
             f"Kuratowski search is capped at {KURATOWSKI_VERTEX_CAP} vertices")
-    adj = g._adjacency
+    adj = {v: set(ns) for v, ns in g._adjacency.items()}
+    witness = _read_subdivision(adj)
+    if witness is not None:
+        return witness
     if _is_planar(adj):
         return None
-    witness = _search_pattern(adj, "K5") or _search_pattern(adj, "K33")
+    for v in sorted(adj, reverse=True):
+        nbrs = adj.pop(v)
+        for w in nbrs:
+            adj[w].discard(v)
+        if _is_planar(adj):
+            adj[v] = nbrs
+            for w in nbrs:
+                adj[w].add(v)
+    # Every vertex left is needed, so a subdivision read now is the whole
+    # graph and the edge pass would delete nothing.
+    witness = _read_subdivision(adj)
+    if witness is None:
+        for b, a in sorted(((b, a) for b in adj for a in adj[b] if a < b), reverse=True):
+            adj[a].discard(b)
+            adj[b].discard(a)
+            if _is_planar(adj):
+                adj[a].add(b)
+                adj[b].add(a)
+        witness = _read_subdivision(adj)
     if witness is None:
         raise InternalInconsistencyError("internal inconsistency: graph judged non-planar "
                                          "but no Kuratowski subdivision found")
@@ -250,79 +280,42 @@ def _fragment_path(adj, attachments: FrozenSet[int], inner: FrozenSet[int]) -> L
     raise InternalInconsistencyError("fragment with fewer than two reachable attachments")
 
 
-# -- witness search ----------------------------------------------------------
+# -- witness readout ---------------------------------------------------------
 
-def _search_pattern(adj, pattern: str) -> Optional[KuratowskiWitness]:
-    min_deg = 4 if pattern == "K5" else 3
-    cands = sorted(v for v in adj if len(adj[v]) >= min_deg)
-    if pattern == "K5":
-        if len(cands) < 5:
-            return None
-        for combo in itertools.combinations(cands, 5):
-            pairs = list(itertools.combinations(combo, 2))
-            paths = _disjoint_paths(adj, set(combo), pairs)
-            if paths is not None:
-                return KuratowskiWitness("K5", tuple(combo), tuple(paths))
-        return None
-    if len(cands) < 6:
-        return None
-    for combo in itertools.combinations(cands, 6):
-        for left in itertools.combinations(combo[1:], 2):
-            part1 = (combo[0],) + left
-            part2 = tuple(v for v in combo if v not in part1)
-            pairs = [(a, b) for a in part1 for b in part2]
-            paths = _disjoint_paths(adj, set(combo), pairs)
-            if paths is not None:
-                return KuratowskiWitness("K33", (part1, part2), tuple(paths))
-    return None
+def _read_subdivision(adj: Dict[int, Set[int]]) -> Optional[KuratowskiWitness]:
+    """The K5 or K33 subdivision formed by the graph's branch vertices, or None.
 
-
-def _disjoint_paths(adj, branch: Set[int], pairs: List[tuple]) -> Optional[List[tuple]]:
-    """Internally-disjoint paths joining every pair, or None.
-
-    Paths avoid all branch vertices in their interior; interiors are pairwise
-    disjoint.  For each pair, candidate paths are tried shortest first via
-    iterative deepening so direct edges are always preferred.
+    Branch vertices are those of degree at least 3, and a path follows a
+    chain of degree-2 vertices out of one.  They form a subdivision when
+    every chain ends at a branch vertex and the chains join exactly the
+    pairs of K5 or K33; a chain back to its start, a second chain between
+    one pair and a component without a branch vertex are left out of it.
     """
-    n = len(adj)
-    used: Set[int] = set()
-    out: List[tuple] = []
-
-    def paths_of_length(a: int, b: int, length: int):
-        # simple paths a..b with exactly `length` edges, interior outside
-        # used and branch vertices
-        path = [a]
-        on_path = {a}
-
-        def step(v: int, remaining: int):
-            if remaining == 1:
-                if b in adj[v]:
-                    yield path + [b]
-                return
-            for w in sorted(adj[v]):
-                if w in on_path or w in used or w in branch:
-                    continue
+    branch = sorted(v for v in adj if len(adj[v]) >= 3)
+    if len(branch) not in (5, 6):
+        return None
+    paths: Dict[Tuple[int, int], tuple] = {}
+    for a in branch:
+        for w in adj[a]:
+            path, prev = [a], a
+            while len(adj[w]) == 2:
                 path.append(w)
-                on_path.add(w)
-                yield from step(w, remaining - 1)
-                path.pop()
-                on_path.remove(w)
-
-        yield from step(a, length)
-
-    def solve(idx: int) -> bool:
-        if idx == len(pairs):
-            return True
-        a, b = pairs[idx]
-        for length in range(1, n + 1):
-            for path in paths_of_length(a, b, length):
-                interior = path[1:-1]
-                used.update(interior)
-                out.append(tuple(path))
-                if solve(idx + 1):
-                    return True
-                out.pop()
-                used.difference_update(interior)
-        return False
-
-    return out if solve(0) else None
+                prev, w = w, next(u for u in adj[w] if u != prev)
+            if len(adj[w]) < 3:
+                return None
+            if a < w:
+                paths[(a, w)] = tuple(path) + (w,)
+    if len(branch) == 5:
+        if len(paths) != 10:
+            return None
+        return KuratowskiWitness("K5", tuple(branch),
+                                 tuple(paths[pair] for pair in itertools.combinations(branch, 2)))
+    least = branch[0]
+    part1 = tuple(sorted([least] + [v for v in branch[1:] if (least, v) not in paths]))
+    part2 = tuple(v for v in branch if v not in part1)
+    pairs = [(a, b) for a in part1 for b in part2]
+    if set(paths) != {(min(p), max(p)) for p in pairs}:
+        return None
+    return KuratowskiWitness("K33", (part1, part2),
+                             tuple(paths[(a, b)] if a < b else paths[(b, a)][::-1]
+                                   for a, b in pairs))

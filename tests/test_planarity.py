@@ -1,9 +1,11 @@
+import itertools
 import random
+import time
 
 import pytest
 
 from tighttri import (Complex, InternalInconsistencyError, PreconditionError, catalog,
-                      find_kuratowski_subdivision, is_planar_graph, planarity)
+                      find_kuratowski_subdivision, is_planar_graph, planarity, stacked_sphere)
 
 
 def petersen():
@@ -13,6 +15,16 @@ def petersen():
         edges.append((i, i + 5))
         edges.append((5 + i, 5 + ((i + 2) % 5)))
     return Complex.from_facets(edges)
+
+
+def plus_edges(g, extra):
+    return Complex.from_facets(list(g.one_skeleton().faces(1)) + list(extra))
+
+
+def seeded_non_edges(g, count, seed):
+    edges = set(g.one_skeleton().faces(1))
+    non_edges = [e for e in itertools.combinations(sorted(g.vertex_set), 2) if e not in edges]
+    return random.Random(seed).sample(non_edges, count)
 
 
 def assert_valid_witness(g, w):
@@ -28,8 +40,10 @@ def assert_valid_witness(g, w):
         assert len(branch) == 6
         endpoint_pairs = {frozenset((p[0], p[-1])) for p in w.paths}
         assert endpoint_pairs == {frozenset((a, b)) for a in part1 for b in part2}
+    assert len(w.paths) == len(endpoint_pairs)
     interiors = []
     for p in w.paths:
+        assert len(set(p)) == len(p)
         for t in range(len(p) - 1):
             assert tuple(sorted((p[t], p[t + 1]))) in edges
         assert p[0] in branch and p[-1] in branch
@@ -65,15 +79,31 @@ class TestWitnesses:
     def test_petersen_graph(self):
         w = find_kuratowski_subdivision(petersen())
         assert w.pattern == "K33"  # max degree 3 rules out K5
+        assert w.branch_vertices == ((0, 2, 8), (1, 3, 5))
         assert_valid_witness(petersen(), w)
 
     def test_icosahedron_plus_one_edge(self):
         # a triangulated-sphere skeleton plus any diagonal is non-planar
-        edges = list(catalog.icosahedron().one_skeleton().faces(1)) + [(0, 6)]
-        g = Complex.from_facets(edges)
+        g = plus_edges(catalog.icosahedron(), [(0, 6)])
         w = find_kuratowski_subdivision(g)
-        assert w is not None
+        assert (w.pattern, w.branch_vertices) == ("K33", ((0, 3, 5), (1, 4, 6)))
         assert_valid_witness(g, w)
+
+    def test_bounded_work_on_large_non_planar_graphs(self):
+        # Each witness costs at most n + m + 1 filter calls, up to the cap.
+        graphs = [plus_edges(stacked_sphere(20, 2, seed=0), [(3, 12)])]
+        for seed in range(6):
+            s = stacked_sphere(20, 2, seed=seed)
+            graphs += [plus_edges(s, [e]) for e in seeded_non_edges(s, 4, seed)]
+        for seed in range(3):
+            s = stacked_sphere(60, 2, seed=seed)
+            graphs.append(plus_edges(s, seeded_non_edges(s, 1, seed)))
+        graphs += [catalog.complete_graph(60), catalog.complete_bipartite(30, 30)]
+        for g in graphs:
+            start = time.perf_counter()
+            w = find_kuratowski_subdivision(g)
+            assert time.perf_counter() - start < 0.5
+            assert_valid_witness(g, w)
 
 
 class TestPlanarSide:
@@ -89,6 +119,16 @@ class TestPlanarSide:
     def test_k4_is_planar(self):
         assert find_kuratowski_subdivision(catalog.complete_graph(4)) is None
 
+    @pytest.mark.parametrize("edges", [
+        # K5 minus {4, 5}, with 4 and 5 made degree 4 again by pendant edges
+        [e for e in itertools.combinations(range(1, 6), 2) if e != (4, 5)] + [(4, 6), (0, 5)],
+        # a 5-cycle with every edge doubled by a path of length 2
+        [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+        + [(5 + i, (i + 1) % 5) for i in range(5)],
+    ], ids=["pendant-chains", "doubled-cycle"])
+    def test_five_degree_4_vertices_without_k5(self, edges):
+        assert find_kuratowski_subdivision(Complex.from_facets(edges)) is None
+
     def test_disconnected_mixed(self):
         edges = list(catalog.cycle_complex(5).faces(1))
         edges += [(a + 10, b + 10) for a, b in catalog.complete_graph(5).faces(1)]
@@ -101,15 +141,22 @@ class TestPlanarSide:
         with pytest.raises(PreconditionError):
             find_kuratowski_subdivision(catalog.cycle_complex(61))
 
-    def test_non_planar_verdict_without_witness_is_internal(self, monkeypatch):
+    @pytest.mark.parametrize("graph", [
+        catalog.suspension(catalog.cycle_complex(4)),
+        catalog.icosahedron(),
+        # six vertices of degree 3 and nine edges, but not bipartite
+        Complex.from_facets([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                             (0, 3), (1, 4), (2, 5)]),
+    ], ids=["octahedron", "icosahedron", "prism"])
+    def test_non_planar_verdict_without_witness_is_internal(self, monkeypatch, graph):
         # A wrong "non-planar" verdict is a bug, not bad input, so it must not
-        # surface as a ValueError.  The witness search on the icosahedron's
-        # graph runs for minutes; the octahedron's (planar, every degree 4)
-        # takes both pattern searches to their end in milliseconds.
+        # surface as a ValueError, and it must not cost more than the n + m
+        # deletions: here every deletion stays and nothing is left to read.
         monkeypatch.setattr(planarity, "_is_planar", lambda adj: False)
-        octahedron = catalog.suspension(catalog.cycle_complex(4))
+        start = time.perf_counter()
         with pytest.raises(InternalInconsistencyError):
-            find_kuratowski_subdivision(octahedron.one_skeleton())
+            find_kuratowski_subdivision(graph.one_skeleton())
+        assert time.perf_counter() - start < 0.5
 
 
 class TestPlanarityFilter:
@@ -124,7 +171,12 @@ class TestPlanarityFilter:
             if not edges:
                 continue
             g = Complex.from_facets(edges)
-            assert is_planar_graph(g) == nx.check_planarity(nx.Graph(edges))[0], edges
+            planar = nx.check_planarity(nx.Graph(edges))[0]
+            assert is_planar_graph(g) == planar, edges
+            w = find_kuratowski_subdivision(g)
+            assert (w is None) == planar, edges
+            if w is not None:
+                assert_valid_witness(g, w)
 
     def test_known_families(self):
         assert is_planar_graph(catalog.icosahedron())
