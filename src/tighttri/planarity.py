@@ -45,8 +45,7 @@ def find_kuratowski_subdivision(g: Complex) -> Optional[KuratowskiWitness]:
     descending (larger, smaller endpoint) order, is deleted whenever the
     graph stays non-planar.  The remainder is edge-minimal non-planar, so by
     Kuratowski's theorem it is a subdivision of K5 or K33.  That takes at
-    most n + m + 1 filter calls; the edge pass is skipped when the vertex
-    pass already leaves a subdivision.
+    most n + m + 1 filter calls.
     """
     if g.num_vertices > KURATOWSKI_VERTEX_CAP:
         raise PreconditionError(
@@ -65,17 +64,13 @@ def find_kuratowski_subdivision(g: Complex) -> Optional[KuratowskiWitness]:
             adj[v] = nbrs
             for w in nbrs:
                 adj[w].add(v)
-    # Every vertex left is needed, so a subdivision read now is the whole
-    # graph and the edge pass would delete nothing.
+    for b, a in sorted(((b, a) for b in adj for a in adj[b] if a < b), reverse=True):
+        adj[a].discard(b)
+        adj[b].discard(a)
+        if _is_planar(adj):
+            adj[a].add(b)
+            adj[b].add(a)
     witness = _read_subdivision(adj)
-    if witness is None:
-        for b, a in sorted(((b, a) for b in adj for a in adj[b] if a < b), reverse=True):
-            adj[a].discard(b)
-            adj[b].discard(a)
-            if _is_planar(adj):
-                adj[a].add(b)
-                adj[b].add(a)
-        witness = _read_subdivision(adj)
     if witness is None:
         raise InternalInconsistencyError("internal inconsistency: graph judged non-planar "
                                          "but no Kuratowski subdivision found")
@@ -288,8 +283,9 @@ def _read_subdivision(adj: Dict[int, Set[int]]) -> Optional[KuratowskiWitness]:
     Branch vertices are those of degree at least 3, and a path follows a
     chain of degree-2 vertices out of one.  They form a subdivision when
     every chain ends at a branch vertex and the chains join exactly the
-    pairs of K5 or K33; a chain back to its start, a second chain between
-    one pair and a component without a branch vertex are left out of it.
+    pairs of K5 or K33, with three branch vertices on each side of K33; a
+    chain back to its start, a second chain between one pair and a
+    component without a branch vertex are left out of it.
     """
     branch = sorted(v for v in adj if len(adj[v]) >= 3)
     if len(branch) not in (5, 6):
@@ -314,7 +310,7 @@ def _read_subdivision(adj: Dict[int, Set[int]]) -> Optional[KuratowskiWitness]:
     part1 = tuple(sorted([least] + [v for v in branch[1:] if (least, v) not in paths]))
     part2 = tuple(v for v in branch if v not in part1)
     pairs = [(a, b) for a in part1 for b in part2]
-    if set(paths) != {(min(p), max(p)) for p in pairs}:
+    if len(part1) != 3 or set(paths) != {(min(p), max(p)) for p in pairs}:
         return None
     return KuratowskiWitness("K33", (part1, part2),
                              tuple(paths[(a, b)] if a < b else paths[(b, a)][::-1]

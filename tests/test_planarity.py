@@ -36,6 +36,7 @@ def assert_valid_witness(g, w):
         assert len(endpoint_pairs) == 10
     else:
         part1, part2 = w.branch_vertices
+        assert len(part1) == len(part2) == 3
         branch = set(part1) | set(part2)
         assert len(branch) == 6
         endpoint_pairs = {frozenset((p[0], p[-1])) for p in w.paths}
@@ -127,6 +128,20 @@ class TestPlanarSide:
         + [(5 + i, (i + 1) % 5) for i in range(5)],
     ], ids=["pendant-chains", "doubled-cycle"])
     def test_five_degree_4_vertices_without_k5(self, edges):
+        assert find_kuratowski_subdivision(Complex.from_facets(edges)) is None
+
+    @pytest.mark.parametrize("edges", [
+        # K1,5 with every edge tripled by two extra paths of length 2
+        [(0, i) for i in range(1, 6)]
+        + [e for i in range(1, 6)
+           for e in ((0, 5 + 2 * i), (5 + 2 * i, i), (0, 6 + 2 * i), (6 + 2 * i, i))],
+        # K2,4 with the edges at 0 doubled by paths of length 2
+        [(a, j) for a in (0, 1) for j in range(2, 6)]
+        + [e for j in range(2, 6) for e in ((0, 4 + j), (4 + j, j))],
+    ], ids=["multi-chain-K15", "multi-chain-K24"])
+    def test_six_branch_vertices_without_k33(self, edges):
+        # six branch vertices whose chains join one part to all the rest,
+        # but with the parts not of size 3
         assert find_kuratowski_subdivision(Complex.from_facets(edges)) is None
 
     def test_disconnected_mixed(self):
