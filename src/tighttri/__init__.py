@@ -12,24 +12,20 @@ from .catalog import (boundary_simplex, builtin, complete_bipartite, complete_gr
                       subdivided_k33_graph, suspension, torus_7)
 from .complexes import (Complex, Face, InternalInconsistencyError, MalformedComplexError,
                         PreconditionError, UnknownVertexError, UnsupportedDimensionError, Verdict,
-                        connected_sum, from_facets, is_isomorphic, verify_closed_manifold)
+                        connected_sum, is_isomorphic, verify_closed_manifold)
 from .construct import (AdmissibilityError, AdmissibleK, Certificate, HandleStep,
                         MalformedCertificateError, TopologyClass, admissible_k,
                         candidate_handle_sites, classify_topology, find_admissible_handle,
                         handle_addition, search_tight, stacked_sphere,
                         verify_stacked_certificate)
-from .homology import (ChainData, betti, boundary_matrix, chain_data,
-                       induced_map_injective, is_orientable)
+from .homology import ChainData, betti, chain_data, induced_map_injective, is_orientable
 from .linalg import GF2, QQ, FMatrix, FieldSpec
-from .planarity import KuratowskiWitness, find_kuratowski_subdivision, is_planar_graph
+from .planarity import KuratowskiWitness, find_kuratowski_subdivision
 from .stacked import (CycleWitness, HypothesisViolationError, SummandList,
                       decompose_ti, induced_cycles, is_locally_stacked,
-                      is_stacked_sphere, mod3_obstruction, triangle_bound_check,
-                      verify_moebius)
-from .tightness import (CrossValidation, SurfaceFVector,
-                        TightnessReport, cross_validate, is_tight_bruteforce,
-                        is_tight_fast_3manifold, is_tight_surface,
-                        surface_fvector_bounds)
+                      is_stacked_sphere, mod3_obstruction)
+from .tightness import (CrossValidation, TightnessReport, cross_validate,
+                        is_tight_bruteforce, is_tight_fast_3manifold, is_tight_surface)
 
 __version__ = "0.1.0"
 
@@ -39,18 +35,18 @@ __all__ = [
     "HandleStep", "HypothesisViolationError", "InternalInconsistencyError",
     "KuratowskiWitness", "MalformedCertificateError", "MalformedComplexError",
     "PreconditionError", "QQ",
-    "SummandList", "SurfaceFVector", "TightnessReport", "TopologyClass",
+    "SummandList", "TightnessReport", "TopologyClass",
     "UnknownVertexError", "UnsupportedDimensionError", "Verdict", "admissible_k",
-    "betti", "boundary_matrix", "boundary_simplex", "builtin",
+    "betti", "boundary_simplex", "builtin",
     "candidate_handle_sites", "chain_data", "classify_topology",
     "complete_bipartite", "complete_graph", "connected_sum", "cross_validate",
     "cycle_complex", "decompose_ti", "find_admissible_handle",
-    "find_kuratowski_subdivision", "from_facets", "handle_addition", "icosahedron",
+    "find_kuratowski_subdivision", "handle_addition", "icosahedron",
     "induced_cycles", "induced_map_injective", "is_isomorphic", "is_locally_stacked",
-    "is_orientable", "is_planar_graph", "is_stacked_sphere", "is_tight_bruteforce",
+    "is_orientable", "is_stacked_sphere", "is_tight_bruteforce",
     "is_tight_fast_3manifold", "is_tight_surface", "moebius_band_5",
     "mod3_obstruction", "projective_plane_6", "search_tight",
-    "stacked_sphere", "subdivided_k33_graph", "surface_fvector_bounds",
-    "suspension", "torus_7", "triangle_bound_check", "verify_closed_manifold",
-    "verify_moebius", "verify_stacked_certificate",
+    "stacked_sphere", "subdivided_k33_graph",
+    "suspension", "torus_7", "verify_closed_manifold",
+    "verify_stacked_certificate",
 ]

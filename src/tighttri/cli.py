@@ -92,7 +92,7 @@ def _parse_complex_text(text: str, default_name: str) -> Tuple[str, Complex]:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise InputError(f"invalid JSON: {e}") from None
         if not isinstance(doc, dict) or "facets" not in doc:
             raise InputError("JSON complex documents need a 'facets' field")
@@ -325,7 +325,7 @@ def _cmd_classify(args) -> int:
             cert_doc = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {args.cert}: {e.strerror}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InputError(f"invalid certificate JSON: {e}") from None
     if isinstance(cert_doc, dict) and "certificate" in cert_doc:  # a whole `search tight` output
         cert_doc = cert_doc["certificate"]

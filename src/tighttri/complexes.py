@@ -298,11 +298,6 @@ def component_masks(x: Complex, mask: int) -> list:
     return comps
 
 
-def from_facets(facets: Iterable[Iterable[int]]) -> Complex:
-    """Module-level alias for :meth:`Complex.from_facets`."""
-    return Complex.from_facets(facets)
-
-
 def connected_sum(x: Complex, y: Complex, facet_x: Iterable[int],
                   facet_y: Iterable[int], glue: dict) -> Complex:
     """Glue two d-manifold triangulations along a shared facet and delete it.

@@ -35,13 +35,6 @@ from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
 from .linalg import FMatrix, FieldSpec, echelon_row, kernel_rows, row_basis
 
 
-def boundary_matrix(x: Complex, k: int, field: FieldSpec) -> FMatrix:
-    """The k-th boundary map of the chain complex of ``x`` over ``field``."""
-    if not 0 <= k <= x.dim:
-        raise ValueError(f"boundary degree {k} out of range for dimension {x.dim}")
-    return chain_data(x, field).boundary(k)
-
-
 class ChainData:
     """Per-(complex, field) chain complex: face indexes, boundary rows, and
     the reduced bases of their row spaces, each eliminated once, and the
@@ -97,6 +90,9 @@ class ChainData:
         return self._through[k]
 
     def boundary(self, k: int) -> FMatrix:
+        """The k-th boundary map over the field, for k in 0..dim."""
+        if not 0 <= k <= self.complex.dim:
+            raise ValueError(f"boundary degree {k} out of range for dimension {self.complex.dim}")
         rows = self.rows(k)
         return FMatrix(self.field, len(rows), len(self.index[k - 1]) if k else 0, rows)
 

@@ -51,6 +51,8 @@ class FieldSpec:
 
     @classmethod
     def gf(cls, p: int) -> "FieldSpec":
+        if p == 0:
+            raise ValueError("0 is not prime")
         return cls(p)
 
     def __str__(self) -> str:

@@ -77,11 +77,6 @@ def find_kuratowski_subdivision(g: Complex) -> Optional[KuratowskiWitness]:
     return witness
 
 
-def is_planar_graph(g: Complex) -> bool:
-    """Planarity of the 1-skeleton via the embedding filter."""
-    return _is_planar(g._adjacency)
-
-
 # -- planar embedding (DMP) -------------------------------------------------
 
 def _is_planar(adj: Dict[int, Set[int]]) -> bool:

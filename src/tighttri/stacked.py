@@ -179,52 +179,6 @@ def _mod3_witness(s: Complex, within: int) -> Optional[CycleWitness]:
     return None
 
 
-def _expected_moebius(cycle: Sequence[int]) -> Complex:
-    tris = [tuple(sorted((cycle[i], cycle[(i + 2) % 5], cycle[(i + 3) % 5])))
-            for i in range(5)]
-    return Complex.from_facets(tris)
-
-
-def verify_moebius(x: Complex, cycle: Sequence[int]) -> Verdict:
-    """Does the 5-cycle bound the 5-vertex Moebius band inside ``x``?
-
-    ``cycle`` must be five distinct vertices whose consecutive pairs are
-    edges of ``x`` (chords in ``x`` are allowed; the band itself contains
-    all ten edges).  True iff the induced subcomplex on the cycle's vertices
-    is exactly the band whose triangles join each cycle vertex to the
-    opposite cycle edge.
-    """
-    cyc = tuple(cycle)
-    if len(cyc) != 5 or len(set(cyc)) != 5:
-        raise PreconditionError("expected five distinct vertices")
-    if not set(cyc) <= x.vertex_set:
-        raise PreconditionError("cycle vertices must belong to the complex")
-    for i in range(5):
-        if not x.has_face((cyc[i], cyc[(i + 1) % 5])):
-            raise PreconditionError(
-                f"consecutive pair ({cyc[i]}, {cyc[(i + 1) % 5]}) is not an edge")
-    induced = x.induced(cyc)
-    expected = _expected_moebius(cyc)
-    if induced == expected:
-        return Verdict(True)
-    return Verdict(False, witness=induced.f_vector,
-                   detail="induced subcomplex is not the 5-vertex Moebius band")
-
-
-def triangle_bound_check(x: Complex, cycle: Sequence[int]) -> Verdict:
-    """Does a 3-cycle of the 1-skeleton bound an actual triangle of ``x``?"""
-    cyc = tuple(cycle)
-    if len(cyc) != 3 or len(set(cyc)) != 3:
-        raise PreconditionError("expected three distinct vertices")
-    for i in range(3):
-        if not x.has_face(tuple(sorted((cyc[i], cyc[(i + 1) % 3])))):
-            raise PreconditionError("the given vertices do not form a 3-cycle")
-    face = tuple(sorted(cyc))
-    if x.has_face(face):
-        return Verdict(True)
-    return Verdict(False, witness=face, detail="empty triangle")
-
-
 def is_locally_stacked(m: Complex) -> Verdict:
     """Every vertex link is a stacked 2-sphere; witness is the first offender."""
     man = verify_closed_manifold(m)

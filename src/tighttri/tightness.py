@@ -1,5 +1,5 @@
 """Tightness deciders: definitional subset scan, the polynomial 3-manifold
-criterion, the closed-surface criterion, and the surface f-vector arithmetic.
+criterion, and the closed-surface criterion.
 
 The brute-force decider enumerates induced subcomplexes by increasing vertex
 count (then lexicographically) and stops at the first injectivity failure,
@@ -196,38 +196,6 @@ def is_tight_surface(x: Complex, field: FieldSpec) -> TightnessReport:
     return TightnessReport(orientable and neigh, "surface", field, x.f_vector,
                            orientable=orientable, neighbourly=neigh,
                            elapsed=time.perf_counter() - t0)
-
-
-@dataclass(frozen=True)
-class SurfaceFVector:
-    """Forced f-vector of a closed-surface triangulation, plus feasibility."""
-
-    f_vector: tuple
-    feasible: bool
-    min_f0: int
-
-
-def surface_fvector_bounds(chi: int, f0: int) -> SurfaceFVector:
-    """For a closed surface of Euler characteristic chi, the f-vector is
-    forced by f0: f1 = 3(f0-chi) and f2 = 2(f0-chi).  Feasibility needs
-    f1 <= C(f0,2) — equivalently f0(f0-7) >= -6chi — and f2 <= C(f0,3).
-    ``min_f0`` is the least vertex count passing both constraints."""
-    if chi > 2:
-        raise ValueError("closed surfaces have Euler characteristic at most 2")
-    if f0 < 3:
-        raise ValueError("need at least 3 vertices")
-
-    def forced(n: int) -> tuple:
-        return n, 3 * (n - chi), 2 * (n - chi)
-
-    def ok(n: int) -> bool:
-        _, f1, f2 = forced(n)
-        return f1 <= math.comb(n, 2) and f2 <= math.comb(n, 3)
-
-    n = 3
-    while not ok(n):
-        n += 1
-    return SurfaceFVector(forced(f0), ok(f0), n)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ from tighttri import (betti, catalog, classify_topology, cross_validate,
                       find_kuratowski_subdivision, handle_addition,
                       induced_cycles, is_locally_stacked, is_orientable,
                       is_stacked_sphere, is_tight_bruteforce, is_tight_surface,
-                      stacked_sphere, triangle_bound_check,
-                      verify_stacked_certificate)
+                      stacked_sphere, verify_stacked_certificate)
 from tighttri.cli import main
 from tighttri.construct import AdmissibilityError
 from tighttri.linalg import GF2, QQ
@@ -101,7 +100,7 @@ def test_criterion_05_icosahedron_machinery(capsys):
         assert pentagon in vertex_lists
     assert all(c.residue != 1 for c in cycles)
     for tri in (c.vertices for c in cycles if c.length == 3):
-        assert triangle_bound_check(ico, tri).ok
+        assert ico.has_face(tri)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     with capsys.disabled():

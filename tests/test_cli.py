@@ -39,8 +39,9 @@ class TestFileFormats:
         assert parse_field("2") == GF2
         assert parse_field("p:7").char == 7
         from tighttri.cli import InputError
-        with pytest.raises(InputError):
-            parse_field("p:6")
+        for text in ("p:6", "0", "p:0"):
+            with pytest.raises(InputError):
+                parse_field(text)
         with pytest.raises(InputError):
             parse_field("real")
 
@@ -330,6 +331,9 @@ BRANCH_FILES = {
     "dim4": "0 1 2 3 4\n",
     "bad_cert": "{not json",
     "big_facet": " ".join(map(str, range(17))) + "\n",
+    "no_faces": '{"facets": []}',
+    "deep_json": '{"facets": ' + "[" * 100_000,
+    "deep_cert": "[" * 100_000,
 }
 
 # (argv, environment, the start of the one line on stderr): every one exits
@@ -343,6 +347,12 @@ BRANCH_ERRORS = [
     (["homology", "{empty}"], {}, "error: no facets found in input"),
     (["homology", "{big_facet}"], {},
      "error: bad facet list: a facet has 17 vertices, more than the 16 supported"),
+    (["homology", "{no_faces}"], {}, "error: Betti numbers need a nonempty complex"),
+    (["check", "tight", "{no_faces}"], {}, "error: tightness needs a nonempty complex"),
+    (["check", "tight", "{deep_json}"], {}, "error: invalid JSON: "),
+    (["homology", "builtin:rp2-6", "--field", "0"], {}, "error: bad field '0': 0 is not prime"),
+    (["homology", "builtin:rp2-6", "--field", "p:0"], {},
+     "error: bad field 'p:0': 0 is not prime"),
     (["check", "manifold", "{dim4}"], {},
      "error: manifold verification supports dimension <= 3, got 4"),
     (["gen", "handle", "builtin:boundary-delta4", "--facets", "0", "--bijection", "0:1"], {},
@@ -351,6 +361,8 @@ BRANCH_ERRORS = [
      "error: --bijection expects v:w pairs, comma-separated"),
     (["classify", "builtin:boundary-delta4", "--cert", "{missing}"], {}, "error: cannot read "),
     (["classify", "builtin:boundary-delta4", "--cert", "{bad_cert}"], {},
+     "error: invalid certificate JSON: "),
+    (["classify", "builtin:boundary-delta4", "--cert", "{deep_cert}"], {},
      "error: invalid certificate JSON: "),
     (["gen", "stacked-sphere", "--n", "6", "--dim", "2"], {"TIGHTTRI_SEED": "abc"},
      "error: TIGHTTRI_SEED must be an integer"),

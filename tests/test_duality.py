@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import cyclic_polytope_boundary
 from corpus import subdivide_facet
 from oracle import echelon_rank, entries, left_nullspace, library_rows, matmul, rank, rref
-from tighttri import (Complex, boundary_matrix, catalog, chain_data, induced_map_injective,
+from tighttri import (Complex, catalog, chain_data, induced_map_injective,
                       is_isomorphic, is_tight_bruteforce, stacked_sphere)
 from tighttri.homology import injectivity_on_mask
 from tighttri.complexes import PreconditionError, UnknownVertexError, Verdict
@@ -56,7 +56,7 @@ def _zero_columns(field: FieldSpec, rows: list, cols) -> list:
 def boundaries_rref(x: Complex, k: int, field: FieldSpec) -> tuple:
     """(pivots, rows) of the reduced echelon form of B_k(x), the row space
     of d_{k+1}, by the dense oracle; the rows in the library's format."""
-    b = boundary_matrix(x, k + 1, field)
+    b = chain_data(x, field).boundary(k + 1)
     pivots, rows = rref(field, b.rows, b.ncols)
     return pivots, rows if field.char == 2 else library_rows(field, rows)
 
@@ -109,7 +109,7 @@ def orientable(x: Complex, field: FieldSpec) -> bool:
     """beta_dim > 0, that is rank d_dim < f_dim, by the dense oracle: the
     library's top Betti number is what the duality gate reads."""
     d = x.dim
-    return rank(field, boundary_matrix(x, d, field).rows, len(x.faces(d - 1))) < x.f_vector[d]
+    return rank(field, chain_data(x, field).boundary(d).rows, len(x.faces(d - 1))) < x.f_vector[d]
 
 
 # -- (a) per-degree duality ----------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracle import (echelon_rank, entries, is_zero, left_nullspace, library_rows, matmul, rank,
                     right_nullspace, rref, transpose)
-from tighttri import boundary_matrix, catalog, chain_data
+from tighttri import catalog, chain_data
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, echelon_row, kernel_rows
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5), FieldSpec.gf(7)]
@@ -58,6 +58,8 @@ class TestFieldSpec:
             FieldSpec.gf(4)
         with pytest.raises(ValueError):
             FieldSpec.gf(1)
+        with pytest.raises(ValueError):
+            FieldSpec.gf(0)
         with pytest.raises(ValueError):
             FieldSpec(2 ** 31)
         assert FieldSpec.gf(2 ** 31 - 1).char == 2 ** 31 - 1
@@ -256,7 +258,7 @@ class TestGFpElimination:
         surfaces = [("rp2-6", catalog.projective_plane_6()), ("torus-7", catalog.torus_7())]
         for name, x in corpus3[::3] + surfaces:
             for k in range(1, x.dim + 1):
-                m = boundary_matrix(x, k, gf3)
+                m = chain_data(x, gf3).boundary(k)
                 check_gfp_against_oracle(m, entries(gf3, m.rows[:3], m.ncols) + [[1] * m.ncols])
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tighttri import Complex, catalog, from_facets, stacked_sphere, verify_closed_manifold
+from tighttri import Complex, catalog, stacked_sphere, verify_closed_manifold
 from tighttri import complexes
 from tighttri.complexes import UnsupportedDimensionError, Verdict, vertex_links
 
@@ -199,7 +199,8 @@ def face_scan_link(x: Complex, v: int) -> list:
 
 def test_vertex_links_match_link():
     for x in (catalog.boundary_simplex(4), catalog.torus_7(), catalog.cycle_complex(5),
-              from_facets([(0, 1, 2, 3), (3, 4), (5,), (2, 6, 7)]), stacked_sphere(9, 3, seed=2)):
+              Complex.from_facets([(0, 1, 2, 3), (3, 4), (5,), (2, 6, 7)]),
+              stacked_sphere(9, 3, seed=2)):
         links = vertex_links(x)
         assert list(links) == list(x.vertices)
         for v in x.vertices:
@@ -211,7 +212,7 @@ def test_vertex_links_match_link():
 def test_verdict_is_kept_on_the_complex(monkeypatch):
     # built through from_facets: stacked_sphere records its verdict unchecked
     facets = stacked_sphere(8, 3, seed=1).facets
-    x = from_facets(facets)
+    x = Complex.from_facets(facets)
     first = verify_closed_manifold(x)
 
     def fail(_):
@@ -220,11 +221,11 @@ def test_verdict_is_kept_on_the_complex(monkeypatch):
     monkeypatch.setattr(complexes, "_check_closed_manifold", fail)
     assert verify_closed_manifold(x) is first
     with pytest.raises(AssertionError):
-        verify_closed_manifold(from_facets(facets))
+        verify_closed_manifold(Complex.from_facets(facets))
 
 
 def test_dimension_cap_is_raised_on_every_call():
-    x = from_facets([range(5)])
+    x = Complex.from_facets([range(5)])
     for _ in range(2):
         with pytest.raises(UnsupportedDimensionError):
             verify_closed_manifold(x)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import entries, left_nullspace, library_rows, rref, right_nullspace, transpose
-from tighttri import boundary_matrix, catalog, induced_map_injective, linalg
+from tighttri import catalog, chain_data, induced_map_injective, linalg
 from tighttri.linalg import QQ, FMatrix, FieldSpec, echelon_row
 
 WITNESSES = json.loads((Path(__file__).parent / "q_witnesses.json").read_text())
@@ -141,7 +141,7 @@ def test_corpus_boundary_matrices_match_oracle(corpus3):
     surfaces = [("rp2-6", catalog.projective_plane_6()), ("torus-7", catalog.torus_7())]
     for name, x in corpus3[::3] + surfaces:
         for k in range(1, x.dim + 1):
-            check_against_oracle(boundary_matrix(x, k, QQ))
+            check_against_oracle(chain_data(x, QQ).boundary(k))
 
 
 def test_corpus_witness_intersections_match_oracle(pinned_members):
@@ -168,10 +168,11 @@ def test_corpus_witness_intersections_match_oracle(pinned_members):
                 out.append(v)
             return out
 
-        dy = boundary_matrix(y, k, QQ)
+        cdx, cdy = chain_data(x, QQ), chain_data(y, QQ)
+        dy = cdy.boundary(k)
         cycles = embed(left_nullspace(QQ, dy.rows, dy.ncols))
-        bx = entries(QQ, boundary_matrix(x, k + 1, QQ).rows, len(faces)) if k < x.dim else []
-        by = embed(entries(QQ, boundary_matrix(y, k + 1, QQ).rows, dy.nrows)) if k < y.dim else []
+        bx = entries(QQ, cdx.boundary(k + 1).rows, len(faces)) if k < x.dim else []
+        by = embed(entries(QQ, cdy.boundary(k + 1).rows, dy.nrows)) if k < y.dim else []
         by_rank = len(rref(QQ, by, len(faces))[0])
         meet = ref_intersection(cycles, bx, len(faces))
         first = next(v for v in meet if len(rref(QQ, by + [v], len(faces))[0]) > by_rank)

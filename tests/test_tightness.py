@@ -6,8 +6,8 @@ import os
 import pytest
 
 from tighttri import (Complex, InternalInconsistencyError, PreconditionError, catalog, cross_validate,
-                      from_facets, is_tight_bruteforce, is_tight_fast_3manifold,
-                      is_tight_surface, search_tight, surface_fvector_bounds)
+                      is_tight_bruteforce, is_tight_fast_3manifold, is_tight_surface,
+                      search_tight)
 from tighttri.homology import induced_map_injective
 from tighttri.linalg import GF2, QQ, FieldSpec
 from tighttri import tightness
@@ -56,7 +56,7 @@ class TestBruteForce:
         assert (r.verdict, r.witness, r.subsets_scanned) == (True, None, 501)
 
     def test_disconnected_complex(self):
-        x = from_facets([(0, 1), (2, 3)])
+        x = Complex.from_facets([(0, 1), (2, 3)])
         r = is_tight_bruteforce(x, QQ)
         assert not r.verdict and r.witness == ((0, 1, 2, 3), 0)
 
@@ -177,7 +177,7 @@ class TestFast3Manifold:
 
     def test_rejects_non_manifolds(self):
         with pytest.raises(PreconditionError):
-            is_tight_fast_3manifold(from_facets([(0, 1, 2, 3), (1, 2, 3, 4)]), GF2)
+            is_tight_fast_3manifold(Complex.from_facets([(0, 1, 2, 3), (1, 2, 3, 4)]), GF2)
 
     def test_stacked_spheres_above_five_vertices_fail(self):
         from tighttri import stacked_sphere
@@ -206,34 +206,6 @@ class TestSurfaceCriterion:
     def test_rejects_3_manifolds(self):
         with pytest.raises(PreconditionError):
             is_tight_surface(catalog.boundary_simplex(4), QQ)
-
-
-class TestSurfaceFVectorBounds:
-    def test_sphere(self):
-        r = surface_fvector_bounds(2, 4)
-        assert r.f_vector == (4, 6, 4) and r.feasible and r.min_f0 == 4
-
-    def test_projective_plane(self):
-        r = surface_fvector_bounds(1, 6)
-        assert r.f_vector == (6, 15, 10) and r.feasible and r.min_f0 == 6
-
-    def test_torus(self):
-        r = surface_fvector_bounds(0, 7)
-        assert r.f_vector == (7, 21, 14) and r.feasible and r.min_f0 == 7
-
-    def test_infeasible_when_f1_exceeds_pairs(self):
-        assert not surface_fvector_bounds(1, 5).feasible
-
-    def test_genus_two(self):
-        # chi = -2: f0(f0-7) >= 12 forces f0 >= 9... the least n with both
-        # binomial constraints is 9 (9*2 = 18 >= 12)
-        assert surface_fvector_bounds(-2, 9).min_f0 == 9
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            surface_fvector_bounds(3, 5)
-        with pytest.raises(ValueError):
-            surface_fvector_bounds(2, 2)
 
 
 class TestCrossValidate:
