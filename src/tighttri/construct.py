@@ -252,6 +252,8 @@ def admissible_k(limit: int) -> List[AdmissibleK]:
 
 
 def _vertex_count_for_k(k: int) -> int:
+    if k < 1:
+        raise ValueError(f"k={k} is inadmissible: a handle count is at least 1")
     s = math.isqrt(80 * k + 1)
     if s * s != 80 * k + 1:
         raise ValueError(f"k={k} is inadmissible: 80k+1 = {80 * k + 1} is not a perfect square")

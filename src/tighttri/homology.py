@@ -15,19 +15,15 @@ entry at its own k-face t and no other face through v0 has one there, so
 their boundaries are independent over every field, and since B_k(Y) lies
 in Z_k(Y), a count equal to dim Z_k(Y) proves H_k(Y) = 0 with no
 elimination.  Only a shortfall eliminates, on ambient rows and on the kept
-bases Betti numbers share.  Its own bases of B_k(Y) pivot on each row's
-last column instead of its first, on a reflected copy of the rows, so that
-the star of v0 enters them with no elimination; the meet and its witness
-come from the ambient first-column bases, and a witness row is reflected
-only to be reduced.  On a closed 2- or 3-manifold the top Betti number
-comes from a flood over the facets instead of elimination.
+bases Betti numbers share.  On a closed 2- or 3-manifold the top Betti
+number comes from a flood over the facets instead of elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
                         UnknownVertexError, Verdict, bit_positions, component_masks,
@@ -36,44 +32,29 @@ from .linalg import FMatrix, FieldSpec, echelon_row, kernel_rows, row_basis
 
 
 class ChainData:
-    """Per-(complex, field) chain complex: face indexes, boundary rows, and
+    """Per-(complex, field) chain complex: boundary rows built on first use,
     the reduced bases of their row spaces, each eliminated once, and the
     Betti numbers, computed once: the complex is immutable, and so is this.
 
     Boundary rows are built straight from the faces in the row bases' own
     format: bit masks over GF(2), ``{column: ±1 mod p}`` dicts over GF(p)
     and ``{column: ±1}`` dicts over Q, with columns in ascending order.
-    :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them,
-    and :meth:`reflected_rows` a copy with the columns numbered backwards.
+    :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them.
     :meth:`through` holds, per vertex, the mask of the faces through it.
     """
 
     def __init__(self, x: Complex, field: FieldSpec):
         self.complex = x
         self.field = field
-        self.index = [
-            {f: i for i, f in enumerate(x.faces(k))} for k in range(x.dim + 1)
-        ]
         self._rows: dict = {}
-        self._reflected: dict = {}
         self._through: dict = {}
         self._bases: dict = {}
 
     def rows(self, k: int) -> list:
         """The rows of boundary(k), sparse, in face order."""
         if k not in self._rows:
-            self._rows[k] = _boundary_rows(self.complex, k, self.field, self.index)
+            self._rows[k] = _boundary_rows(self.complex, k, self.field)
         return self._rows[k]
-
-    def reflected_rows(self, k: int) -> list:
-        """The rows of boundary(k) with column j numbered n-1-j, n the number
-        of (k-1)-faces, so that a row pivots on its face's last column: the
-        face without its least vertex.  The per-subset bases use them; they
-        are :meth:`rows` reflected, and building those once serves both."""
-        if k not in self._reflected:
-            n = len(self.index[k - 1])
-            self._reflected[k] = [_reflect(self.field, r, n) for r in self.rows(k)]
-        return self._reflected[k]
 
     def through(self, k: int) -> list:
         """Per vertex position, the mask of the k-faces through that vertex:
@@ -94,12 +75,12 @@ class ChainData:
         if not 0 <= k <= self.complex.dim:
             raise ValueError(f"boundary degree {k} out of range for dimension {self.complex.dim}")
         rows = self.rows(k)
-        return FMatrix(self.field, len(rows), len(self.index[k - 1]) if k else 0, rows)
+        return FMatrix(self.field, len(rows), len(self.complex.faces(k - 1)), rows)
 
     def basis(self, k: int):
         """Reduced basis of the row space of boundary(k), eliminated once."""
         if k not in self._bases:
-            basis = row_basis(self.field, len(self.index[k - 1]) if k else 0)
+            basis = row_basis(self.field, len(self.complex.faces(k - 1)))
             for r in self.rows(k):
                 basis.add(r)
             self._bases[k] = basis
@@ -128,12 +109,12 @@ class ChainData:
         return self.betti[x.dim]
 
 
-def _boundary_rows(x: Complex, k: int, field: FieldSpec, index: Sequence[dict]) -> list:
+def _boundary_rows(x: Complex, k: int, field: FieldSpec) -> list:
     kfaces = x.faces(k)
     p = field.char
     if k == 0:
         return [0 if p == 2 else {} for _ in kfaces]
-    cols = index[k - 1]
+    cols = {g: j for j, g in enumerate(x.faces(k - 1))}
     # combinations(f, k) drops the vertices of f from the last to the first,
     # so the columns come out ascending and vertex i carries (-1)**i
     if p == 2:
@@ -335,7 +316,7 @@ def _meet_witness(cd: ChainData, k: int, ymask: int, by) -> Optional[tuple]:
     else:
         inside = set(ycols)
         outside = [{j: v for j, v in r.items() if j not in inside} for r in meet_rows]
-    n = len(cd.index[k])
+    n = len(cd.complex.faces(k))
     outside_basis = row_basis(field, n)
     for r in outside:
         outside_basis.add(r)
@@ -347,7 +328,7 @@ def _meet_witness(cd: ChainData, k: int, ymask: int, by) -> Optional[tuple]:
         return None
     # the combinations whose parts outside Y cancel, applied to the rows
     for v in kernel_rows(field, zip(outside, meet_rows), n, n):
-        if by.reduce(_reflect(field, v, n)):
+        if by.reduce(v):
             return _decode_chain(echelon_row(field, v), cd.complex.faces(k), field)
     raise InternalInconsistencyError(
         f"degree {k}: no cycle of C(Y) ∩ B(X) outside B(Y) despite the dimension gap")
@@ -360,43 +341,28 @@ def _faces_inside(cd: ChainData, k: int, others: Iterable[int]) -> int:
     hit = 0
     for i in others:
         hit |= through[i]
-    return ((1 << len(cd.index[k])) - 1) ^ hit
+    return ((1 << len(cd.complex.faces(k))) - 1) ^ hit
 
 
 def _rows_basis(cd: ChainData, k: int, mask: int, cap: int):
     """Reduced basis of the span of the rows of boundary(k) at the faces set
-    in ``mask``, on the reflected columns of :meth:`ChainData.reflected_rows`;
-    it stops adding rows once its dimension reaches ``cap``.
+    in ``mask``; it stops adding rows once its dimension reaches ``cap``.
 
     The decider builds it only when counting Y's k-faces through its least
-    vertex v0 falls short of dim Z_{k-1}(Y).  Each row pivots on its face's
-    last column, the face without its least vertex.  Y's faces through v0
-    come first in face order, and each such face v0 + t pivots on its own t,
-    where no other face in v0's star has an entry: so v0's star, the rows
-    the count already knows to be independent, enters the basis with no
-    elimination, where first-column pivots collide at the columns (v0, a).
-    The caller reads only the dimension, which is the rank of the rows
-    added, and whether :meth:`reduce` returns zero, which it asks only of
-    a basis that holds every row; neither depends on the pivots.
+    vertex v0 falls short of dim Z_{k-1}(Y).  The caller reads only its
+    dimension, the rank of the rows added, and whether :meth:`reduce`
+    returns zero, which it asks only of a basis that holds every row.
     """
-    basis = row_basis(cd.field, len(cd.index[k - 1]))
+    basis = row_basis(cd.field, len(cd.complex.faces(k - 1)))
     if not mask:
-        # the reflected rows are built on first use, and a subset with no
-        # k-faces needs none
+        # the rows are built on first use; a subset with no k-faces needs none
         return basis
-    bk = cd.reflected_rows(k)
+    bk = cd.rows(k)
     for i in bit_positions(mask):
         if basis.dim == cap:
             break
         basis.add(bk[i])
     return basis
-
-
-def _reflect(field: FieldSpec, row, n: int):
-    """The row on n columns with column j numbered n-1-j."""
-    if field.char == 2:
-        return int(format(row, f"0{n}b")[::-1], 2)
-    return {n - 1 - j: c for j, c in row.items()}
 
 
 def _decode_chain(vec, faces: tuple, field: FieldSpec) -> tuple:

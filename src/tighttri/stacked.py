@@ -126,21 +126,27 @@ def _chordless_cycles(nbr: Sequence[int], within: int, lo: int, hi: int) -> Iter
     chordless; a step to a neighbour of the start closes it and goes no
     further, as a longer path would have a chord to the start.  The search
     is depth-first in ascending order, so cycles of one length come out in
-    lexicographic order."""
-    def grow(path: tuple, free: int) -> Iterator[tuple]:
-        tip = path[-1]
-        for u in bit_positions(nbr[tip] & free):
-            if ring >> u & 1:
-                if len(path) >= lo - 1 and path[1] < u:
-                    yield path + (u,)
-            elif len(path) < hi - 1:
-                yield from grow(path + (u,), free & ~nbr[tip])
-
+    lexicographic order.  It keeps its own stack of path steps, so a long
+    cycle needs no deep recursion."""
     for start in bit_positions(within):
         above = within >> start + 1 << start + 1
         ring = nbr[start] & above
         for first in bit_positions(ring):
-            yield from grow((start, first), above & ~(1 << first))
+            path = [start, first]
+            free = above & ~(1 << first)
+            steps = [(bit_positions(nbr[first] & free), free & ~nbr[first])]
+            while steps:
+                nexts, free = steps[-1]
+                u = next(nexts, None)
+                if u is None:
+                    steps.pop()
+                    path.pop()
+                elif ring >> u & 1:
+                    if len(path) >= lo - 1 and path[1] < u:
+                        yield (*path, u)
+                elif len(path) < hi - 1:
+                    path.append(u)
+                    steps.append((bit_positions(nbr[u] & free), free & ~nbr[u]))
 
 
 def _witness(g: Complex, cyc: tuple) -> CycleWitness:

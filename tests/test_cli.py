@@ -39,7 +39,7 @@ class TestFileFormats:
         assert parse_field("2") == GF2
         assert parse_field("p:7").char == 7
         from tighttri.cli import InputError
-        for text in ("p:6", "0", "p:0"):
+        for text in ("p:6", "0", "p:0", "1", "-3"):
             with pytest.raises(InputError):
                 parse_field(text)
         with pytest.raises(InputError):
@@ -226,6 +226,13 @@ class TestInspectionCommands:
         code, doc, _ = run_json(capsys, "cycles", "builtin:complete:2", "--json")
         assert code == 0 and doc["max_len"] == 2 and doc["cycles"] == []
 
+    def test_cycles_of_a_long_cycle(self, capsys, tmp_path):
+        # more path vertices than the interpreter's default recursion limit
+        p = tmp_path / "c1100.json"
+        p.write_text(dumps(complex_document("c1100", catalog.cycle_complex(1100))))
+        code, doc, _ = run_json(capsys, "cycles", str(p), "--json")
+        assert code == 0 and [c["length"] for c in doc["cycles"]] == [1100]
+
     def test_cycles_mod3(self, capsys):
         code, _, _ = run(capsys, "cycles", "builtin:icosahedron", "--mod3")
         assert code == 0
@@ -341,6 +348,10 @@ BRANCH_FILES = {
 BRANCH_ERRORS = [
     (["search", "tight", "--budget", "ten"], {},
      "tighttri search tight: error: argument --budget: expected an integer, got 'ten'"),
+    (["search", "tight", "--k", "-1"], {},
+     "error: k=-1 is inadmissible: a handle count is at least 1"),
+    (["search", "tight", "--k", "12"], {},
+     "error: k=12 is outside the realized family: f0 = 20 is not 9 (mod 20)"),
     (["homology", "{bad_json}"], {}, "error: invalid JSON: "),
     (["homology", "{no_facets}"], {}, "error: JSON complex documents need a 'facets' field"),
     (["homology", "{bad_token}"], {}, "error: line 2: expected whitespace-separated integers"),

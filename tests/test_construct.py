@@ -128,6 +128,13 @@ class TestHandleAddition:
                 break
         assert found, "no merge-prone bijection located in the sample"
 
+    def test_non_facet_site_rejected(self):
+        x = stacked_sphere(13, 3, seed=0)
+        f1 = next(f for f in itertools.combinations(x.vertices, 4) if f not in x.facets)
+        f2 = next(f for f in sorted(x.facets) if not set(f) & set(f1))
+        with pytest.raises(AdmissibilityError, match="both gluing sites must be facets"):
+            handle_addition(x, f1, f2, dict(zip(f1, f2)))
+
     def test_bad_bijection_rejected(self):
         x = stacked_sphere(13, 3, seed=0)
         facets = sorted(x.facets)

@@ -229,7 +229,10 @@ def induced_reference(x: Complex, subset, field: FieldSpec) -> Verdict:
             seen[i] = rep
     cd = chain_data(x, field)
     top = min(y.dim, x.dim - 1)
-    rows_of = {k: [cd.index[k][f] for f in y.faces(k)] for k in range(1, top + 2)}
+    rows_of = {}
+    for k in range(1, top + 2):
+        at = {f: i for i, f in enumerate(x.faces(k))}
+        rows_of[k] = [at[f] for f in y.faces(k)]
     rank_k = y.f_vector[0] - len(ycomps)
     for k in range(1, top + 1):
         by = _rows_basis(cd, k + 1, rows_of[k + 1])
@@ -241,7 +244,7 @@ def induced_reference(x: Complex, subset, field: FieldSpec) -> Verdict:
         pivots, bx = boundaries_rref(x, k, field)
         ycols = rows_of[k]
         meet_rows = [r for p, r in zip(pivots, bx) if p in ycols]
-        n = len(cd.index[k])
+        n = len(x.faces(k))
         outside = _zero_columns(field, meet_rows, ycols)
         if len(meet_rows) - rank(field, outside, n) == by.dim:
             continue

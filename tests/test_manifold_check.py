@@ -145,9 +145,10 @@ def test_corpus_and_spheres(corpus3, sphere_skeletons):
 
 @pytest.mark.parametrize("x", [catalog.torus_7(), catalog.projective_plane_6(),
                                catalog.moebius_band_5(), catalog.icosahedron()]
-                         + [catalog.cycle_complex(n) for n in (3, 4, 7)],
+                         + [catalog.cycle_complex(n) for n in (3, 4, 7)]
+                         + [Complex.from_facets([])],
                          ids=["torus-7", "rp2-6", "moebius-5", "icosahedron",
-                              "cycle-3", "cycle-4", "cycle-7"])
+                              "cycle-3", "cycle-4", "cycle-7", "empty"])
 def test_catalog_members(x):
     check_against_reference(x.facets)
 

@@ -77,6 +77,13 @@ class TestWitnesses:
         long_paths = [p for p in w.paths if len(p) > 2]
         assert long_paths == [(10, 11, 1)] or long_paths == [(1, 11, 10)]
 
+    def test_k5_with_a_pendant_edge(self):
+        # the chain out of 4 along (4, 5) ends at a vertex of degree 1
+        g = plus_edges(catalog.complete_graph(5), [(4, 5)])
+        w = find_kuratowski_subdivision(g)
+        assert (w.pattern, w.branch_vertices) == ("K5", (0, 1, 2, 3, 4))
+        assert_valid_witness(g, w)
+
     def test_petersen_graph(self):
         w = find_kuratowski_subdivision(petersen())
         assert w.pattern == "K33"  # max degree 3 rules out K5

@@ -57,6 +57,12 @@ class TestStackedSphereRecognition:
             assert is_stacked_sphere(stacked_sphere(9, 2, seed=seed), 2).ok
             assert is_stacked_sphere(stacked_sphere(10, 3, seed=seed), 3).ok
 
+    def test_disjoint_spheres_are_not_a_sphere(self):
+        b = catalog.boundary_simplex(4)
+        two = Complex.from_facets(list(b.facets) + [tuple(v + 5 for v in f) for f in b.facets])
+        v = is_stacked_sphere(two, 3)
+        assert not v.ok and v.detail == "disconnected, hence not a sphere"
+
     def test_non_manifold_rejected(self):
         with pytest.raises(PreconditionError):
             is_stacked_sphere(Complex.from_facets([(0, 1, 2), (0, 1, 3)]), 2)
@@ -194,6 +200,10 @@ class TestInducedCycles:
     def test_icosahedron_has_no_residue_one_cycles(self):
         assert all(c.residue != 1
                    for c in induced_cycles(catalog.icosahedron().one_skeleton(), 12))
+
+    def test_cycle_longer_than_the_recursion_limit(self):
+        out = induced_cycles(catalog.cycle_complex(1100), 1100)
+        assert [c.length for c in out] == [1100]
 
     def test_max_len_cuts_off(self):
         assert induced_cycles(catalog.cycle_complex(9), 8) == []
@@ -341,6 +351,14 @@ class TestCertificateReplay:
         _, cert = tight9
         other = catalog.boundary_simplex(4)
         assert not verify_stacked_certificate(other, cert).ok
+
+    def test_final_f_vector_differs(self):
+        b4 = catalog.boundary_simplex(4)
+        cert = Certificate(seed_facets=tuple(sorted(b4.facets)), steps=(),
+                           final_f_vector=(6, 15, 20, 10))
+        v = verify_stacked_certificate(b4, cert)
+        assert (v.ok, v.witness, v.detail) == \
+            (False, b4.f_vector, "replayed f-vector differs from the certificate")
 
     def test_adjacent_matched_step_raises(self):
         from tighttri import AdmissibilityError
