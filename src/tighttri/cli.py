@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 from . import catalog
 from .complexes import Complex, MalformedComplexError, PreconditionError
-from .complexes import verify_closed_manifold
+from .complexes import _closed_surface_or_3_manifold, verify_closed_manifold
 from .construct import (Certificate, admissible_k, classify_topology,
                         handle_addition, search_tight, stacked_sphere)
 from .homology import betti
@@ -169,7 +169,7 @@ def _cmd_check_tight(args) -> int:
     field = parse_field(args.field)
     mode = args.mode
     if mode != "brute":
-        closed = x.dim in (2, 3) and verify_closed_manifold(x).ok
+        closed = _closed_surface_or_3_manifold(x)
         if mode == "fast" and not closed:
             raise InputError("fast mode needs a closed 2- or 3-manifold triangulation")
         mode = "fast" if closed else "brute"

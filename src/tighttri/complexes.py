@@ -405,6 +405,11 @@ def verify_closed_manifold(x: Complex) -> Verdict:
     return x._closed_manifold_verdict
 
 
+def _closed_surface_or_3_manifold(x: Complex) -> bool:
+    """Whether ``x`` is a closed 2- or 3-manifold."""
+    return x.dim in (2, 3) and verify_closed_manifold(x).ok
+
+
 def _check_closed_manifold(x: Complex) -> Verdict:
     d = x.dim
     if d > 3:
@@ -516,73 +521,65 @@ def _vertex_signatures(x: Complex) -> dict:
 def is_isomorphic(x: Complex, y: Complex) -> Optional[dict]:
     """A facet-preserving vertex bijection, or None.
 
-    Plain backtracking over vertex assignments, pruned by per-vertex face
-    counts and by edge/triangle consistency of the partial map.  Intended
-    for the small instances arising in summand identification.
+    After equal f-vectors and equal multisets of vertex signatures (the
+    number of faces of each dimension at a vertex), a backtracking search
+    places the vertices of ``x`` one at a time.  It ranks them by how many
+    vertices of ``y`` share their signature, then by label, and places next
+    the first-ranked vertex adjacent to one already placed, or the
+    first-ranked remaining vertex if there is none.  The candidates for v
+    are the vertices of ``y`` with v's signature, ascending.  Each face of
+    ``x`` of dimension >= 1 is checked at its last vertex in that order:
+    v -> w is accepted iff those faces map onto faces of ``y``.  That
+    rejects only partial maps that no isomorphism extends, so the result is
+    the first isomorphism in the search's order.  A full map needs no final
+    comparison: it is injective and sends every face of ``x`` to a face of
+    ``y``, and with equal f-vectors that is onto in every dimension.  The
+    search walks an explicit stack of candidate iterators, so the recursion
+    limit does not bound the number of vertices.
     """
     if x.f_vector != y.f_vector:
         return None
-    if x.dim < 0:
-        return {}
     sig_x = _vertex_signatures(x)
     sig_y = _vertex_signatures(y)
     if sorted(sig_x.values()) != sorted(sig_y.values()):
         return None
     by_sig: dict = {}
-    for v, s in sig_y.items():
-        by_sig.setdefault(s, []).append(v)
-    for s in by_sig:
-        by_sig[s].sort()
+    for w in y.vertices:
+        by_sig.setdefault(sig_y[w], []).append(w)
 
-    # Rarest signature first, then expand along edges where possible.
     order: list = []
     placed: set = set()
     remaining = sorted(x.vertices, key=lambda v: (len(by_sig[sig_x[v]]), v))
     while remaining:
-        pick = None
-        for v in remaining:
-            if any(u in placed for u in x.neighbors(v)):
-                pick = v
-                break
-        if pick is None:
-            pick = remaining[0]
+        pick = next((v for v in remaining if not x.neighbors(v).isdisjoint(placed)), remaining[0])
         order.append(pick)
         placed.add(pick)
         remaining.remove(pick)
+    position = {v: i for i, v in enumerate(order)}
+    checks: list = [[] for _ in order]
+    for k in range(1, x.dim + 1):
+        for f in x.faces(k):
+            checks[max(map(position.__getitem__, f))].append(f)
 
-    has_tri_x = x.dim >= 2
     mapping: dict = {}
     used: set = set()
-
-    def consistent(v: int, w: int) -> bool:
-        nx, ny = x.neighbors(v), y.neighbors(w)
-        for u, img in mapping.items():
-            if (u in nx) != (img in ny):
-                return False
-        if has_tri_x:
-            items = list(mapping.items())
-            for i in range(len(items)):
-                u1, w1 = items[i]
-                for j in range(i + 1, len(items)):
-                    u2, w2 = items[j]
-                    if x.has_face((u1, u2, v)) != y.has_face((w1, w2, w)):
-                        return False
-        return True
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            xf = {tuple(sorted(mapping[u] for u in f)) for f in x.facets}
-            return xf == set(y.facets)
-        v = order[idx]
-        for w in by_sig[sig_x[v]]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(idx + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return dict(mapping) if extend(0) else None
+    stack: list = []  # stack[i] yields the untried candidates for order[i]
+    i = 0
+    while 0 <= i < len(order):
+        v = order[i]
+        if i == len(stack):
+            stack.append(iter(by_sig[sig_x[v]]))
+        else:  # back from order[i + 1]: free the image of v
+            used.remove(mapping[v])
+        for w in stack[i]:
+            if w not in used:
+                mapping[v] = w
+                if all(y.has_face([mapping[u] for u in f]) for f in checks[i]):
+                    used.add(w)
+                    i += 1
+                    break
+        else:  # no candidate left for v: step back
+            mapping.pop(v, None)
+            stack.pop()
+            i -= 1
+    return mapping if i == len(order) else None

@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
-                        UnknownVertexError, Verdict, bit_positions, component_masks,
-                        verify_closed_manifold)
+                        UnknownVertexError, Verdict, _closed_surface_or_3_manifold,
+                        bit_positions, component_masks, verify_closed_manifold)
 from .linalg import FMatrix, FieldSpec, echelon_row, kernel_rows, row_basis
 
 
@@ -127,10 +127,6 @@ def _boundary_rows(x: Complex, k: int, field: FieldSpec) -> list:
 def chain_data(x: Complex, field: FieldSpec) -> ChainData:
     """Cached chain complex data for ``x`` over ``field``."""
     return ChainData(x, field)
-
-
-def _closed_surface_or_3_manifold(x: Complex) -> bool:
-    return 2 <= x.dim <= 3 and verify_closed_manifold(x).ok
 
 
 def _top_cycles(x: Complex, field: FieldSpec) -> int:

@@ -26,7 +26,7 @@ from multiprocessing import Pool
 from typing import Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
-                        verify_closed_manifold)
+                        _closed_surface_or_3_manifold, verify_closed_manifold)
 from .homology import betti, injectivity_on_mask, is_orientable
 from .linalg import FieldSpec
 
@@ -68,7 +68,7 @@ def _subset_masks(n: int, last: int):
 
 def _duality_applies(x: Complex, field: FieldSpec) -> bool:
     """Whether the connected ``x`` is a closed F-orientable 2- or 3-manifold."""
-    return x.dim in (2, 3) and verify_closed_manifold(x).ok and is_orientable(x, field)
+    return _closed_surface_or_3_manifold(x) and is_orientable(x, field)
 
 
 def _first_failure(x: Complex, field: FieldSpec, top: int, block: tuple) -> Optional[tuple]:
