@@ -410,6 +410,23 @@ def _closed_surface_or_3_manifold(x: Complex) -> bool:
     return x.dim in (2, 3) and verify_closed_manifold(x).ok
 
 
+def _require_closed_manifold(x: Complex, d: int, prefix: str, *, connected: bool = False) -> None:
+    """Raise ``PreconditionError(f"{prefix}: {reason}")`` unless ``x`` is a
+    closed d-manifold, connected if asked.  The reason is the first that
+    applies of ``dimension k``, the manifold verdict's detail and
+    ``disconnected``; the dimension comes first, so a complex of dimension
+    above 3 never reaches the manifold check's dimension cap."""
+    if x.dim != d:
+        reason = f"dimension {x.dim}"
+    elif not (man := verify_closed_manifold(x)).ok:
+        reason = man.detail
+    elif connected and not x.is_connected():
+        reason = "disconnected"
+    else:
+        return
+    raise PreconditionError(f"{prefix}: {reason}")
+
+
 def _check_closed_manifold(x: Complex) -> Verdict:
     d = x.dim
     if d > 3:

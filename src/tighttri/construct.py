@@ -17,7 +17,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
-                        UnsupportedDimensionError, Verdict, is_isomorphic, verify_closed_manifold)
+                        UnsupportedDimensionError, Verdict, _require_closed_manifold, is_isomorphic)
 from .homology import is_orientable
 from .linalg import QQ, FieldSpec
 from .stacked import _subdivide, is_stacked_sphere
@@ -173,10 +173,8 @@ def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
     """
     f1 = tuple(sorted(facet1))
     f2 = tuple(sorted(facet2))
-    man = verify_closed_manifold(x)
-    if not man.ok or x.dim != 3 or not x.is_connected():
-        raise PreconditionError(
-            f"handle addition needs a connected closed 3-manifold: {man.detail or 'wrong dimension'}")
+    _require_closed_manifold(x, 3, "handle addition needs a connected closed 3-manifold",
+                             connected=True)
     if f1 not in x.facets or f2 not in x.facets:
         raise AdmissibilityError("both gluing sites must be facets")
     if set(f1) & set(f2):

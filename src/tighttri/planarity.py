@@ -1,10 +1,12 @@
 """Planarity filter and Kuratowski-subdivision witnesses for small graphs.
 
-The filter embeds the graph in the plane block by block
-(Demoucron-Malgrange-Pertuiset: grow an embedded subgraph by routing one
-bridge path into an admissible face at a time); a completed embedding
-certifies planarity.  ``find_kuratowski_subdivision`` gets its witness from
-the same filter: it deletes vertices, then edges, while the graph stays
+The filter embeds the graph in the plane by Demoucron-Malgrange-Pertuiset
+(DMP): it grows an embedded subgraph from one edge by routing one fragment
+path into an admissible face at a time, and a completed embedding certifies
+planarity.  A fragment attached at fewer than two vertices, a piece glued on
+at a cut vertex or another component, is tested on its own, which stands in
+for a block decomposition.  ``find_kuratowski_subdivision`` gets its witness
+from the same filter: it deletes vertices, then edges, while the graph stays
 non-planar, and reads the K5 or K33 subdivision off what is left.  That is
 at most n + m + 1 filter calls, each polynomial; the entry point is capped at
 60 vertices because it exists to mechanize small link graphs, not to be a
@@ -80,82 +82,44 @@ def find_kuratowski_subdivision(g: Complex) -> Optional[KuratowskiWitness]:
 # -- planar embedding (DMP) -------------------------------------------------
 
 def _is_planar(adj: Dict[int, Set[int]]) -> bool:
-    for block in _biconnected_blocks(adj):
-        verts = {v for e in block for v in e}
-        if len(verts) <= 4:
-            continue
-        m = len(block)
-        if m > 3 * len(verts) - 6:
-            return False
-        sub = {v: set() for v in verts}
-        for a, b in block:
-            sub[a].add(b)
-            sub[b].add(a)
-        if not _dmp_planar_block(sub):
-            return False
-    return True
+    """Whether the graph embeds in the plane, by one DMP loop.
 
-
-def _biconnected_blocks(adj: Dict[int, Set[int]]) -> List[Set[FrozenSet[int]]]:
-    """Edge sets of the biconnected components (Hopcroft-Tarjan, iterative)."""
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    blocks: List[Set[FrozenSet[int]]] = []
-    estack: List[FrozenSet[int]] = []
-    counter = itertools.count()
-    for root in sorted(adj):
-        if root in index:
-            continue
-        stack = [(root, None, iter(sorted(adj[root])))]
-        index[root] = low[root] = next(counter)
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                e = frozenset((v, w))
-                if w not in index:
-                    estack.append(e)
-                    index[w] = low[w] = next(counter)
-                    stack.append((w, v, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                if index[w] < index[v]:
-                    estack.append(e)
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= index[u]:
-                    block: Set[FrozenSet[int]] = set()
-                    while estack:
-                        e = estack.pop()
-                        block.add(e)
-                        if e == frozenset((u, v)):
-                            break
-                    if block:
-                        blocks.append(block)
-    return blocks
-
-
-def _dmp_planar_block(adj: Dict[int, Set[int]]) -> bool:
-    """DMP embedding on a 2-connected graph: True iff an embedding completes."""
-    cycle = _find_cycle(adj)
-    faces: List[List[int]] = [list(cycle), list(reversed(cycle))]
-    h_vertices: Set[int] = set(cycle)
-    h_edges: Set[FrozenSet[int]] = {frozenset((cycle[i], cycle[(i + 1) % len(cycle)]))
-                                    for i in range(len(cycle))}
+    A graph on at most 4 vertices or with no edge is planar, and one with
+    more than 3n - 6 edges is not.  H starts as the edge from the least
+    vertex with a neighbour to its least neighbour, one face ``[a, b]`` that
+    the first routed path splits into the two faces of a cycle.  A fragment
+    of G against H attached at fewer than two vertices meets the rest of G
+    at one cut vertex or nowhere, so G is planar iff that piece and the rest
+    both are: the piece is tested on its own and its inner vertices dropped.
+    The other fragments lie in the block of G that holds H, where DMP
+    decides: a fragment whose attachments lie on no face of H means G is not
+    planar; otherwise a path through a fragment with the fewest admissible
+    faces splits the first of them.
+    """
+    n, degrees = len(adj), sum(map(len, adj.values()))
+    if n <= 4 or degrees == 0:
+        return True
+    if degrees > 2 * (3 * n - 6):
+        return False
+    a = min(v for v in adj if adj[v])
+    b = min(adj[a])
+    faces: List[List[int]] = [[a, b]]
+    h_vertices: Set[int] = {a, b}
+    h_edges: Set[FrozenSet[int]] = {frozenset((a, b))}
     while True:
-        fragments = _fragments(adj, h_vertices, h_edges)
+        fragments = []
+        for attachments, inner in _fragments(adj, h_vertices, h_edges):
+            if len(attachments) >= 2:
+                fragments.append((attachments, inner))
+                continue
+            piece = inner | attachments
+            if not _is_planar({v: adj[v] & piece for v in piece}):
+                return False
+            adj = {v: ns - inner for v, ns in adj.items() if v not in inner}
         if not fragments:
             return True
         best = None
-        for frag in fragments:
-            attachments, inner = frag
+        for attachments, inner in fragments:
             admissible = [i for i, f in enumerate(faces) if attachments <= set(f)]
             if not admissible:
                 return False
@@ -180,36 +144,6 @@ def _dmp_planar_block(adj: Dict[int, Set[int]]) -> bool:
         h_vertices.update(path)
         for t in range(len(path) - 1):
             h_edges.add(frozenset((path[t], path[t + 1])))
-
-
-def _find_cycle(adj: Dict[int, Set[int]]) -> List[int]:
-    # In an undirected depth-first search every visited non-parent neighbour
-    # is an ancestor, so the first such edge closes a cycle.
-    start = min(adj)
-    parent: Dict[int, Optional[int]] = {start: None}
-
-    def dfs(v: int) -> Optional[List[int]]:
-        for w in sorted(adj[v]):
-            if w == parent[v]:
-                continue
-            if w in parent:
-                path = [v]
-                u = parent[v]
-                while u != w:
-                    path.append(u)
-                    u = parent[u]
-                path.append(w)
-                return path
-            parent[w] = v
-            found = dfs(w)
-            if found is not None:
-                return found
-        return None
-
-    cycle = dfs(start)
-    if cycle is None:
-        raise InternalInconsistencyError("graph has no cycle")
-    return cycle
 
 
 def _fragments(adj, h_vertices: Set[int], h_edges: Set[FrozenSet[int]]):

@@ -18,8 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .complexes import (Complex, PreconditionError, UnsupportedDimensionError,
-                        Verdict, bit_positions, component_masks, verify_closed_manifold)
+from .complexes import (Complex, PreconditionError, UnsupportedDimensionError, Verdict,
+                        _require_closed_manifold, bit_positions, component_masks,
+                        verify_closed_manifold)
 
 
 class HypothesisViolationError(ValueError):
@@ -86,9 +87,7 @@ def is_stacked_sphere(s: Complex, d: int) -> Verdict:
     """
     if d not in (2, 3):
         raise UnsupportedDimensionError("stacked-sphere recognition supports d in {2, 3}")
-    man = verify_closed_manifold(s)
-    if not man.ok or s.dim != d:
-        raise PreconditionError(f"not a closed {d}-manifold: {man.detail or 'wrong dimension'}")
+    _require_closed_manifold(s, d, f"not a closed {d}-manifold")
     if not s.is_connected():
         return Verdict(False, detail="disconnected, hence not a sphere")
     # in ascending vertex order, which removals keep
@@ -187,9 +186,7 @@ def _mod3_witness(s: Complex, within: int) -> Optional[CycleWitness]:
 
 def is_locally_stacked(m: Complex) -> Verdict:
     """Every vertex link is a stacked 2-sphere; witness is the first offender."""
-    man = verify_closed_manifold(m)
-    if not man.ok or m.dim != 3:
-        raise PreconditionError(f"not a closed 3-manifold: {man.detail or 'wrong dimension'}")
+    _require_closed_manifold(m, 3, "not a closed 3-manifold")
     for v in m.vertices:
         if not is_stacked_sphere(m.link(v), 2).ok:
             return Verdict(False, witness=v, detail=f"link of vertex {v} is not stacked")
@@ -258,9 +255,7 @@ def decompose_ti(s: Complex) -> SummandList:
     2-sphere with every degree 5 (around any vertex the degrees force a
     pentagon, a second pentagon and an antipode).
     """
-    man = verify_closed_manifold(s)
-    if not man.ok or s.dim != 2 or not s.is_connected():
-        raise PreconditionError(f"not a triangulated 2-sphere: {man.detail or 'wrong dimension'}")
+    _require_closed_manifold(s, 2, "not a triangulated 2-sphere", connected=True)
     f = s.f_vector
     if f[0] - f[1] + f[2] != 2:
         raise PreconditionError("not a 2-sphere: Euler characteristic differs from 2")

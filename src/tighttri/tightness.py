@@ -26,7 +26,7 @@ from multiprocessing import Pool
 from typing import Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
-                        _closed_surface_or_3_manifold, verify_closed_manifold)
+                        _closed_surface_or_3_manifold, _require_closed_manifold)
 from .homology import betti, injectivity_on_mask, is_orientable
 from .linalg import FieldSpec
 
@@ -171,10 +171,7 @@ def is_tight_fast_3manifold(x: Complex, field: FieldSpec) -> TightnessReport:
     rather than trusting the caller; the criterion is false for
     non-manifolds."""
     t0 = time.perf_counter()
-    v = verify_closed_manifold(x)
-    if not v.ok or x.dim != 3:
-        raise PreconditionError(
-            f"the fast criterion applies to closed 3-manifolds only: {v.detail or 'dimension ' + str(x.dim)}")
+    _require_closed_manifold(x, 3, "the fast criterion applies to closed 3-manifolds only")
     b = betti(x, field)
     orientable = b[3] > 0
     f0 = x.f_vector[0]
@@ -187,10 +184,7 @@ def is_tight_fast_3manifold(x: Complex, field: FieldSpec) -> TightnessReport:
 def is_tight_surface(x: Complex, field: FieldSpec) -> TightnessReport:
     """Closed-surface tightness: orientable over the field and neighbourly."""
     t0 = time.perf_counter()
-    v = verify_closed_manifold(x)
-    if not v.ok or x.dim != 2:
-        raise PreconditionError(
-            f"the surface criterion applies to closed 2-manifolds only: {v.detail or 'dimension ' + str(x.dim)}")
+    _require_closed_manifold(x, 2, "the surface criterion applies to closed 2-manifolds only")
     orientable = is_orientable(x, field)
     neigh = x.is_neighbourly()
     return TightnessReport(orientable and neigh, "surface", field, x.f_vector,

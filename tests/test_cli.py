@@ -341,6 +341,7 @@ BRANCH_FILES = {
     "no_faces": '{"facets": []}',
     "deep_json": '{"facets": ' + "[" * 100_000,
     "deep_cert": "[" * 100_000,
+    "two_spheres": "0 1 2\n0 1 3\n0 2 3\n1 2 3\n4 5 6\n4 5 7\n4 6 7\n5 6 7\n",
 }
 
 # (argv, environment, the start of the one line on stderr): every one exits
@@ -366,6 +367,9 @@ BRANCH_ERRORS = [
      "error: bad field 'p:0': 0 is not prime"),
     (["check", "manifold", "{dim4}"], {},
      "error: manifold verification supports dimension <= 3, got 4"),
+    (["decompose", "{two_spheres}"], {}, "error: not a triangulated 2-sphere: disconnected"),
+    (["check", "locally-stacked", "builtin:icosahedron"], {},
+     "error: not a closed 3-manifold: dimension 2"),
     (["gen", "handle", "builtin:boundary-delta4", "--facets", "0", "--bijection", "0:1"], {},
      "error: --facets expects two comma-separated facet indexes"),
     (["gen", "handle", "builtin:boundary-delta4", "--facets", "0,1", "--bijection", "0-1"], {},

@@ -91,9 +91,13 @@ def _ref_split_at_triangle(s: Complex, tri: tuple):
 
 
 def reference_decompose_ti(s: Complex) -> SummandList:
+    if s.dim != 2:
+        raise PreconditionError(f"not a triangulated 2-sphere: dimension {s.dim}")
     man = verify_closed_manifold(s)
-    if not man.ok or s.dim != 2 or not s.is_connected():
-        raise PreconditionError(f"not a triangulated 2-sphere: {man.detail or 'wrong dimension'}")
+    if not man.ok:
+        raise PreconditionError(f"not a triangulated 2-sphere: {man.detail}")
+    if not s.is_connected():
+        raise PreconditionError("not a triangulated 2-sphere: disconnected")
     f = s.f_vector
     if f[0] - f[1] + f[2] != 2:
         raise PreconditionError("not a 2-sphere: Euler characteristic differs from 2")

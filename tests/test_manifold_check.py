@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tighttri import Complex, catalog, stacked_sphere, verify_closed_manifold
+from tighttri import (GF2, Complex, PreconditionError, catalog, decompose_ti, handle_addition,
+                      is_locally_stacked, is_stacked_sphere, is_tight_fast_3manifold,
+                      is_tight_surface, stacked_sphere, verify_closed_manifold)
 from tighttri import complexes
 from tighttri.complexes import UnsupportedDimensionError, Verdict, vertex_links
 
@@ -230,3 +232,69 @@ def test_dimension_cap_is_raised_on_every_call():
     for _ in range(2):
         with pytest.raises(UnsupportedDimensionError):
             verify_closed_manifold(x)
+
+
+# -- the closed-manifold precondition of the six entry points that need one --
+
+def _two_copies(x: Complex) -> Complex:
+    shift = max(x.vertices) + 1
+    return Complex.from_facets(list(x.facets) + [tuple(v + shift for v in f) for f in x.facets])
+
+
+# (entry point on a complex, its dimension, its message prefix, whether it
+# needs a connected input)
+PRECONDITION_SITES = {
+    "is_stacked_sphere-2": (lambda x: is_stacked_sphere(x, 2), 2,
+                            "not a closed 2-manifold", False),
+    "is_stacked_sphere-3": (lambda x: is_stacked_sphere(x, 3), 3,
+                            "not a closed 3-manifold", False),
+    "is_locally_stacked": (is_locally_stacked, 3, "not a closed 3-manifold", False),
+    "decompose_ti": (decompose_ti, 2, "not a triangulated 2-sphere", True),
+    "handle_addition": (lambda x: handle_addition(x, (0, 1, 2, 3), (4, 5, 6, 7), {}), 3,
+                        "handle addition needs a connected closed 3-manifold", True),
+    "is_tight_fast_3manifold": (lambda x: is_tight_fast_3manifold(x, GF2), 3,
+                                "the fast criterion applies to closed 3-manifolds only", False),
+    "is_tight_surface": (lambda x: is_tight_surface(x, GF2), 2,
+                         "the surface criterion applies to closed 2-manifolds only", False),
+}
+
+# a closed manifold of each dimension, and one that fails the check with the
+# detail its message has always given
+CLOSED = {2: catalog.icosahedron(), 3: catalog.boundary_simplex(4)}
+NOT_CLOSED = {
+    2: (Complex.from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (1, 2, 3)]),
+        "link of vertex 0 is not a single cycle"),
+    3: (Complex.from_facets(catalog.boundary_simplex(4).facets[1:]),
+        "link of vertex 0 is not a 2-sphere: edge (1, 2) lies in 1 triangles"),
+}
+
+
+@pytest.mark.parametrize("site", list(PRECONDITION_SITES))
+def test_precondition_names_the_wrong_dimension(site):
+    call, d, prefix, _ = PRECONDITION_SITES[site]
+    # dimension 4 is compared before the manifold check could refuse it
+    for x in (CLOSED[5 - d], catalog.boundary_simplex(5)):
+        with pytest.raises(PreconditionError) as info:
+            call(x)
+        assert str(info.value) == f"{prefix}: dimension {x.dim}"
+
+
+@pytest.mark.parametrize("site", list(PRECONDITION_SITES))
+def test_precondition_names_a_disconnected_input_where_it_matters(site):
+    call, d, prefix, connected = PRECONDITION_SITES[site]
+    x = _two_copies(catalog.boundary_simplex(d + 1))
+    if connected:
+        with pytest.raises(PreconditionError) as info:
+            call(x)
+        assert str(info.value) == f"{prefix}: disconnected"
+    else:
+        call(x)
+
+
+@pytest.mark.parametrize("site", list(PRECONDITION_SITES))
+def test_precondition_keeps_the_manifold_detail(site):
+    call, d, prefix, _ = PRECONDITION_SITES[site]
+    x, detail = NOT_CLOSED[d]
+    with pytest.raises(PreconditionError) as info:
+        call(x)
+    assert str(info.value) == f"{prefix}: {detail}"

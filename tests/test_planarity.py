@@ -27,6 +27,58 @@ def seeded_non_edges(g, count, seed):
     return random.Random(seed).sample(non_edges, count)
 
 
+def relabel(edges, offset):
+    return [(a + offset, b + offset) for a, b in edges]
+
+
+def clique(vertices):
+    return list(itertools.combinations(vertices, 2))
+
+
+def k33(part1, part2):
+    return [(a, b) for a in part1 for b in part2]
+
+
+def structured_graphs():
+    """Graphs whose blocks meet at cut vertices or bridges, or lie in other
+    components, so that the filter tests a piece hanging at one vertex, or
+    at none, on its own.  The planar skeleton is a stacked 2-sphere's on
+    vertices 0-19, and the K5 and K33 are put on it or on fresh labels."""
+    sphere = list(stacked_sphere(20, 2, seed=0).one_skeleton().faces(1))
+    tree = [(random.Random(v).randrange(v), v) for v in range(1, 30)]
+    triangles = [e for i in range(29) for e in clique((2 * i, 2 * i + 1, 2 * i + 2))]
+    k4s = [e for i in range(19) for e in clique(range(3 * i, 3 * i + 4))]
+    icosahedron = list(catalog.icosahedron().faces(1))
+    octahedron = list(catalog.suspension(catalog.cycle_complex(4)).faces(1))
+    graphs = {
+        "sphere+K5-at-cut-vertex": sphere + clique((7, 20, 21, 22, 23)),
+        "sphere+K33-at-cut-vertex": sphere + k33((7, 20, 21), (22, 23, 24)),
+        "sphere+K5-behind-bridge": sphere + [(7, 20)] + clique(range(20, 25)),
+        "sphere+K33-behind-bridge": sphere + [(7, 20)] + k33((20, 21, 22), (23, 24, 25)),
+        "K5-at-cut-vertex+sphere": clique(range(5)) + relabel(sphere, 4),
+        "cycle+K33-apart": [(i, (i + 1) % 6) for i in range(6)] + k33((10, 11, 12), (13, 14, 15)),
+        "sphere+K5-apart": sphere + clique(range(30, 35)),
+        "isolated-least+K5": [(0,)] + clique(range(1, 6)),
+        "isolated-least+sphere": [(0,)] + relabel(sphere, 1),
+        "leaf-least+K33": [(0, 1)] + k33((1, 2, 3), (4, 5, 6)),
+        "leaf-least+sphere": [(0, 5)] + relabel(sphere, 1),
+        "tree": tree,
+        "forest": tree + relabel(tree[:20], 30) + [(55, 56)],
+        "star": [(0, v) for v in range(1, 25)],
+        "two-icosahedra-at-cut-vertex": icosahedron + relabel(icosahedron, 11),
+        "two-K4s-at-cut-vertex": clique(range(4)) + clique(range(3, 7)),
+        "sphere+octahedron-at-cut-vertex": sphere + relabel(octahedron, 19),
+        "triangle-necklace-60": triangles + [(58, 59)],
+        "K4-necklace-58": k4s,
+        "K4-necklace+K5-at-the-end": k4s[:-6] + clique(range(54, 59)),
+        "K4-necklace+K33-in-the-middle": k4s[:-12] + k33((30, 52, 53), (54, 55, 56)),
+    }
+    return {name: Complex.from_facets(edges) for name, edges in graphs.items()}
+
+
+STRUCTURED = structured_graphs()
+
+
 def assert_valid_witness(g, w):
     edges = set(g.one_skeleton().faces(1))
     if w.pattern == "K5":
@@ -198,6 +250,17 @@ class TestPlanarityFilter:
             assert (w is None) == planar, edges
             if w is not None:
                 assert_valid_witness(g, w)
+
+    @pytest.mark.parametrize("name", list(STRUCTURED))
+    def test_blocks_at_cut_vertices_and_apart(self, name):
+        nx = pytest.importorskip("networkx")
+        g = STRUCTURED[name]
+        graph = nx.Graph(g.faces(1))
+        graph.add_nodes_from(g.vertices)
+        w = find_kuratowski_subdivision(g)
+        assert (w is None) == nx.check_planarity(graph)[0]
+        if w is not None:
+            assert_valid_witness(g, w)
 
     def test_known_families(self):
         assert find_kuratowski_subdivision(catalog.icosahedron()) is None
