@@ -9,7 +9,9 @@ corpus is the same on every run.
 import random
 from collections import Counter
 
-from tighttri import Complex, catalog, connected_sum, stacked_sphere
+from tighttri import (Complex, catalog, connected_sum, find_admissible_handle, handle_addition,
+                      stacked_sphere)
+from tighttri.construct import _grow_search_sphere
 
 
 def subdivide_facet(x: Complex, facet) -> Complex:
@@ -57,6 +59,19 @@ def random_ti_sum(rng: random.Random, max_summands: int = 6):
     """A T/I sum of 1 to ``max_summands`` drawn kinds, with its recipe."""
     kinds = [rng.choice("TI") for _ in range(rng.randint(1, max_summands))]
     return ti_sum(kinds, rng), Counter(kinds)
+
+
+def two_handle_quotient(seed=1) -> Complex:
+    """Two random admissible handles on the 21-vertex search sphere of the
+    seed, drawn as the search draws them.  With the default seed it has f =
+    (13, 62, 98, 49) and beta_1 = 2 over every field; it is orientable over
+    GF(2) only, with beta = (1, 2, 2, 1) there and (1, 2, 1, 0) over GF(3)
+    and Q."""
+    rng = random.Random(seed)
+    x = _grow_search_sphere(21, rng)
+    for _ in range(2):
+        x = handle_addition(x, *find_admissible_handle(x, rng))
+    return x
 
 
 def closed_3_manifolds(quotients) -> list:

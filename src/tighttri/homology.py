@@ -8,21 +8,28 @@ boundary matrices, with the ambient complex literally: they are the rows
 of the ambient matrices at the subcomplex's faces, no sign correction
 needed.  The injectivity test never builds the subcomplex: a vertex mask
 selects its faces, those through no vertex outside it, as a mask over the
-ambient faces read off per-vertex face masks, and, by a flood over
-adjacency masks, its components.  In degree k it first counts Y's
-(k+1)-faces through its least vertex v0: each such face v0 + t has a ±1
-entry at its own k-face t and no other face through v0 has one there, so
-their boundaries are independent over every field, and since B_k(Y) lies
-in Z_k(Y), a count equal to dim Z_k(Y) proves H_k(Y) = 0 with no
-elimination.  Only a shortfall eliminates, on ambient rows and on the kept
-bases Betti numbers share.  On a closed 2- or 3-manifold the top Betti
-number comes from a flood over the facets instead of elimination.
+ambient faces of every degree read off per-vertex face masks in one pass,
+and, by a flood over adjacency masks, its components.  In degree k it
+first counts Y's (k+1)-faces through its least vertex v0: each such face
+v0 + t has a ±1 entry at its own k-face t and no other face through v0 has
+one there, so their boundaries are independent over every field, and since
+B_k(Y) lies in Z_k(Y), a count equal to dim Z_k(Y) proves H_k(Y) = 0 with
+no elimination.  In degree 1 a shortfall is measured against the rank r of
+H_1(Y) -> H_1(X) instead, which X's cocycles give with no elimination
+either (H^1(X) = Hom(H_1(X), F) over a field): the map is injective iff
+rank B_1(Y) = dim Z_1(Y) - r.  Only a shortfall eliminates, on ambient
+rows and on the kept bases Betti numbers share, and only a subset that
+fails goes on to the meet C_k(Y) ∩ B_k(X) for its witness.  On a closed 2-
+or 3-manifold the top Betti number comes from a flood over the facets
+instead of elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
@@ -40,14 +47,14 @@ class ChainData:
     format: bit masks over GF(2), ``{column: ±1 mod p}`` dicts over GF(p)
     and ``{column: ±1}`` dicts over Q, with columns in ascending order.
     :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them.
-    :meth:`through` holds, per vertex, the mask of the faces through it.
+    :attr:`through` holds, per vertex, the mask of the faces through it, and
+    ``_cocycles`` a basis of H^1 read off the basis of the 1-boundaries.
     """
 
     def __init__(self, x: Complex, field: FieldSpec):
         self.complex = x
         self.field = field
         self._rows: dict = {}
-        self._through: dict = {}
         self._bases: dict = {}
 
     def rows(self, k: int) -> list:
@@ -56,19 +63,29 @@ class ChainData:
             self._rows[k] = _boundary_rows(self.complex, k, self.field)
         return self._rows[k]
 
-    def through(self, k: int) -> list:
-        """Per vertex position, the mask of the k-faces through that vertex:
-        bit j is set iff the j-th k-face contains it.  Built on first use, so
-        only for the degrees a scan reaches."""
-        if k not in self._through:
-            pos = self.complex._vertex_position
-            masks = [0] * self.complex.num_vertices
-            for j, f in enumerate(self.complex.faces(k)):
-                bit = 1 << j
+    @cached_property
+    def through(self) -> tuple:
+        """Per vertex position, the mask of the faces through that vertex in
+        every degree at once: the k-faces take the bits from
+        ``f_0 + ... + f_{k-1}`` on, and bit j of that window is set iff the
+        j-th k-face contains the vertex.  Built on first use."""
+        x = self.complex
+        pos = x._vertex_position
+        masks = [0] * x.num_vertices
+        bit = 1
+        for k in range(x.dim + 1):
+            for f in x.faces(k):
                 for v in f:
                     masks[pos[v]] |= bit
-            self._through[k] = masks
-        return self._through[k]
+                bit <<= 1
+        return tuple(masks)
+
+    @cached_property
+    def _windows(self) -> tuple:
+        """Per degree, where its window of the masks in :attr:`through`
+        starts, and the mask that cuts it out."""
+        f = self.complex.f_vector
+        return tuple((off, (1 << fk) - 1) for off, fk in zip(itertools.accumulate(f, initial=0), f))
 
     def boundary(self, k: int) -> FMatrix:
         """The k-th boundary map over the field, for k in 0..dim."""
@@ -108,6 +125,126 @@ class ChainData:
             return _top_cycles(x, self.field)
         return self.betti[x.dim]
 
+    @cached_property
+    def _cocycles(self) -> list:
+        """A basis of H^1(X; F): the 1-cocycles that vanish on the edges of
+        :func:`_spanning_forest`, as rows over the edges, integer multiples
+        of cocycles over Q.
+
+        A cocycle vanishes on B_1(X).  The basis of B_1(X) kept for
+        :attr:`betti` and the meet, with the forest's unit rows added, spans
+        a space meeting no cocycle but 0, since a cycle on a forest is 0.
+        It has dimension f_1 - beta_1, so its reduced form leaves beta_1
+        free columns, and each free column j gives the cocycle that is 1 at
+        j, 0 at the other free columns and minus the entry at j of the row
+        pivoting there at each pivot.  So every class has one
+        representative vanishing on the forest.
+        """
+        x, field, p = self.complex, self.field, self.field.char
+        n = len(x.faces(1))
+        forest = _spanning_forest(x)
+        if n - len(forest) == self.basis(2).dim:
+            return []  # beta_1 = 0
+        col = {e: j for j, e in enumerate(x.faces(1))}
+        basis = row_basis(field, n)
+        for e in forest:
+            basis.add(1 << col[e] if p == 2 else {col[e]: 1})
+        for r in self.basis(2).rows_at(range(n)):
+            basis.add(r)
+        rows = basis.rows_at(range(n))
+        if p == 2:
+            pivots = sum(r & -r for r in rows)
+            cocycles = {j: 1 << j for j in range(n) if not pivots >> j & 1}
+            for r in rows:
+                pivot = r & -r
+                for j in bit_positions(r ^ pivot):
+                    cocycles[j] |= pivot
+            return list(cocycles.values())
+        pivots = {min(r) for r in rows}
+        terms: dict = {j: [] for j in range(n) if j not in pivots}
+        for r in rows:
+            pivot = min(r)
+            for j, v in r.items():
+                if j != pivot:
+                    terms[j].append((pivot, v, r[pivot]))
+        cocycles = []
+        for j, column in terms.items():
+            # the pivot entries are 1 over GF(p); over Q their lcm clears denominators
+            scale = lcm(1, *(d for _, _, d in column))
+            cocycle = {j: scale}
+            for pivot, v, d in column:
+                cocycle[pivot] = -v * (scale // d) % p if p else -v * (scale // d)
+            cocycles.append(cocycle)
+        return cocycles
+
+    @cached_property
+    def _h1(self) -> tuple:
+        """``(steps, add, defect)`` for :func:`_h1_rank`, on the cocycles.
+
+        A vector of values of the cocycles is packed into one int, the i-th
+        value in the i-th slot of s bits: one bit over GF(2), a residue over
+        GF(p) and a signed int over Q, with s large enough that no potential
+        of :func:`_h1_rank` overflows a slot.  ``steps`` holds, per vertex
+        position v, pairs ``(value, mask)``: the packed values on the edges
+        from v to the neighbours in ``mask``.  ``add`` adds packed vectors,
+        slot by slot mod p over GF(p), and ``defect(e, q)`` is e - q as a
+        row over the cocycles in the field's row format.
+        """
+        x, p = self.complex, self.field.char
+        cocycles = self._cocycles
+        beta = len(cocycles)
+        if p == 2:
+            values = [[c >> j & 1 for c in cocycles] for j in range(len(x.faces(1)))]
+            s = 1
+        else:
+            values = [[c.get(j, 0) for c in cocycles] for j in range(len(x.faces(1)))]
+            if p:
+                # a slot holds a sum of two residues, below 2p, and a bit above it
+                s = (2 * p).bit_length() + 1
+            else:
+                # a potential sums the values on at most f_0 - 1 edges, and adds one more
+                s = (x.num_vertices * max(abs(v) for c in cocycles for v in c.values())).bit_length() + 1
+
+        def pack(cs) -> int:
+            return sum(c << s * i for i, c in enumerate(cs))
+
+        pos = x._vertex_position
+        steps: list = [{} for _ in range(x.num_vertices)]
+        for (a, b), cs in zip(x.faces(1), values):
+            for u, v, value in ((a, b, pack(cs)), (b, a, pack([-c % p if p else -c for c in cs]))):
+                out = steps[pos[u]]
+                out[value] = out.get(value, 0) | 1 << pos[v]
+        steps = tuple(tuple(out.items()) for out in steps)
+
+        if p == 2:
+            return steps, operator.xor, operator.xor
+        if p:
+            # a slot of a sum is at most 2p - 2 < 2**(s-1); adding 2**(s-1) - p
+            # to it sets bit s-1 exactly when it is p or more
+            high = sum(1 << (s * i + s - 1) for i in range(beta))
+            offset = high - sum(p << s * i for i in range(beta))
+
+            def add(a: int, b: int) -> int:
+                t = a + b
+                return t - (((t + offset) & high) >> s - 1) * p
+        else:
+            add = operator.add
+        half, full = 1 << s - 1, (1 << s) - 1
+
+        def unpack(v: int) -> list:
+            out = []
+            for _ in range(beta):
+                c = ((v + half) & full) - half
+                out.append(c)
+                v = (v - c) >> s
+            return out
+
+        def defect(e: int, q: int) -> dict:
+            diff = ((a - b) % p if p else a - b for a, b in zip(unpack(e), unpack(q)))
+            return {i: d for i, d in enumerate(diff) if d}
+
+        return steps, add, defect
+
 
 def _boundary_rows(x: Complex, k: int, field: FieldSpec) -> list:
     kfaces = x.faces(k)
@@ -121,6 +258,27 @@ def _boundary_rows(x: Complex, k: int, field: FieldSpec) -> list:
         return [sum(1 << cols[g] for g in itertools.combinations(f, k)) for f in kfaces]
     signs = [(-1) ** i % p if p else (-1) ** i for i in range(k, -1, -1)]
     return [{cols[g]: s for g, s in zip(itertools.combinations(f, k), signs)} for f in kfaces]
+
+
+def _spanning_forest(x: Complex) -> list:
+    """The edges of a spanning forest of ``x``: a flood over the adjacency
+    masks from the least vertex of each component."""
+    nbrs, verts = x._neighbour_masks, x.vertices
+    edges = []
+    seen = 0
+    for root in range(x.num_vertices):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            new = nbrs[v] & ~seen
+            seen |= new
+            for u in bit_positions(new):
+                edges.append((verts[min(u, v)], verts[max(u, v)]))
+                stack.append(u)
+    return edges
 
 
 @lru_cache(maxsize=256)
@@ -217,16 +375,19 @@ def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -
     component of the ambient complex X.  In degree k >= 1 the map is
     injective iff the k-chains of Y that bound in X already bound in Y.
     Such a chain is automatically a cycle of Y, so the test compares
-    dim(C_k(Y) n B_k(X)) with dim B_k(Y), all read off rows of the ambient
-    boundary matrices and of the cached reduced basis of B_k(X).  The meet
-    is spanned by the combinations of the basis rows r_i pivoting on Y's
-    k-faces whose parts off those faces cancel: its dimension is their
-    count minus the rank of those parts, and its reduced echelon form is
-    :func:`~tighttri.linalg.kernel_rows` of the pairs (r_i off Y | r_i).
-    On failure the witness is ``(k, chain)``: in degree 0 the 0-cycle
-    u - v on the least vertices of the first such pair of components, else
-    the first row of the reduced echelon form of C_k(Y) n B_k(X) outside
-    B_k(Y), as (face, coefficient) pairs.
+    dim(C_k(Y) n B_k(X)) with dim B_k(Y), deciding each degree by the
+    first step that settles it (see :func:`injectivity_on_mask`): the
+    cone count, in degree 1 the cocycles of X, which give the meet's
+    dimension as dim Z_1(Y) minus the rank of H_1(Y) -> H_1(X), and the
+    rank of Y's rows of the ambient boundary matrix.  The meet itself is
+    computed only for the witness: it is spanned by the combinations of
+    the rows r_i of the cached reduced basis of B_k(X) pivoting on Y's
+    k-faces whose parts off those faces cancel, and its reduced echelon
+    form is :func:`~tighttri.linalg.kernel_rows` of the pairs (r_i off Y |
+    r_i).  On failure the witness is ``(k, chain)``: in degree 0 the
+    0-cycle u - v on the least vertices of the first such pair of
+    components, else the first row of the reduced echelon form of C_k(Y) n
+    B_k(X) outside B_k(Y), as (face, coefficient) pairs.
     """
     w = frozenset(subset)
     if not w <= x.vertex_set:
@@ -242,16 +403,24 @@ def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -
 def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> Verdict:
     """The test of :func:`induced_map_injective` in degrees 0..top < dim, for
     the induced subcomplex Y on the vertex positions set in ``wmask``.  Y's
-    k-faces are the ambient ones through no vertex outside ``wmask``, read
-    off :meth:`ChainData.through` as a mask over the ambient k-faces.
+    faces are the ambient ones through no vertex outside ``wmask``, read
+    off :attr:`ChainData.through` by :func:`_faces_inside` as one mask over
+    the ambient faces of every degree.
 
     In degree k the (k+1)-faces of Y through its least vertex v0 are counted
     first.  Each such face v0 + t has a ±1 entry at its own k-face t, which
     no other face through v0 has, so their boundaries are independent over
     every field; they lie in B_k(Y), and B_k(Y) lies in Z_k(Y).  So a count
     equal to dim Z_k(Y) proves H_k(Y) = 0, and is the rank of d_{k+1} on Y.
-    Only a shortfall builds the per-subset basis of B_k(Y), and only a basis
-    still short of dim Z_k(Y) goes on to the meet C_k(Y) ∩ B_k(X).
+    A shortfall in degree 1 goes to :func:`_h1_rank` for the rank r of
+    H_1(Y) -> H_1(X).  Then dim(C_1(Y) ∩ B_1(X)) = dim Z_1(Y) - r, which
+    caps rank B_1(Y): a count that reaches the cap proves injectivity.  In
+    higher degrees the cap is dim Z_k(Y).  Short of the cap, the per-subset
+    basis of B_k(Y) is built up to it, and reaching it proves injectivity
+    with the rank exact for the next degree.  Only a basis still short goes
+    on to :func:`_meet_witness`, holding every row, for the witness; in
+    degree 1 that meet must find one, and raises
+    :class:`~tighttri.complexes.InternalInconsistencyError` if it does not.
     """
     comps = component_masks(x, wmask)
     if len(comps) > 1:
@@ -273,27 +442,88 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
     if top < 1:
         return Verdict(True)
     cd = chain_data(x, field)
-    others = list(bit_positions(((1 << x.num_vertices) - 1) ^ wmask))
     v0 = (wmask & -wmask).bit_length() - 1
-    ymask = _faces_inside(cd, 1, others)
+    inside = _faces_inside(cd, wmask)
+    star = inside & cd.through[v0]
+    windows = cd._windows
+    off, ones = windows[1]
+    ymask = inside >> off & ones
     # rank of d_k on Y's k-faces; d_1's is |Y_0| minus Y's component count
     rank_k = size - len(comps)
     for k in range(1, top + 1):
         cycles_dim = ymask.bit_count() - rank_k
-        up = _faces_inside(cd, k + 1, others)
+        off, ones = windows[k + 1]
+        up = inside >> off & ones
         # the cone over v0: independent boundaries, so a lower bound on the
         # rank of d_{k+1} on Y, and the rank itself once it fills Z_k(Y)
-        rank_k = (up & cd.through(k + 1)[v0]).bit_count()
+        rank_k = (star >> off & ones).bit_count()
         if rank_k < cycles_dim:
-            by = _rows_basis(cd, k + 1, up, cycles_dim)
-            rank_k = by.dim
-            if by.dim < cycles_dim:
-                witness = _meet_witness(cd, k, ymask, by)
-                if witness is not None:
-                    return Verdict(False, witness=(k, witness),
-                                   detail=f"a {k}-cycle of the subcomplex bounds in the complex but not in the subcomplex")
+            # rank B_k(Y) <= cap: in degree 1 the dimension of C_1(Y) ∩ B_1(X),
+            # read off the cocycles of X, above it dim Z_k(Y)
+            cap = cycles_dim - _h1_rank(cd, comps, cycles_dim - rank_k) if k == 1 else cycles_dim
+            if rank_k < cap:
+                by = _rows_basis(cd, k + 1, up, cap)
+                rank_k = by.dim
+                if rank_k < cap:
+                    witness = _meet_witness(cd, k, ymask, by)
+                    if witness is not None:
+                        return Verdict(False, witness=(k, witness),
+                                       detail=f"a {k}-cycle of the subcomplex bounds in the complex but not in the subcomplex")
+                    if k == 1:
+                        raise InternalInconsistencyError(
+                            f"degree 1: the cocycles of X give C(Y) ∩ B(X) dimension {cap} "
+                            f"> dim B(Y) = {rank_k}, but the meet equals B(Y)")
         ymask = up
     return Verdict(True)
+
+
+def _h1_rank(cd: ChainData, comps: list, most: int) -> int:
+    """The rank r of H_1(Y) -> H_1(X), for the induced subcomplex Y with
+    components ``comps``, or ``most`` once r reaches it.
+
+    Over a field H^1(X) = Hom(H_1(X), F), so r is the rank of X's cocycles
+    evaluated on Y's fundamental cycles.  A flood over each component's
+    vertex mask from its least vertex gives each vertex a potential, the
+    packed values of the cocycles summed along the flood's path to it: a
+    spanning tree of the component.  An edge u -> v of Y whose value is c
+    closes the fundamental cycle on which the cocycles take P(u) + c - P(v),
+    zero exactly when v has the potential P(u) + c.  So the flood keeps, per
+    potential, the mask of the vertices that have it, and tests each step
+    from a vertex against one mask; a step that misses it gives the values
+    on one fundamental cycle, and r is the rank of those.
+    """
+    beta = len(cd._cocycles)
+    if not beta:
+        return 0
+    steps, add, defect = cd._h1
+    most = min(most, beta)
+    found = row_basis(cd.field, beta)
+    for comp in comps:
+        root = seen = comp & -comp
+        having = {0: root}  # potential -> mask of the vertices that have it
+        stack = [(root, 0)]  # vertices given one potential in one step, and it
+        while stack:
+            todo, pu = stack.pop()
+            while todo:
+                u = todo & -todo
+                todo ^= u
+                for value, nbrs in steps[u.bit_length() - 1]:
+                    nbrs &= comp
+                    if not nbrs:
+                        continue
+                    expected = add(pu, value)
+                    same = having.get(expected, 0)
+                    bad = nbrs & seen & ~same
+                    if bad:
+                        for q, m in having.items():
+                            if m & bad and found.add(defect(expected, q)) and found.dim == most:
+                                return most
+                    new = nbrs & ~seen
+                    if new:
+                        seen |= new
+                        having[expected] = same | new
+                        stack.append((new, expected))
+    return found.dim
 
 
 def _meet_witness(cd: ChainData, k: int, ymask: int, by) -> Optional[tuple]:
@@ -330,14 +560,16 @@ def _meet_witness(cd: ChainData, k: int, ymask: int, by) -> Optional[tuple]:
         f"degree {k}: no cycle of C(Y) ∩ B(X) outside B(Y) despite the dimension gap")
 
 
-def _faces_inside(cd: ChainData, k: int, others: Iterable[int]) -> int:
-    """The mask of the k-faces through none of the vertex positions
-    ``others``: those of the subcomplex induced on the rest."""
-    through = cd.through(k)
+def _faces_inside(cd: ChainData, wmask: int) -> int:
+    """The faces of the subcomplex induced on the vertex positions set in
+    ``wmask``, those through no vertex outside it, as a mask in the layout of
+    :attr:`ChainData.through`, every degree in one pass over the outside
+    vertices.  The bits past the last face are set too: read it by windows."""
+    through = cd.through
     hit = 0
-    for i in others:
+    for i in bit_positions(cd._windows[0][1] ^ wmask):
         hit |= through[i]
-    return ((1 << len(cd.complex.faces(k))) - 1) ^ hit
+    return ~hit
 
 
 def _rows_basis(cd: ChainData, k: int, mask: int, cap: int):
