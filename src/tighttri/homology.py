@@ -21,7 +21,11 @@ rank B_1(Y) = dim Z_1(Y) - r.  Only a shortfall eliminates, on ambient
 rows and on the kept bases Betti numbers share, and only a subset that
 fails goes on to the meet C_k(Y) ∩ B_k(X) for its witness.  On a closed 2-
 or 3-manifold the top Betti number comes from a flood over the facets
-instead of elimination.
+instead of elimination.  On a closed 3-manifold that flood's spanning tree
+of the dual graph also collapses every tetrahedron but one per component,
+and free edges collapse after it (Forman, "Morse theory for cell
+complexes", 1998): H_1 and H^1 are read off the 2-complex that is left,
+which is all that is eliminated, and d_2 is reduced only for a witness.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ class ChainData:
     format: bit masks over GF(2), ``{column: ±1 mod p}`` dicts over GF(p)
     and ``{column: ±1}`` dicts over Q, with columns in ascending order.
     :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them.
-    :attr:`through` holds, per vertex, the mask of the faces through it, and
-    ``_cocycles`` a basis of H^1 read off the basis of the 1-boundaries.
+    :attr:`through` holds, per vertex, the mask of the faces through it,
+    ``_collapse`` a collapse of a closed 3-manifold onto a 2-complex with
+    its H_1, and ``_cocycles`` a basis of H^1 read off that 2-complex.
     """
 
     def __init__(self, x: Complex, field: FieldSpec):
@@ -108,60 +113,144 @@ class ChainData:
         """See :func:`betti`."""
         x = self.complex
         f = x.f_vector
-        ranks = [0, f[0] - len(x.components())]
-        if _closed_surface_or_3_manifold(x):
-            ranks += [self.basis(k).dim for k in range(2, x.dim)] + [f[-1] - self.top_betti]
-        else:
-            ranks += [self.basis(k).dim for k in range(2, x.dim + 1)]
-        ranks.append(0)
-        return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(x.dim + 1))
+        c = len(x.components())
+        if not _closed_surface_or_3_manifold(x):
+            ranks = [0, f[0] - c] + [self.basis(k).dim for k in range(2, x.dim + 1)] + [0]
+            return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(x.dim + 1))
+        top = self.top_betti
+        if x.dim == 2:
+            # rank d_2 = f_2 - beta_2
+            return c, f[1] - (f[0] - c) - (f[2] - top), top
+        _, kept, basis = self._collapse
+        b1 = len(kept) - (f[0] - c) - basis.dim
+        # chi = 0 on a closed 3-manifold
+        return c, b1, b1 + top - c, top
 
     @cached_property
     def top_betti(self) -> int:
-        """beta_dim: by :func:`_top_cycles` on a closed 2- or 3-manifold,
-        which eliminates nothing, and from :attr:`betti` otherwise."""
+        """beta_dim: on a closed 2- or 3-manifold the number of components
+        over GF(2), else of coherently oriented ones by :func:`_dual_tree`,
+        which eliminates nothing; from :attr:`betti` otherwise."""
         x = self.complex
         if _closed_surface_or_3_manifold(x):
-            return _top_cycles(x, self.field)
+            return len(x.components()) if self.field.char == 2 else self._dual_tree[2]
         return self.betti[x.dim]
 
     @cached_property
-    def _cocycles(self) -> list:
-        """A basis of H^1(X; F): the 1-cocycles that vanish on the edges of
-        :func:`_spanning_forest`, as rows over the edges, integer multiples
-        of cocycles over Q.
+    def _dual_tree(self) -> tuple:
+        """:func:`_dual_tree` of the complex, a closed 2- or 3-manifold."""
+        return _dual_tree(self.complex)
 
-        A cocycle vanishes on B_1(X).  The basis of B_1(X) kept for
-        :attr:`betti` and the meet, with the forest's unit rows added, spans
-        a space meeting no cocycle but 0, since a cycle on a forest is 0.
-        It has dimension f_1 - beta_1, so its reduced form leaves beta_1
-        free columns, and each free column j gives the cocycle that is 1 at
-        j, 0 at the other free columns and minus the entry at j of the row
-        pivoting there at each pivot.  So every class has one
-        representative vanishing on the forest.
+    @cached_property
+    def _collapse(self) -> tuple:
+        """``(pairs, kept, basis)``: a collapse of the closed 3-manifold X,
+        with one open 3-cell per component removed, onto a 2-complex K.
+
+        Each tetrahedron but the first of its component collapses through
+        the triangle :func:`_dual_tree` reached it by.  Then each edge that
+        lies in exactly one remaining triangle collapses through it, as long
+        as there is one; ``pairs`` holds these (edge, triangle) pairs in
+        collapse order, the triangle as the indices of its edges (b, c),
+        (a, c), (a, b), which carry the signs +, -, +.  ``kept`` holds the
+        edges of K in ascending order, and ``basis`` is the reduced basis of
+        the rows of K's triangles, over the columns of all edges.  Removing
+        an open 3-cell leaves H_1 and H^1 unchanged, and a collapse keeps
+        the homotopy type, so K has X's H_1 and H^1 and its components.  On
+        any other complex nothing collapses: K is X and ``basis`` is
+        ``basis(2)``.
+        """
+        x, p = self.complex, self.field.char
+        f1 = len(x.faces(1))
+        if x.dim != 3 or not verify_closed_manifold(x).ok:
+            return (), range(f1), self.basis(2)
+        ridges, tree, _ = self._dual_tree
+        col = dict(zip(x.faces(1), range(f1)))
+        tris = [(col[b, c], col[a, c], col[a, b])
+                for (a, b, c), crossed in zip(ridges, tree) if not crossed]
+        count = [0] * f1  # remaining triangles on each edge
+        last = [0] * f1   # the XOR of their indices: the triangle itself once count is 1
+        for t, (e0, e1, e2) in enumerate(tris):
+            count[e0] += 1
+            count[e1] += 1
+            count[e2] += 1
+            last[e0] ^= t
+            last[e1] ^= t
+            last[e2] ^= t
+        pairs = []
+        gone = bytearray(len(tris))
+        free = [e for e in range(f1) if count[e] == 1]
+        while free:
+            e = free.pop()
+            if count[e] != 1:
+                continue
+            t = last[e]
+            gone[t] = 1
+            pairs.append((e, tris[t]))
+            for g in tris[t]:
+                count[g] -= 1
+                last[g] ^= t
+                if count[g] == 1:
+                    free.append(g)
+        collapsed = bytearray(f1)
+        for e, _ in pairs:
+            collapsed[e] = 1
+        basis = row_basis(self.field, f1)
+        minus = -1 % p if p else -1
+        for (e0, e1, e2), g in zip(tris, gone):
+            if not g:
+                basis.add(1 << e0 | 1 << e1 | 1 << e2 if p == 2 else {e0: 1, e1: minus, e2: 1})
+        return pairs, [e for e in range(f1) if not collapsed[e]], basis
+
+    @cached_property
+    def _cocycles(self) -> list:
+        """A basis of H^1(X; F), as rows over the edges, integer multiples
+        of cocycles over Q: the cocycles of the 2-complex K of
+        :attr:`_collapse` that vanish on the edges of a spanning forest of
+        K, extended back through the collapsed edges.
+
+        A cocycle vanishes on B_1(K).  The basis of B_1(K), with the
+        forest's unit rows added, spans a space meeting no cocycle but 0,
+        since a cycle on a forest is 0.  It has dimension |kept| - beta_1,
+        so its reduced form leaves beta_1 free columns among K's edges,
+        and each free column j gives the cocycle of K that is 1 at j, 0 at
+        the other free columns and minus the entry at j of the row pivoting
+        there at each pivot.  So every class of K has one representative
+        vanishing on the forest.  Going back through the (edge, triangle)
+        pairs in reverse order, each edge takes the value that makes the
+        cocycle vanish on its triangle's boundary, whose other edges have
+        values by then.  A triangle collapsed with a tetrahedron needs no
+        step: its boundary is a signed sum of the boundaries of the
+        tetrahedron's other triangles.  Restriction to K is an isomorphism
+        on H^1, so the extended cocycles are a basis of H^1(X).
         """
         x, field, p = self.complex, self.field, self.field.char
         n = len(x.faces(1))
-        forest = _spanning_forest(x)
-        if n - len(forest) == self.basis(2).dim:
+        pairs, kept, remainder = self._collapse
+        forest = _spanning_forest(x, kept)
+        if len(kept) - len(forest) == remainder.dim:
             return []  # beta_1 = 0
-        col = {e: j for j, e in enumerate(x.faces(1))}
         basis = row_basis(field, n)
         for e in forest:
-            basis.add(1 << col[e] if p == 2 else {col[e]: 1})
-        for r in self.basis(2).rows_at(range(n)):
+            basis.add(1 << e if p == 2 else {e: 1})
+        for r in remainder.rows_at(range(n)):
             basis.add(r)
         rows = basis.rows_at(range(n))
         if p == 2:
             pivots = sum(r & -r for r in rows)
-            cocycles = {j: 1 << j for j in range(n) if not pivots >> j & 1}
+            cocycles = {j: 1 << j for j in kept if not pivots >> j & 1}
             for r in rows:
                 pivot = r & -r
                 for j in bit_positions(r ^ pivot):
                     cocycles[j] |= pivot
-            return list(cocycles.values())
+            out = []
+            for m in cocycles.values():
+                for e, (e0, e1, e2) in reversed(pairs):
+                    if (m >> e0 ^ m >> e1 ^ m >> e2) & 1:
+                        m |= 1 << e
+                out.append(m)
+            return out
         pivots = {min(r) for r in rows}
-        terms: dict = {j: [] for j in range(n) if j not in pivots}
+        terms: dict = {j: [] for j in kept if j not in pivots}
         for r in rows:
             pivot = min(r)
             for j, v in r.items():
@@ -174,6 +263,14 @@ class ChainData:
             cocycle = {j: scale}
             for pivot, v, d in column:
                 cocycle[pivot] = -v * (scale // d) % p if p else -v * (scale // d)
+            for e, (e0, e1, e2) in reversed(pairs):
+                # the value at e is 0 so far; the boundary's signs are +, -, +
+                total = cocycle.get(e0, 0) - cocycle.get(e1, 0) + cocycle.get(e2, 0)
+                value = total if e == e1 else -total
+                if p:
+                    value %= p
+                if value:
+                    cocycle[e] = value
             cocycles.append(cocycle)
         return cocycles
 
@@ -260,25 +357,25 @@ def _boundary_rows(x: Complex, k: int, field: FieldSpec) -> list:
     return [{cols[g]: s for g, s in zip(itertools.combinations(f, k), signs)} for f in kfaces]
 
 
-def _spanning_forest(x: Complex) -> list:
-    """The edges of a spanning forest of ``x``: a flood over the adjacency
-    masks from the least vertex of each component."""
-    nbrs, verts = x._neighbour_masks, x.vertices
-    edges = []
-    seen = 0
-    for root in range(x.num_vertices):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            new = nbrs[v] & ~seen
-            seen |= new
-            for u in bit_positions(new):
-                edges.append((verts[min(u, v)], verts[max(u, v)]))
-                stack.append(u)
-    return edges
+def _spanning_forest(x: Complex, edges: Iterable[int]) -> list:
+    """The indices, among ``edges`` (indices into ``x.faces(1)``), of the
+    edges of a spanning forest of the graph they form on x's vertices: each
+    edge that joins two trees of the ones before it, by union-find."""
+    pos, faces = x._vertex_position, x.faces(1)
+    root = list(range(x.num_vertices))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    forest = []
+    for e in edges:
+        a, b = (find(pos[v]) for v in faces[e])
+        if a != b:
+            root[a] = b
+            forest.append(e)
+    return forest
 
 
 @lru_cache(maxsize=256)
@@ -287,44 +384,52 @@ def chain_data(x: Complex, field: FieldSpec) -> ChainData:
     return ChainData(x, field)
 
 
-def _top_cycles(x: Complex, field: FieldSpec) -> int:
-    """beta_dim of the closed 2- or 3-manifold ``x``, by a flood over its
-    facets: the number of components over GF(2), else the number of
-    components whose facets can be oriented coherently.
+def _dual_tree(x: Complex) -> tuple:
+    """``(ridges, crossed, oriented)`` for the closed 2- or 3-manifold
+    ``x``, by one flood over its facets from the least facet of each
+    component: its ridges, ``crossed[r]`` set iff the flood first reached a
+    facet through ``ridges[r]``, and the number of components whose facets
+    can be oriented coherently, beta_dim over a field of characteristic
+    other than 2.
 
     Every ridge of a closed manifold lies in exactly two facets, and each
     component is strongly connected, that is connected across its ridges:
     two facets through a vertex v are, since the link of v (a cycle, or a
     2-sphere, itself strongly connected by the same argument) is, and a
-    path of edges joins any two vertices of the component.  There are no
-    (dim+1)-faces, so H_dim = Z_dim.  A top cycle c on a component must
-    have c(s) [s:r] + c(t) [t:r] = 0 on the two facets s, t of each ridge
-    r, where [s:r] = (-1)**i when r is s without its i-th vertex: so c(t)
-    = -[s:r][t:r] c(s), and one coefficient fixes all of them.  Over GF(2)
-    the signs vanish and the constant chain is a cycle: one dimension per
-    component.  Otherwise c exists, up to scale, iff the signs ±1 carried
-    along the ridges never contradict themselves, which is a coherent
-    orientation; a contradiction forces c(s) = -c(s), and char != 2 makes
-    that c = 0.
+    path of edges joins any two vertices of the component.  So the crossed
+    ridges form a spanning tree of the dual graph in each component.  There
+    are no (dim+1)-faces, so H_dim = Z_dim.  A top cycle c on a component
+    must have c(s) [s:r] + c(t) [t:r] = 0 on the two facets s, t of each
+    ridge r, where [s:r] = (-1)**i when r is s without its i-th vertex: so
+    c(t) = -[s:r][t:r] c(s), and one coefficient fixes all of them.  Over
+    GF(2) the signs vanish and the constant chain is a cycle: one dimension
+    per component.  Otherwise c exists, up to scale, iff the signs ±1
+    carried along the ridges never contradict themselves, which is a
+    coherent orientation; a contradiction forces c(s) = -c(s), and char !=
+    2 makes that c = 0.
     """
-    if field.char == 2:
-        return len(x.components())
     d = x.dim
     facets = x.faces(d)
-    across: list = [[] for _ in facets]  # facet -> [(neighbour, sign flip)]
-    unpaired: dict = {}                  # ridge -> (its first facet, position dropped)
+    across: list = [[] for _ in facets]  # facet -> [(neighbour, sign flip, ridge index)]
+    first: dict = {}                     # ridge -> 2 * (its first facet) + parity of the position dropped
+    ridges = []
+    # combinations drop the vertices of a face from the last to the first
+    drops = range(d, -1, -1)
     for s, face in enumerate(facets):
-        for i in range(d + 1):
-            ridge = face[:i] + face[i + 1:]
-            if ridge in unpaired:
-                t, j = unpaired.pop(ridge)
-                # c(s) = -(-1)**(i + j) c(t): the sign flips iff i and j have one parity
-                flip = (i ^ j ^ 1) & 1
-                across[s].append((t, flip))
-                across[t].append((s, flip))
-            else:
-                unpaired[ridge] = s, i
+        for i, ridge in zip(drops, itertools.combinations(face, d)):
+            mine = 2 * s + (i & 1)
+            t = first.setdefault(ridge, mine)
+            if t == mine:
+                continue
+            # c(s) = -(-1)**(i + j) c(t): the sign flips iff i and j, whose
+            # parity is t's low bit, have one parity
+            flip = (i ^ t ^ 1) & 1
+            r = len(ridges)
+            ridges.append(ridge)
+            across[s].append((t >> 1, flip, r))
+            across[t >> 1].append((s, flip, r))
     sign = [-1] * len(facets)
+    crossed = bytearray(len(ridges))
     oriented = 0
     for start in range(len(facets)):
         if sign[start] >= 0:
@@ -334,14 +439,15 @@ def _top_cycles(x: Complex, field: FieldSpec) -> int:
         coherent = True
         while stack:
             s = stack.pop()
-            for t, flip in across[s]:
+            for t, flip, r in across[s]:
                 if sign[t] < 0:
                     sign[t] = sign[s] ^ flip
+                    crossed[r] = 1
                     stack.append(t)
                 elif sign[t] != sign[s] ^ flip:
                     coherent = False
         oriented += coherent
-    return oriented
+    return ridges, crossed, oriented
 
 
 def betti(x: Complex, field: FieldSpec) -> tuple:
@@ -349,10 +455,16 @@ def betti(x: Complex, field: FieldSpec) -> tuple:
 
     beta_k = f_k - rank d_k - rank d_{k+1}, with rank d_0 = 0 and rank d_1
     = f_0 minus the number of components, on every complex.  On a closed
-    2- or 3-manifold rank d_dim = f_dim - beta_dim with beta_dim from the
-    flood of :func:`_top_cycles`; the other ranks are those of the cached
-    reduced bases.  The tuple is kept on the complex's cached
-    :class:`ChainData`, so it is computed once per complex and field.
+    surface rank d_2 = f_2 - beta_2 with beta_2 from the flood of
+    :func:`_dual_tree`.  A closed 3-manifold eliminates only what is left
+    of it after the collapse of :attr:`ChainData._collapse`, a 2-complex K
+    with X's H_1 and components: beta_1 = (edges of K) - (f_0 - beta_0) -
+    rank of K's triangle rows, beta_0 is the number of components, beta_3
+    comes from the flood, and beta_2 = beta_1 + beta_3 - beta_0 since the
+    Euler characteristic is 0.  Any other complex takes the ranks of the
+    cached reduced bases of d_2 .. d_dim.  The tuple is kept on the
+    complex's cached :class:`ChainData`, so it is computed once per complex
+    and field.
     """
     if x.dim < 0:
         raise PreconditionError("Betti numbers need a nonempty complex")

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from conftest import small_complexes
 from corpus import subdivide_facet, two_handle_quotient
 from oracle import entries, is_zero, library_rows, matmul, rank
 from tighttri import (Complex, InternalInconsistencyError, PreconditionError, betti,
-                      catalog, chain_data, homology,
+                      catalog, chain_data, cross_validate, homology,
                       induced_map_injective, is_orientable, is_tight_bruteforce,
                       stacked_sphere, verify_closed_manifold)
 from tighttri.complexes import bit_positions
@@ -52,8 +53,10 @@ def oracle_boundary(x: Complex, k: int) -> list:
     return rows
 
 
+@lru_cache(maxsize=None)
 def oracle_rank(x: Complex, k: int, field: FieldSpec) -> int:
-    """Rank of d_k by the dense oracle's elimination."""
+    """Rank of d_k by the dense oracle's elimination, kept: the Betti number
+    and cocycle tests ask for the same ranks of the same complexes."""
     ncols = len(x.faces(k - 1)) if k else 0
     return rank(field, library_rows(field, oracle_boundary(x, k)), ncols)
 
@@ -257,8 +260,9 @@ class TestTopFlood:
         calls = []
         basis = ChainData.basis
         monkeypatch.setattr(ChainData, "basis", lambda self, k: calls.append(k) or basis(self, k))
-        # fresh labels, so no earlier test has filled the cache
-        cases = [(shifted(stacked_sphere(9, 3, seed=4), 500), [2]),
+        # fresh labels, so no earlier test has filled the cache; a closed
+        # 3-manifold eliminates only what its collapse leaves, not d_2
+        cases = [(shifted(stacked_sphere(9, 3, seed=4), 500), []),
                  (shifted(catalog.projective_plane_6(), 500), []),
                  (Complex.from_facets(itertools.combinations(range(500, 506), 4)), [2, 3])]
         for x, first in cases:
@@ -269,16 +273,106 @@ class TestTopFlood:
                 assert betti(x, field) == b and calls == first
 
 
+@pytest.fixture(scope="module")
+def closed3(corpus3, quotient_bank):
+    """The corpus, the two-handle quotient and a disjoint union of two closed
+    3-manifolds, so that the collapse starts from two tetrahedra."""
+    two = two_handle_quotient()
+    union = Complex.from_facets(list(two.facets) + list(shifted(quotient_bank[0][0], 100).facets))
+    return list(corpus3) + [("two-handle", two), ("two-handle+quotient-0", union)]
+
+
+class TestCollapse:
+    """Betti numbers of a closed 3-manifold come from its collapse along the
+    dual tree and then through free edges, which leaves a 2-complex K to
+    eliminate: against the dense oracle, and the collapse replayed step by
+    step."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_betti_numbers_match_the_oracle(self, closed3, field):
+        components = set()
+        for name, x in closed3:
+            assert betti(x, field) == oracle_betti(x, field), name
+            components.add(len(x.components()))
+        assert components == {1, 2}
+
+    @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+    def test_the_collapse_replays(self, closed3, field):
+        remainders = set()
+        for name, x in closed3:
+            cd = chain_data(x, field)
+            f = x.f_vector
+            c = len(x.components())
+            ridges, crossed, _ = cd._dual_tree
+            assert sorted(ridges) == list(x.faces(2)), name
+            # the crossed triangles join the tetrahedra into a spanning tree of
+            # the dual graph in each component
+            on: dict = {}
+            for i, t in enumerate(x.faces(3)):
+                for r in itertools.combinations(t, 3):
+                    on.setdefault(r, []).append(i)
+            root = list(range(f[3]))
+
+            def find(i):
+                while root[i] != i:
+                    i = root[i]
+                return i
+            for r, cross in zip(ridges, crossed):
+                if cross:
+                    a, b = (find(i) for i in on[r])
+                    assert a != b, name
+                    root[a] = b
+            assert sum(crossed) == f[3] - c, name
+            col = {e: j for j, e in enumerate(x.faces(1))}
+            left = {(col[b, cc], col[a, cc], col[a, b])
+                    for (a, b, cc), cross in zip(ridges, crossed) if not cross}
+            pairs, kept, basis = cd._collapse
+            for e, tri in pairs:
+                assert tri in left and e in tri, name
+                assert sum(e in t for t in left) == 1, name
+                left.remove(tri)
+            collapsed = {e for e, _ in pairs}
+            assert len(collapsed) == len(pairs), name
+            assert kept == [e for e in range(f[1]) if e not in collapsed], name
+            # the greedy collapse ran to the end: no kept edge is free
+            assert all(sum(e in t for t in left) != 1 for e in kept), name
+            rows = []
+            for t in left:
+                row = [0] * f[1]
+                for e, sign in zip(t, (1, -1, 1)):
+                    row[e] = sign
+                rows.append(row)
+            assert basis.dim == rank(field, library_rows(field, rows), f[1]), name
+            assert len(kept) - (f[0] - c) - basis.dim == betti(x, field)[1], name
+            remainders.add(bool(left))
+        assert remainders == {False, True}
+
+    def test_no_basis_of_d2_for_beta_1(self, monkeypatch, quotient_bank):
+        calls = []
+        basis = ChainData.basis
+        monkeypatch.setattr(ChainData, "basis", lambda self, k: calls.append(k) or basis(self, k))
+        # fresh labels, so no earlier test has filled the cache; the quotient
+        # is tight over GF(2), so no subset reaches the meet
+        x = shifted(quotient_bank[0][0], 700)
+        assert cross_validate(x, GF2).verdict
+        s = stacked_sphere(1000, 3, seed=0)
+        v = induced_map_injective(s, s.vertices[:500], GF2)
+        # beta_1 = 0 from the collapse; the witness still needs the basis of d_3
+        assert not v.ok and v.witness[0] == 2
+        assert calls == [3]
+
+
 class TestCocycles:
     """The basis of H^1(X) that the degree-1 test evaluates, against the
     dense oracle: beta_1 cocycles, vanishing on every triangle boundary and
-    on the spanning forest, and independent modulo the coboundaries."""
+    on a spanning forest of the edges the collapse keeps, and independent
+    modulo the coboundaries."""
 
-    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
-    def test_cocycles_are_a_basis_of_h1(self, corpus3, field):
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_cocycles_are_a_basis_of_h1(self, closed3, field):
         p = field.char
         betas = set()
-        for name, x in list(corpus3) + [("two-handle", two_handle_quotient())]:
+        for name, x in closed3:
             cocycles = chain_data(x, field)._cocycles
             f1 = len(x.faces(1))
             betas.add(len(cocycles))
@@ -288,16 +382,17 @@ class TestCocycles:
                 for phi in values:
                     value = sum(a * b for a, b in zip(row, phi))
                     assert (value % p if p else value) == 0, name
-            forest = _spanning_forest(x)
-            spanned = Complex.from_facets(forest + [(v,) for v in x.vertices])
+            kept = chain_data(x, field)._collapse[1]
+            forest = _spanning_forest(x, kept)
+            spanned = Complex.from_facets([x.faces(1)[e] for e in forest] + [(v,) for v in x.vertices])
+            assert set(forest) <= set(kept), name
             assert len(forest) == x.num_vertices - len(x.components()), name
             assert spanned.components() == x.components(), name
-            col = {e: j for j, e in enumerate(x.faces(1))}
-            assert all(phi[col[e]] == 0 for phi in values for e in forest), name
+            assert all(phi[e] == 0 for phi in values for e in forest), name
             coboundaries = library_rows(field, [list(c) for c in zip(*oracle_boundary(x, 1))])
             assert rank(field, cocycles + coboundaries, f1) == \
                 len(cocycles) + rank(field, coboundaries, f1), name
-        assert betas == {0, 1, 2}
+        assert betas == {0, 1, 2, 3}
 
 
 class TestInducedMapInjective:
