@@ -258,6 +258,21 @@ class Complex:
     def _closed_manifold_verdict(self) -> "Verdict":
         return _check_closed_manifold(self)
 
+    @cached_property
+    def _dual_tree(self) -> tuple:
+        """:func:`_dual_tree`, kept here for the chain data of every field."""
+        return _dual_tree(self)
+
+    @cached_property
+    def _collapse(self) -> tuple:
+        """:func:`_collapse`, kept here for the chain data of every field."""
+        return _collapse(self)
+
+    @cached_property
+    def _forest(self) -> list:
+        """A :func:`_spanning_forest` of the edges :func:`_collapse` keeps."""
+        return _spanning_forest(self, self._collapse[1])
+
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -425,6 +440,146 @@ def _require_closed_manifold(x: Complex, d: int, prefix: str, *, connected: bool
     else:
         return
     raise PreconditionError(f"{prefix}: {reason}")
+
+
+def _dual_tree(x: Complex) -> tuple:
+    """``(ridges, crossed, oriented)`` for the closed 2- or 3-manifold
+    ``x``, by one flood over its facets from the least facet of each
+    component: its ridges, ``crossed[r]`` set iff the flood first reached a
+    facet through ``ridges[r]``, and the number of components whose facets
+    can be oriented coherently, beta_dim over a field of characteristic
+    other than 2.
+
+    Every ridge of a closed manifold lies in exactly two facets, and each
+    component is strongly connected, that is connected across its ridges:
+    two facets through a vertex v are, since the link of v (a cycle, or a
+    2-sphere, itself strongly connected by the same argument) is, and a
+    path of edges joins any two vertices of the component.  So the crossed
+    ridges form a spanning tree of the dual graph in each component.  There
+    are no (dim+1)-faces, so H_dim = Z_dim.  A top cycle c on a component
+    must have c(s) [s:r] + c(t) [t:r] = 0 on the two facets s, t of each
+    ridge r, where [s:r] = (-1)**i when r is s without its i-th vertex: so
+    c(t) = -[s:r][t:r] c(s), and one coefficient fixes all of them.  Over
+    GF(2) the signs vanish and the constant chain is a cycle: one dimension
+    per component.  Otherwise c exists, up to scale, iff the signs ±1
+    carried along the ridges never contradict themselves, which is a
+    coherent orientation; a contradiction forces c(s) = -c(s), and char !=
+    2 makes that c = 0.
+    """
+    d = x.dim
+    facets = x.faces(d)
+    across: list = [[] for _ in facets]  # facet -> [(neighbour, sign flip, ridge index)]
+    first: dict = {}                     # ridge -> 2 * (its first facet) + parity of the position dropped
+    ridges = []
+    # combinations drop the vertices of a face from the last to the first
+    drops = range(d, -1, -1)
+    for s, face in enumerate(facets):
+        for i, ridge in zip(drops, itertools.combinations(face, d)):
+            mine = 2 * s + (i & 1)
+            t = first.setdefault(ridge, mine)
+            if t == mine:
+                continue
+            # c(s) = -(-1)**(i + j) c(t): the sign flips iff i and j, whose
+            # parity is t's low bit, have one parity
+            flip = (i ^ t ^ 1) & 1
+            r = len(ridges)
+            ridges.append(ridge)
+            across[s].append((t >> 1, flip, r))
+            across[t >> 1].append((s, flip, r))
+    sign = [-1] * len(facets)
+    crossed = bytearray(len(ridges))
+    oriented = 0
+    for start in range(len(facets)):
+        if sign[start] >= 0:
+            continue
+        sign[start] = 0
+        stack = [start]
+        coherent = True
+        while stack:
+            s = stack.pop()
+            for t, flip, r in across[s]:
+                if sign[t] < 0:
+                    sign[t] = sign[s] ^ flip
+                    crossed[r] = 1
+                    stack.append(t)
+                elif sign[t] != sign[s] ^ flip:
+                    coherent = False
+        oriented += coherent
+    return ridges, crossed, oriented
+
+
+def _collapse(x: Complex) -> tuple:
+    """``(pairs, kept, triangles)``: a collapse of the closed 3-manifold X,
+    with one open 3-cell per component removed, onto a 2-complex K.
+    Removing an open 3-cell leaves H_1 and H^1 unchanged, and a collapse
+    keeps the homotopy type, so K has X's H_1, H^1 and components.
+
+    Each tetrahedron but the first of its component collapses through the
+    triangle :func:`_dual_tree` reached it by.  Then each edge that lies in
+    exactly one remaining triangle collapses through it, as long as there
+    is one; ``pairs`` holds these (edge, triangle) pairs in collapse order,
+    the triangle as the indices of its edges (b, c), (a, c), (a, b), which
+    carry the signs +, -, +.  ``kept`` holds K's edges in ascending order,
+    and ``triangles`` K's triangles like the pairs'.  On any other complex K
+    is X, and ``triangles`` is None.
+    """
+    f1 = len(x.faces(1))
+    if x.dim != 3 or not verify_closed_manifold(x).ok:
+        return (), range(f1), None
+    ridges, tree, _ = x._dual_tree
+    col = dict(zip(x.faces(1), range(f1)))
+    tris = [(col[b, c], col[a, c], col[a, b])
+            for (a, b, c), crossed in zip(ridges, tree) if not crossed]
+    count = [0] * f1  # remaining triangles on each edge
+    last = [0] * f1   # the XOR of their indices: the triangle itself once count is 1
+    for t, (e0, e1, e2) in enumerate(tris):
+        count[e0] += 1
+        count[e1] += 1
+        count[e2] += 1
+        last[e0] ^= t
+        last[e1] ^= t
+        last[e2] ^= t
+    pairs = []
+    gone = bytearray(len(tris))
+    free = [e for e in range(f1) if count[e] == 1]
+    while free:
+        e = free.pop()
+        if count[e] != 1:
+            continue
+        t = last[e]
+        gone[t] = 1
+        pairs.append((e, tris[t]))
+        for g in tris[t]:
+            count[g] -= 1
+            last[g] ^= t
+            if count[g] == 1:
+                free.append(g)
+    collapsed = bytearray(f1)
+    for e, _ in pairs:
+        collapsed[e] = 1
+    kept = [e for e in range(f1) if not collapsed[e]]
+    return pairs, kept, [t for t, g in zip(tris, gone) if not g]
+
+
+def _spanning_forest(x: Complex, edges: Iterable[int]) -> list:
+    """The indices, among ``edges`` (indices into ``x.faces(1)``), of the
+    edges of a spanning forest of the graph they form on x's vertices: each
+    edge that joins two trees of the ones before it, by union-find."""
+    pos, faces = x._vertex_position, x.faces(1)
+    root = list(range(x.num_vertices))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    forest = []
+    for e in edges:
+        a, b = (find(pos[v]) for v in faces[e])
+        if a != b:
+            root[a] = b
+            forest.append(e)
+    return forest
 
 
 def _check_closed_manifold(x: Complex) -> Verdict:

@@ -27,9 +27,9 @@ from .tightness import _first_hit, cross_validate, is_tight_fast_3manifold
 # the subset scan is this small (2**12 subsets); bigger quotients by the
 # polynomial criterion.
 BRUTE_CONFIRM_MAX_VERTICES = 12
-# Restarts per process-pool task of a parallel search: a block without a hit
+# Restarts per block of a search.  On a process pool a block without a hit
 # is tens of milliseconds of work, far more than sending it costs, and a hit
-# is read no later than its block ends.
+# is read no later than its block ends; in process a block is a lazy range.
 _SEARCH_BLOCK = 16
 # Chance that a search sphere's subdivision extends its newest branch.
 _BRANCH_BIAS = 0.85
@@ -409,12 +409,9 @@ def search_tight(k: int, field: FieldSpec, budget: int = 10_000, seed=0,
     """
     f0 = _vertex_count_for_k(k)  # raises for inadmissible k
     n = f0 + 4 * k
-    if jobs > 1:
-        blocks = (range(start, min(start + _SEARCH_BLOCK, budget))
-                  for start in range(0, budget, _SEARCH_BLOCK))
-        found = _first_hit(partial(_first_found, seed, k, n, field), blocks, jobs)
-    else:
-        found = _first_found(seed, k, n, field, range(budget))
+    blocks = (range(start, min(start + _SEARCH_BLOCK, budget))
+              for start in range(0, budget, _SEARCH_BLOCK))
+    found = _first_hit(partial(_first_found, seed, k, n, field), blocks, jobs)
     if found is None:
         return None
     complex_, cert = found

@@ -52,8 +52,8 @@ class ChainData:
     and ``{column: ±1}`` dicts over Q, with columns in ascending order.
     :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them.
     :attr:`through` holds, per vertex, the mask of the faces through it,
-    ``_collapse`` a collapse of a closed 3-manifold onto a 2-complex with
-    its H_1, and ``_cocycles`` a basis of H^1 read off that 2-complex.
+    ``_collapse`` the basis of the 2-complex a closed 3-manifold collapses
+    onto, and ``_cocycles`` a basis of H^1 read off that 2-complex.
     """
 
     def __init__(self, x: Complex, field: FieldSpec):
@@ -129,77 +129,27 @@ class ChainData:
     @cached_property
     def top_betti(self) -> int:
         """beta_dim: on a closed 2- or 3-manifold the number of components
-        over GF(2), else of coherently oriented ones by :func:`_dual_tree`,
-        which eliminates nothing; from :attr:`betti` otherwise."""
+        over GF(2), else of coherently oriented ones by the complex's
+        ``_dual_tree``, which eliminates nothing; else from :attr:`betti`."""
         x = self.complex
         if _closed_surface_or_3_manifold(x):
-            return len(x.components()) if self.field.char == 2 else self._dual_tree[2]
+            return len(x.components()) if self.field.char == 2 else x._dual_tree[2]
         return self.betti[x.dim]
 
     @cached_property
-    def _dual_tree(self) -> tuple:
-        """:func:`_dual_tree` of the complex, a closed 2- or 3-manifold."""
-        return _dual_tree(self.complex)
-
-    @cached_property
     def _collapse(self) -> tuple:
-        """``(pairs, kept, basis)``: a collapse of the closed 3-manifold X,
-        with one open 3-cell per component removed, onto a 2-complex K.
-
-        Each tetrahedron but the first of its component collapses through
-        the triangle :func:`_dual_tree` reached it by.  Then each edge that
-        lies in exactly one remaining triangle collapses through it, as long
-        as there is one; ``pairs`` holds these (edge, triangle) pairs in
-        collapse order, the triangle as the indices of its edges (b, c),
-        (a, c), (a, b), which carry the signs +, -, +.  ``kept`` holds the
-        edges of K in ascending order, and ``basis`` is the reduced basis of
-        the rows of K's triangles, over the columns of all edges.  Removing
-        an open 3-cell leaves H_1 and H^1 unchanged, and a collapse keeps
-        the homotopy type, so K has X's H_1 and H^1 and its components.  On
-        any other complex nothing collapses: K is X and ``basis`` is
-        ``basis(2)``.
-        """
+        """``(pairs, kept, basis)``: the complex's ``_collapse`` onto K, and
+        the reduced basis of the rows of K's triangles over all edges, which
+        is ``basis(2)`` where nothing collapses."""
         x, p = self.complex, self.field.char
-        f1 = len(x.faces(1))
-        if x.dim != 3 or not verify_closed_manifold(x).ok:
-            return (), range(f1), self.basis(2)
-        ridges, tree, _ = self._dual_tree
-        col = dict(zip(x.faces(1), range(f1)))
-        tris = [(col[b, c], col[a, c], col[a, b])
-                for (a, b, c), crossed in zip(ridges, tree) if not crossed]
-        count = [0] * f1  # remaining triangles on each edge
-        last = [0] * f1   # the XOR of their indices: the triangle itself once count is 1
-        for t, (e0, e1, e2) in enumerate(tris):
-            count[e0] += 1
-            count[e1] += 1
-            count[e2] += 1
-            last[e0] ^= t
-            last[e1] ^= t
-            last[e2] ^= t
-        pairs = []
-        gone = bytearray(len(tris))
-        free = [e for e in range(f1) if count[e] == 1]
-        while free:
-            e = free.pop()
-            if count[e] != 1:
-                continue
-            t = last[e]
-            gone[t] = 1
-            pairs.append((e, tris[t]))
-            for g in tris[t]:
-                count[g] -= 1
-                last[g] ^= t
-                if count[g] == 1:
-                    free.append(g)
-        collapsed = bytearray(f1)
-        for e, _ in pairs:
-            collapsed[e] = 1
-        basis = row_basis(self.field, f1)
+        pairs, kept, triangles = x._collapse
+        if triangles is None:
+            return pairs, kept, self.basis(2)
+        basis = row_basis(self.field, len(x.faces(1)))
         minus = -1 % p if p else -1
-        for (e0, e1, e2), g in zip(tris, gone):
-            if not g:
-                basis.add(1 << e0 | 1 << e1 | 1 << e2 if p == 2 else {e0: 1, e1: minus, e2: 1})
-        return pairs, [e for e in range(f1) if not collapsed[e]], basis
+        for e0, e1, e2 in triangles:
+            basis.add(1 << e0 | 1 << e1 | 1 << e2 if p == 2 else {e0: 1, e1: minus, e2: 1})
+        return pairs, kept, basis
 
     @cached_property
     def _cocycles(self) -> list:
@@ -226,11 +176,11 @@ class ChainData:
         x, field, p = self.complex, self.field, self.field.char
         n = len(x.faces(1))
         pairs, kept, remainder = self._collapse
-        forest = _spanning_forest(x, kept)
-        if len(kept) - len(forest) == remainder.dim:
+        # K keeps X's vertices and components, so its forest has f_0 - beta_0 edges
+        if len(kept) - (x.num_vertices - len(x.components())) == remainder.dim:
             return []  # beta_1 = 0
         basis = row_basis(field, n)
-        for e in forest:
+        for e in x._forest:
             basis.add(1 << e if p == 2 else {e: 1})
         for r in remainder.rows_at(range(n)):
             basis.add(r)
@@ -357,97 +307,11 @@ def _boundary_rows(x: Complex, k: int, field: FieldSpec) -> list:
     return [{cols[g]: s for g, s in zip(itertools.combinations(f, k), signs)} for f in kfaces]
 
 
-def _spanning_forest(x: Complex, edges: Iterable[int]) -> list:
-    """The indices, among ``edges`` (indices into ``x.faces(1)``), of the
-    edges of a spanning forest of the graph they form on x's vertices: each
-    edge that joins two trees of the ones before it, by union-find."""
-    pos, faces = x._vertex_position, x.faces(1)
-    root = list(range(x.num_vertices))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    forest = []
-    for e in edges:
-        a, b = (find(pos[v]) for v in faces[e])
-        if a != b:
-            root[a] = b
-            forest.append(e)
-    return forest
-
-
 @lru_cache(maxsize=256)
 def chain_data(x: Complex, field: FieldSpec) -> ChainData:
-    """Cached chain complex data for ``x`` over ``field``."""
+    """Cached chain complex data for ``x`` over ``field``, keyed by value:
+    searches revisit equal quotients, which restarts build afresh."""
     return ChainData(x, field)
-
-
-def _dual_tree(x: Complex) -> tuple:
-    """``(ridges, crossed, oriented)`` for the closed 2- or 3-manifold
-    ``x``, by one flood over its facets from the least facet of each
-    component: its ridges, ``crossed[r]`` set iff the flood first reached a
-    facet through ``ridges[r]``, and the number of components whose facets
-    can be oriented coherently, beta_dim over a field of characteristic
-    other than 2.
-
-    Every ridge of a closed manifold lies in exactly two facets, and each
-    component is strongly connected, that is connected across its ridges:
-    two facets through a vertex v are, since the link of v (a cycle, or a
-    2-sphere, itself strongly connected by the same argument) is, and a
-    path of edges joins any two vertices of the component.  So the crossed
-    ridges form a spanning tree of the dual graph in each component.  There
-    are no (dim+1)-faces, so H_dim = Z_dim.  A top cycle c on a component
-    must have c(s) [s:r] + c(t) [t:r] = 0 on the two facets s, t of each
-    ridge r, where [s:r] = (-1)**i when r is s without its i-th vertex: so
-    c(t) = -[s:r][t:r] c(s), and one coefficient fixes all of them.  Over
-    GF(2) the signs vanish and the constant chain is a cycle: one dimension
-    per component.  Otherwise c exists, up to scale, iff the signs ±1
-    carried along the ridges never contradict themselves, which is a
-    coherent orientation; a contradiction forces c(s) = -c(s), and char !=
-    2 makes that c = 0.
-    """
-    d = x.dim
-    facets = x.faces(d)
-    across: list = [[] for _ in facets]  # facet -> [(neighbour, sign flip, ridge index)]
-    first: dict = {}                     # ridge -> 2 * (its first facet) + parity of the position dropped
-    ridges = []
-    # combinations drop the vertices of a face from the last to the first
-    drops = range(d, -1, -1)
-    for s, face in enumerate(facets):
-        for i, ridge in zip(drops, itertools.combinations(face, d)):
-            mine = 2 * s + (i & 1)
-            t = first.setdefault(ridge, mine)
-            if t == mine:
-                continue
-            # c(s) = -(-1)**(i + j) c(t): the sign flips iff i and j, whose
-            # parity is t's low bit, have one parity
-            flip = (i ^ t ^ 1) & 1
-            r = len(ridges)
-            ridges.append(ridge)
-            across[s].append((t >> 1, flip, r))
-            across[t >> 1].append((s, flip, r))
-    sign = [-1] * len(facets)
-    crossed = bytearray(len(ridges))
-    oriented = 0
-    for start in range(len(facets)):
-        if sign[start] >= 0:
-            continue
-        sign[start] = 0
-        stack = [start]
-        coherent = True
-        while stack:
-            s = stack.pop()
-            for t, flip, r in across[s]:
-                if sign[t] < 0:
-                    sign[t] = sign[s] ^ flip
-                    crossed[r] = 1
-                    stack.append(t)
-                elif sign[t] != sign[s] ^ flip:
-                    coherent = False
-        oriented += coherent
-    return ridges, crossed, oriented
 
 
 def betti(x: Complex, field: FieldSpec) -> tuple:
@@ -456,7 +320,7 @@ def betti(x: Complex, field: FieldSpec) -> tuple:
     beta_k = f_k - rank d_k - rank d_{k+1}, with rank d_0 = 0 and rank d_1
     = f_0 minus the number of components, on every complex.  On a closed
     surface rank d_2 = f_2 - beta_2 with beta_2 from the flood of
-    :func:`_dual_tree`.  A closed 3-manifold eliminates only what is left
+    :func:`~tighttri.complexes._dual_tree`.  A closed 3-manifold eliminates only what is left
     of it after the collapse of :attr:`ChainData._collapse`, a 2-complex K
     with X's H_1 and components: beta_1 = (edges of K) - (f_0 - beta_0) -
     rank of K's triangle rows, beta_0 is the number of components, beta_3
@@ -509,15 +373,17 @@ def induced_map_injective(x: Complex, subset: Iterable[int], field: FieldSpec) -
         raise PreconditionError("the induced subcomplex is empty")
     pos = x._vertex_position
     # B_d(X) = 0, so the top degree of x never fails
-    return injectivity_on_mask(x, sum(1 << pos[v] for v in w), field, x.dim - 1)
+    return injectivity_on_mask(chain_data(x, field), sum(1 << pos[v] for v in w), x.dim - 1)
 
 
-def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> Verdict:
+def injectivity_on_mask(cd: ChainData, wmask: int, top: int) -> Verdict:
     """The test of :func:`induced_map_injective` in degrees 0..top < dim, for
-    the induced subcomplex Y on the vertex positions set in ``wmask``.  Y's
-    faces are the ambient ones through no vertex outside ``wmask``, read
-    off :attr:`ChainData.through` by :func:`_faces_inside` as one mask over
-    the ambient faces of every degree.
+    the induced subcomplex Y of X = ``cd.complex`` on the vertex positions
+    set in ``wmask``, over ``cd.field``.  The caller looks ``cd`` up once,
+    not per subset.  Y's faces are the ambient ones through no vertex
+    outside ``wmask``, read off :attr:`ChainData.through` by
+    :func:`_faces_inside` as one mask over the ambient faces of every
+    degree.
 
     In degree k the (k+1)-faces of Y through its least vertex v0 are counted
     first.  Each such face v0 + t has a ±1 entry at its own k-face t, which
@@ -534,6 +400,7 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
     degree 1 that meet must find one, and raises
     :class:`~tighttri.complexes.InternalInconsistencyError` if it does not.
     """
+    x = cd.complex
     comps = component_masks(x, wmask)
     if len(comps) > 1:
         ambient = component_masks(x, (1 << x.num_vertices) - 1)
@@ -542,7 +409,7 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
             a = next(a for a in ambient if a & comp)
             if a in seen:
                 u, v = (x.vertices[b.bit_length() - 1] for b in (seen[a], comp & -comp))
-                chain = ((u,), 1), ((v,), 1 if field.char == 2 else -1)
+                chain = ((u,), 1), ((v,), 1 if cd.field.char == 2 else -1)
                 return Verdict(False, witness=(0, chain),
                                detail="two components of the subcomplex meet the same ambient component")
             seen[a] = comp & -comp
@@ -553,7 +420,6 @@ def injectivity_on_mask(x: Complex, wmask: int, field: FieldSpec, top: int) -> V
     top = min(top, size - 2)
     if top < 1:
         return Verdict(True)
-    cd = chain_data(x, field)
     v0 = (wmask & -wmask).bit_length() - 1
     inside = _faces_inside(cd, wmask)
     star = inside & cd.through[v0]

@@ -6,8 +6,8 @@ count (then lexicographically) and stops at the first injectivity failure,
 so the reported witness is deterministic.  Subsets are vertex bitmasks,
 and on closed F-orientable surfaces and 3-manifolds Alexander duality halves
 the scan and leaves out its top degree (see :func:`is_tight_bruteforce`).
-Serial and parallel scans run the same first-failure loop, and the process
-pool that serves them also serves the restart search.  The fast 3-manifold
+Scans and restart searches share one first-hit loop, in process with one
+worker and on a process pool otherwise.  The fast 3-manifold
 decider checks orientability together with (f0-4)(f0-5) = 20*beta_1 over
 the field; cross-validation of the two is the headline regression test and
 raises if they ever disagree.
@@ -27,7 +27,7 @@ from typing import Optional
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
                         _closed_surface_or_3_manifold, _require_closed_manifold)
-from .homology import betti, injectivity_on_mask, is_orientable
+from .homology import betti, chain_data, injectivity_on_mask, is_orientable
 from .linalg import FieldSpec
 
 BRUTE_FORCE_VERTEX_CAP = 30
@@ -76,29 +76,42 @@ def _first_failure(x: Complex, field: FieldSpec, top: int, block: tuple) -> Opti
     whose subcomplex fails injectivity in a degree up to ``top``, or None;
     masks are numbered from ``start``."""
     start, masks = block
+    cd = chain_data(x, field)
     for i, w in enumerate(masks, start):
-        v = injectivity_on_mask(x, w, field, top)
+        v = injectivity_on_mask(cd, w, top)
         if not v.ok:
             return i, w, v.witness[0]
     return None
 
 
+def _install(task) -> None:
+    """Pool initializer, run once per worker: the task :func:`_run` calls."""
+    global _task
+    _task = task
+
+
+def _run(block):
+    return _task(block)
+
+
 def _first_hit(task, blocks, jobs: int):
-    """The first non-None ``task(block)`` in block order, run on
-    min(jobs, cores) processes with at most two blocks per process queued.
-    It returns as soon as that is known: leaving the pool terminates its
-    workers, so the blocks still running or queued behind the hit are
-    dropped, not waited for.  ``task`` and each block are pickled to the
-    workers, so ``task`` binds its arguments by ``functools.partial``."""
-    workers = min(jobs, os.cpu_count() or 1)
+    """The first non-None ``task(block)`` in block order.  With one worker,
+    min(jobs, cores), the blocks run in this process; otherwise on a pool
+    whose initializer hands each worker ``task`` once, so only blocks
+    travel, at most two per worker queued.  It returns as soon as the hit
+    is known: leaving the pool terminates its workers, so the blocks still
+    running or queued behind it are dropped, not waited for."""
+    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
+    if workers == 1:
+        return next((hit for hit in map(task, blocks) if hit is not None), None)
     blocks = iter(blocks)
-    with Pool(workers) as pool:
-        pending = deque(pool.apply_async(task, (b,)) for b in itertools.islice(blocks, 2 * workers))
+    with Pool(workers, _install, (task,)) as pool:
+        pending = deque(pool.apply_async(_run, (b,)) for b in itertools.islice(blocks, 2 * workers))
         while pending:
             hit = pending.popleft().get()
             if hit is not None:
                 return hit
-            pending.extend(pool.apply_async(task, (b,)) for b in itertools.islice(blocks, 1))
+            pending.extend(pool.apply_async(_run, (b,)) for b in itertools.islice(blocks, 1))
     return None
 
 
@@ -146,13 +159,14 @@ def is_tight_bruteforce(x: Complex, field: FieldSpec, *,
     else:
         last, top = n - 1, x.dim - 1
     visits = sum(math.comb(n, size) for size in range(2, last + 1))
+    masks = _subset_masks(n, last)
     if jobs > 1 and visits >= PARALLEL_MIN_SUBSETS:
-        masks = _subset_masks(n, last)
         blocks = ((start, list(itertools.islice(masks, _CHUNK)))
                   for start in range(0, visits, _CHUNK))
-        failure = _first_hit(partial(_first_failure, x, field, top), blocks, jobs)
     else:
-        failure = _first_failure(x, field, top, (0, _subset_masks(n, last)))
+        # in process, as one lazy block: a scan that stops builds no more masks
+        jobs, blocks = 1, [(0, masks)]
+    failure = _first_hit(partial(_first_failure, x, field, top), blocks, jobs)
     elapsed = time.perf_counter() - t0
     if failure is None:
         total = (1 << n) - n - 2 if n >= 2 else 0

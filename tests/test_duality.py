@@ -98,7 +98,7 @@ def assert_per_degree_duality(x: Complex, field: FieldSpec) -> None:
         v = induced_map_injective(x, w, field)
         assert (None if v.ok else v.witness[0]) == min(ks, default=None), sorted(w)
         mask = sum(1 << x.vertices.index(u) for u in w)
-        capped = injectivity_on_mask(x, mask, field, d - 2)
+        capped = injectivity_on_mask(chain_data(x, field), mask, d - 2)
         assert (None if capped.ok else capped.witness[0]) == \
             min((k for k in ks if k <= d - 2), default=None), sorted(w)
         if len(w) == 2 or neighbourly:

@@ -13,11 +13,11 @@ from conftest import small_complexes
 from corpus import subdivide_facet, two_handle_quotient
 from oracle import entries, is_zero, library_rows, matmul, rank
 from tighttri import (Complex, InternalInconsistencyError, PreconditionError, betti,
-                      catalog, chain_data, cross_validate, homology,
+                      catalog, chain_data, complexes, cross_validate, homology,
                       induced_map_injective, is_orientable, is_tight_bruteforce,
                       stacked_sphere, verify_closed_manifold)
-from tighttri.complexes import bit_positions
-from tighttri.homology import ChainData, _faces_inside, _spanning_forest
+from tighttri.complexes import _spanning_forest, bit_positions
+from tighttri.homology import ChainData, _faces_inside
 from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, row_basis
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5)]
@@ -303,7 +303,7 @@ class TestCollapse:
             cd = chain_data(x, field)
             f = x.f_vector
             c = len(x.components())
-            ridges, crossed, _ = cd._dual_tree
+            ridges, crossed, _ = x._dual_tree
             assert sorted(ridges) == list(x.faces(2)), name
             # the crossed triangles join the tetrahedra into a spanning tree of
             # the dual graph in each component
@@ -360,6 +360,20 @@ class TestCollapse:
         # beta_1 = 0 from the collapse; the witness still needs the basis of d_3
         assert not v.ok and v.witness[0] == 2
         assert calls == [3]
+
+    def test_the_flood_and_the_collapse_are_built_once_per_complex(self, monkeypatch, quotient_bank):
+        # only the remainder's basis and what is read off it depend on the field
+        calls = []
+        for name in ("_dual_tree", "_collapse", "_spanning_forest"):
+            build = getattr(complexes, name)
+            monkeypatch.setattr(complexes, name, lambda *a, name=name, build=build: calls.append(name) or build(*a))
+        # fresh labels, so no earlier test has filled the cache
+        x = shifted(quotient_bank[0][0], 900)
+        for field in (GF2, FieldSpec.gf(3), QQ):
+            cd = chain_data(x, field)
+            assert cd.betti == oracle_betti(x, field) and cd._cocycles
+            assert is_orientable(x, field) == (field.char == 2)
+        assert calls == ["_collapse", "_dual_tree", "_spanning_forest"]
 
 
 class TestCocycles:

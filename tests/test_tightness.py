@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import multiprocessing
+import multiprocessing.pool
 import os
+import pickle
 
 import pytest
 
@@ -97,7 +99,9 @@ class TestBruteForce:
         assert seq.subsets_scanned == par.subsets_scanned
 
     def test_workers_are_capped_at_the_core_count(self, monkeypatch, tight9):
-        cores = os.cpu_count() or 1
+        # one core would start no pool at all
+        cores = max(2, os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         asked = []
 
         class Done:
@@ -108,12 +112,14 @@ class TestBruteForce:
                 return self.value
 
         class InlinePool:
-            """Runs each task at submission; records the worker count asked for."""
+            """Runs the initializer once and each task at submission; records
+            the worker count asked for."""
 
-            def __init__(self, processes):
+            def __init__(self, processes, initializer, initargs):
                 asked.append(processes)
                 if processes > cores:
                     raise AssertionError(f"{processes} workers asked for on {cores} cores")
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -136,6 +142,65 @@ class TestBruteForce:
         par = search_tight(1, GF2, budget=2000, seed=0, jobs=10**6)
         assert par[0] == tight9[0] and par[1] == tight9[1]
         assert len(asked) == 4
+
+    def test_workers_get_the_task_once_and_then_only_blocks(self, monkeypatch, tmp_path, tight9):
+        # two forked workers, even on one core; each logs its pid when it
+        # installs the task and when it runs a block
+        log = tmp_path / "log"
+
+        def logged(kind, fn):
+            def run(*args):
+                with open(log, "a") as f:
+                    f.write(f"{kind} {os.getpid()}\n")
+                return fn(*args)
+            return run
+
+        sent, initargs = [], []
+
+        class SpyPool(multiprocessing.pool.Pool):
+            def __init__(self, processes, initializer, args):
+                assert processes == 2
+                initargs.append(args)
+                super().__init__(processes, initializer, args, context=multiprocessing.get_context("fork"))
+
+            def apply_async(self, fn, args):
+                sent.append(args)
+                return super().apply_async(fn, args)
+
+        # over Q a plain scan of 32 blocks, failing in the eighth
+        x = tight9[0]
+        seq = is_tight_bruteforce(x, QQ, jobs=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(tightness, "PARALLEL_MIN_SUBSETS", 8)
+        monkeypatch.setattr(tightness, "_CHUNK", 16)
+        monkeypatch.setattr(tightness, "_install", logged("install", tightness._install))
+        monkeypatch.setattr(tightness, "_first_failure", logged("block", tightness._first_failure))
+        monkeypatch.setattr(tightness, "Pool", SpyPool)
+        par = is_tight_bruteforce(x, QQ, jobs=2)
+        assert (seq.verdict, seq.witness, seq.subsets_scanned) == \
+            (par.verdict, par.witness, par.subsets_scanned)
+        # the complex travels once per worker, in the task the initializer installs
+        assert len(initargs) == 1 and initargs[0][0].args[0] is x
+        assert sent and not any(b"Complex" in pickle.dumps(args) for args in sent)
+        entries = [line.split() for line in log.read_text().splitlines()]
+        installs = [pid for kind, pid in entries if kind == "install"]
+        assert len(installs) == len(set(installs)) <= 2
+        assert {pid for kind, pid in entries if kind == "block"} <= set(installs)
+
+    def test_one_core_starts_no_pool(self, monkeypatch, tight9):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(tightness, "Pool", no_pool)
+        monkeypatch.setattr(tightness, "PARALLEL_MIN_SUBSETS", 8)
+        monkeypatch.setattr(tightness, "_CHUNK", 16)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        for x, field in [(tight9[0], GF2), (tight9[0], QQ), (catalog.icosahedron(), GF2)]:
+            seq = is_tight_bruteforce(x, field, jobs=1)
+            par = is_tight_bruteforce(x, field, jobs=4)
+            assert (seq.verdict, seq.witness, seq.subsets_scanned) == \
+                (par.verdict, par.witness, par.subsets_scanned)
+        par = search_tight(1, GF2, budget=2000, seed=0, jobs=4)
+        assert par[0] == tight9[0] and par[1] == tight9[1]
 
     def test_large_scans_are_serial_by_default(self, monkeypatch):
         def no_pool(*args, **kwargs):
