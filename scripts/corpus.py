@@ -68,7 +68,7 @@ def two_handle_quotient(seed=1) -> Complex:
     GF(2) only, with beta = (1, 2, 2, 1) there and (1, 2, 1, 0) over GF(3)
     and Q."""
     rng = random.Random(seed)
-    x = _grow_search_sphere(21, rng)
+    x = Complex.from_facets(_grow_search_sphere(21, rng))
     for _ in range(2):
         x = handle_addition(x, *find_admissible_handle(x, rng))
     return x

@@ -15,7 +15,7 @@ from .complexes import (Complex, Face, InternalInconsistencyError, MalformedComp
                         connected_sum, is_isomorphic, verify_closed_manifold)
 from .construct import (AdmissibilityError, AdmissibleK, Certificate, HandleStep,
                         MalformedCertificateError, TopologyClass, admissible_k,
-                        candidate_handle_sites, classify_topology, find_admissible_handle,
+                        classify_topology, find_admissible_handle,
                         handle_addition, search_tight, stacked_sphere,
                         verify_stacked_certificate)
 from .homology import ChainData, betti, chain_data, induced_map_injective, is_orientable
@@ -38,7 +38,7 @@ __all__ = [
     "SummandList", "TightnessReport", "TopologyClass",
     "UnknownVertexError", "UnsupportedDimensionError", "Verdict", "admissible_k",
     "betti", "boundary_simplex", "builtin",
-    "candidate_handle_sites", "chain_data", "classify_topology",
+    "chain_data", "classify_topology",
     "complete_bipartite", "complete_graph", "connected_sum", "cross_validate",
     "cycle_complex", "decompose_ti", "find_admissible_handle",
     "find_kuratowski_subdivision", "handle_addition", "icosahedron",

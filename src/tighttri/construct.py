@@ -145,6 +145,121 @@ def stacked_sphere(n: int, d: int, seed=0) -> Complex:
     return Complex._from_faces(facets)._record_closed_manifold()
 
 
+class _FacetMasks:
+    """A complex as its sorted facet list and vertex bit masks, on which a
+    search restart lists its handle sites and reads their clash tables
+    without building a :class:`Complex`.
+
+    Vertices take bit positions in ascending label order.  ``closed[v]`` is
+    the mask of the closed neighbourhood of vertex v: v and every vertex
+    that shares a facet with it, which are its neighbours, as every edge of
+    a complex lies in a facet.  ``masks[i]`` is the vertex mask of
+    ``facets[i]``.
+    """
+
+    __slots__ = ("facets", "closed", "masks")
+
+    def __init__(self, facets: Sequence[tuple]):
+        self.facets = facets
+        bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*facets)))}
+        closed = self.closed = dict.fromkeys(bit, 0)
+        masks = self.masks = []
+        for f in facets:
+            m = 0
+            for v in f:
+                m |= bit[v]
+            for v in f:
+                closed[v] |= m
+            masks.append(m)
+
+    def sites(self) -> List[tuple]:
+        """Index pairs (i, j), i < j, ascending, of facets with no edge
+        between them: the mask of facet j misses the closed neighbourhood
+        of facet i, so the two are also disjoint.  Facet j then lies among
+        the vertices outside that neighbourhood, so a facet i with fewer of
+        those than the smallest facet has vertices has no site."""
+        closed, masks = self.closed, self.masks
+        full = (1 << len(closed)) - 1
+        least = min(map(len, self.facets), default=0)
+        out = []
+        for i, f in enumerate(self.facets):
+            c = 0
+            for v in f:
+                c |= closed[v]
+            if (full & ~c).bit_count() < least:
+                continue
+            j = i
+            for m in masks[i + 1:]:
+                j += 1
+                if not m & c:
+                    out.append((i, j))
+        return out
+
+    def find_handle(self, rng: random.Random):
+        """:func:`find_admissible_handle` on these masks: the sites in
+        shuffled order, each with its clash table and shuffled bijections."""
+        facets, closed, masks = self.facets, self.closed, self.masks
+        sites = self.sites()
+        rng.shuffle(sites)
+        for i1, i2 in sites:
+            f1, f2 = facets[i1], facets[i2]
+            # a vertex of f1 lies in its own closed neighbourhood, so
+            # masking out f1 leaves its neighbours outside f1
+            outside1, outside2 = ~masks[i1], ~masks[i2]
+            ext2 = [closed[w] & outside2 for w in f2]
+            fits = [[not (closed[v] & outside1 & e2) for e2 in ext2] for v in f1]
+            perms = list(itertools.permutations(range(len(f2))))
+            rng.shuffle(perms)
+            if len(f1) == len(f2) and not (all(map(any, fits)) and all(map(any, zip(*fits)))):
+                continue
+            for perm in perms:
+                if all(row[j] for row, j in zip(fits, perm)):
+                    return f1, f2, dict(zip(f1, (f2[j] for j in perm)))
+        return None
+
+
+def _closed_3_manifold_f_vector(facets: Sequence[tuple]) -> tuple:
+    """The f-vector of a closed 3-manifold from its facet list: each
+    triangle lies in exactly two tetrahedra, so f2 = 2 f3, and the Euler
+    characteristic of a closed odd-dimensional manifold is 0, so
+    f1 = f0 - f2 + f3 = f0 + f3."""
+    f0, f3 = len(set().union(*facets)), len(facets)
+    return (f0, f0 + f3, 2 * f3, f3)
+
+
+def _glue(facets: Sequence[tuple], facet1: Sequence[int], facet2: Sequence[int],
+          bijection: Dict[int, int]) -> Complex:
+    """The handle addition on the facet list of a closed 3-manifold,
+    with every admissibility check of :func:`handle_addition` and its
+    messages: both sites are facets, they are disjoint, the bijection maps
+    one onto the other, and no identified pair shares a facet, which is to
+    say an edge.  Then the quotient is built, and its f-vector must be
+    :func:`_closed_3_manifold_f_vector` of the facets minus exactly
+    (4, 6, 4, 2).  The quotient's closed-manifold verdict is recorded by
+    the lemma in :func:`handle_addition`."""
+    f1 = tuple(sorted(facet1))
+    f2 = tuple(sorted(facet2))
+    if f1 not in facets or f2 not in facets:
+        raise AdmissibilityError("both gluing sites must be facets")
+    if set(f1) & set(f2):
+        raise AdmissibilityError(f"facets {f1} and {f2} are not disjoint")
+    if set(bijection.keys()) != set(f1) or set(bijection.values()) != set(f2):
+        raise AdmissibilityError("bijection must map the first facet onto the second")
+    for v, w in bijection.items():
+        for f in facets:
+            if v in f and w in f:
+                raise AdmissibilityError(f"vertices {v} and {w} are adjacent; gluing would collapse an edge")
+    rename = {w: v for v, w in bijection.items()}
+    result = Complex._from_faces(tuple(sorted(rename.get(u, u) for u in f))
+                                 for f in facets if f != f1 and f != f2)
+    f = _closed_3_manifold_f_vector(facets)
+    expected = (f[0] - 4, f[1] - 6, f[2] - 4, f[3] - 2)
+    if result.f_vector != expected:
+        raise AdmissibilityError(
+            f"identification merged extra faces: f-vector {result.f_vector}, expected {expected}")
+    return result._record_closed_manifold()
+
+
 def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
                     bijection: Dict[int, int]) -> Complex:
     """Remove two disjoint facets of a connected closed 3-manifold and identify
@@ -155,45 +270,27 @@ def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
     must drop by exactly (4, 6, 4, 2); identifications that merge any extra
     faces are rejected.
 
-    The input is checked as a closed 3-manifold, the stated precondition;
-    the verdict is kept on the complex, so the package's own spheres and
-    quotients pass it at no cost.  The result's verdict is recorded, not
-    checked, by this lemma.  Let X be a connected closed 3-manifold, s1 and
-    s2 disjoint facets, and p a bijection from s1 onto s2 with v and p(v)
-    non-adjacent for every v.  No face of X then contains both v and p(v),
-    so each face other than s1 and s2 maps onto a face of the same
-    dimension, and the faces of the boundary of s2 merge onto those of the
-    boundary of s1, which alone drops the f-vector by (4, 6, 4, 2).  If it
-    drops by exactly that, no other faces merge, and the result is X minus
-    the interiors of s1 and s2 with the two boundary spheres glued.  The
-    link of each merged vertex v is then the connected sum of the links of
-    v and p(v), two 2-spheres, and every other link is unchanged up to
-    renaming; so every vertex link is a 2-sphere, and the result is a
-    closed 3-manifold.
+    Only the precondition runs here: the input is checked as a connected
+    closed 3-manifold, and the verdict is kept on the complex, so the
+    package's own spheres and quotients pass it at no cost.  Every
+    admissibility check, the gluing and the f-vector test run in
+    :func:`_glue` on the facet list, as in a search restart.  The result's
+    verdict is recorded, not checked, by this lemma.  Let X be a connected
+    closed 3-manifold, s1 and s2 disjoint facets, and p a bijection from s1
+    onto s2 with v and p(v) non-adjacent for every v.  No face of X then
+    contains both v and p(v), so each face other than s1 and s2 maps onto a
+    face of the same dimension, and the faces of the boundary of s2 merge
+    onto those of the boundary of s1, which alone drops the f-vector by
+    (4, 6, 4, 2).  If it drops by exactly that, no other faces merge, and
+    the result is X minus the interiors of s1 and s2 with the two boundary
+    spheres glued.  The link of each merged vertex v is then the connected
+    sum of the links of v and p(v), two 2-spheres, and every other link is
+    unchanged up to renaming; so every vertex link is a
+    2-sphere, and the result is a closed 3-manifold.
     """
-    f1 = tuple(sorted(facet1))
-    f2 = tuple(sorted(facet2))
     _require_closed_manifold(x, 3, "handle addition needs a connected closed 3-manifold",
                              connected=True)
-    if f1 not in x.facets or f2 not in x.facets:
-        raise AdmissibilityError("both gluing sites must be facets")
-    if set(f1) & set(f2):
-        raise AdmissibilityError(f"facets {f1} and {f2} are not disjoint")
-    if set(bijection.keys()) != set(f1) or set(bijection.values()) != set(f2):
-        raise AdmissibilityError("bijection must map the first facet onto the second")
-    for v, w in bijection.items():
-        if w in x.neighbors(v):
-            raise AdmissibilityError(f"vertices {v} and {w} are adjacent; gluing would collapse an edge")
-    rename = {w: v for v, w in bijection.items()}
-    new_facets = [tuple(sorted(rename.get(u, u) for u in f))
-                  for f in x.facets if f not in (f1, f2)]
-    result = Complex._from_faces(new_facets)
-    f = x.f_vector
-    expected = (f[0] - 4, f[1] - 6, f[2] - 4, f[3] - 2)
-    if result.f_vector != expected:
-        raise AdmissibilityError(
-            f"identification merged extra faces: f-vector {result.f_vector}, expected {expected}")
-    return result._record_closed_manifold()
+    return _glue(x.facets, facet1, facet2, bijection)
 
 
 def verify_stacked_certificate(m: Complex, cert: Certificate) -> Verdict:
@@ -272,20 +369,7 @@ def candidate_handle_sites(x: Complex) -> List[tuple]:
     exactly when the mask of f2 misses the closed neighbourhood of f1.
     """
     facets = sorted(x.facets)
-    pos = x._vertex_position
-    nbr = x._neighbour_masks
-    masks, closed = [], []
-    for f in facets:
-        m = c = 0
-        for v in f:
-            p = pos[v]
-            m |= 1 << p
-            c |= nbr[p]
-        masks.append(m)
-        closed.append(m | c)
-    return [(f1, facets[j])
-            for i, (f1, c) in enumerate(zip(facets, closed))
-            for j in range(i + 1, len(facets)) if not masks[j] & c]
+    return [(facets[i], facets[j]) for i, j in _FacetMasks(facets).sites()]
 
 
 def find_admissible_handle(x: Complex, rng: random.Random):
@@ -301,36 +385,18 @@ def find_admissible_handle(x: Complex, rng: random.Random):
     the other facet admits no bijection and is passed over, after the
     shuffle, so that the generator's draws stay the same.
     """
-    sites = candidate_handle_sites(x)
-    rng.shuffle(sites)
-    pos = x._vertex_position
-    nbr = x._neighbour_masks
-    for f1, f2 in sites:
-        p1 = [pos[v] for v in f1]
-        p2 = [pos[w] for w in f2]
-        outside1 = ~sum(1 << p for p in p1)
-        outside2 = ~sum(1 << p for p in p2)
-        ext2 = [nbr[p] & outside2 for p in p2]
-        fits = [[not (nbr[p] & outside1 & e2) for e2 in ext2] for p in p1]
-        perms = list(itertools.permutations(range(len(f2))))
-        rng.shuffle(perms)
-        if len(f1) == len(f2) and not (all(map(any, fits)) and all(map(any, zip(*fits)))):
-            continue
-        for perm in perms:
-            if all(row[j] for row, j in zip(fits, perm)):
-                return f1, f2, dict(zip(f1, (f2[j] for j in perm)))
-    return None
+    return _FacetMasks(sorted(x.facets)).find_handle(rng)
 
 
-def _grow_search_sphere(n: int, rng: random.Random) -> Complex:
-    """Stacked 3-sphere biased toward elongated simplex trees.
+def _grow_search_sphere(n: int, rng: random.Random) -> List[tuple]:
+    """The sorted facet list of a stacked 3-sphere biased toward elongated
+    simplex trees.
 
     A handle needs two facets with no edges between them, and at the tight
     13-vertex scale only near-path trees have such far-apart ends; uniform
     facet choice essentially never produces them.  With probability
     ``_BRANCH_BIAS`` each subdivision extends the newest branch, otherwise
-    it hits a uniform random facet.  Like :func:`stacked_sphere`, it
-    records its closed-manifold verdict rather than checking it.
+    it hits a uniform random facet.  Its vertices are 0 to n - 1.
     """
     facets = list(itertools.combinations(range(5), 4))
     continuation = None
@@ -342,13 +408,21 @@ def _grow_search_sphere(n: int, rng: random.Random) -> Complex:
             target = facets[rng.randrange(len(facets))]
         _subdivide(facets, target, w)
         continuation = target[1:] + (w,)
-    return Complex._from_faces(facets)._record_closed_manifold()
+    return facets
 
 
 def _search_attempt(seed, restart: int, k: int, n: int, field: FieldSpec):
     """One restart: a fresh search sphere on n = f0 + 4k vertices, k random
     handles, then acceptance on orientability over the field.  Returns
     (complex, certificate), or None when a step finds no handle site.
+
+    The sphere stays a sorted facet list.  Each step lists the sites and
+    reads their clash tables on :class:`_FacetMasks`, and :func:`_glue`
+    runs every admissibility check of :func:`handle_addition` and the exact
+    f-vector drop on the facet list; so the first :class:`Complex` is the
+    quotient that :func:`_glue` builds.  Only the closed-manifold
+    precondition is skipped, which the stacked sphere and each quotient
+    meet by construction.  A later step works on the quotient's facets.
 
     By the paper's theorem, as :func:`is_tight_fast_3manifold` reads it, a
     quotient is tight iff it is orientable and (f0-4)(f0-5) = 20 beta_1.
@@ -363,20 +437,19 @@ def _search_attempt(seed, restart: int, k: int, n: int, field: FieldSpec):
     orientability, an orientation flood with no elimination.
     """
     rng = random.Random(f"{seed}:{restart}")
-    sphere = _grow_search_sphere(n, rng)
-    current = sphere
+    facets = sphere = _grow_search_sphere(n, rng)
     steps: List[HandleStep] = []
     for _ in range(k):
-        choice = find_admissible_handle(current, rng)
+        choice = _FacetMasks(facets).find_handle(rng)
         if choice is None:
             return None
-        f1, f2, bijection = choice
-        current = handle_addition(current, f1, f2, bijection)
-        steps.append(HandleStep.make(f1, f2, bijection))
+        current = _glue(facets, *choice)
+        facets = current.facets
+        steps.append(HandleStep.make(*choice))
     if not is_orientable(current, field):
         return None
     cert = Certificate(
-        seed_facets=tuple(sorted(sphere.facets)),
+        seed_facets=tuple(sphere),
         steps=tuple(steps),
         final_f_vector=current.f_vector,
         rng_seed=f"{seed}:{restart}",

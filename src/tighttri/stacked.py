@@ -12,6 +12,7 @@ a certificate.
 from __future__ import annotations
 
 import functools
+import heapq
 import operator
 from bisect import bisect_left, insort
 from collections import Counter
@@ -90,17 +91,26 @@ def is_stacked_sphere(s: Complex, d: int) -> Verdict:
     _require_closed_manifold(s, d, f"not a closed {d}-manifold")
     if not s.is_connected():
         return Verdict(False, detail="disconnected, hence not a sphere")
-    # in ascending vertex order, which removals keep
     nbrs = {v: set(s.neighbors(v)) for v in s.vertices}
+    # a heap of the vertices of degree d+1, keyed by label, and sorted to
+    # begin with; degrees only fall, so a vertex enters it once, when its
+    # degree reaches d+1, and an entry is stale once the vertex is removed
+    # or its degree falls below
+    ready = [v for v, around in nbrs.items() if len(around) == d + 1]
     removals: List[int] = []
     while len(nbrs) > d + 2:
-        v = next((v for v, around in nbrs.items() if len(around) == d + 1), None)
-        if v is None:
+        while ready and len(nbrs.get(ready[0], ())) != d + 1:
+            heapq.heappop(ready)
+        if not ready:
             return Verdict(False, witness=tuple(removals),
                            detail=f"no reverse-subdivision vertex at f0={len(nbrs)}")
+        v = heapq.heappop(ready)
         removals.append(v)
         for u in nbrs.pop(v):
-            nbrs[u].discard(v)
+            around = nbrs[u]
+            around.discard(v)
+            if len(around) == d + 1:
+                heapq.heappush(ready, u)
     return Verdict(True, witness=tuple(removals))
 
 

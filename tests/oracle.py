@@ -15,7 +15,10 @@ library's earlier code, on adjacency sets and one ``Complex`` per piece:
 :func:`induced_cycles` enumerates every cycle up to the bound, and
 :func:`mod3_obstruction` keeps the first with length = 1 (mod 3) of all of
 them.  So are the sphere generators after them, which sort the facet set
-afresh before every draw.
+afresh before every draw, the greedy stacked-sphere recogniser, which
+looks for the lowest eligible vertex afresh after every removal, and the
+search restart on complexes, with handle sites and gluing checked pair by
+pair on neighbour sets.
 """
 
 import itertools
@@ -23,7 +26,8 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from tighttri import Complex, CycleWitness, HypothesisViolationError, Verdict
+from tighttri import (AdmissibilityError, Certificate, Complex, CycleWitness, HandleStep,
+                      HypothesisViolationError, Verdict, is_orientable)
 from tighttri.construct import _BRANCH_BIAS
 from tighttri.linalg import FieldSpec
 
@@ -261,3 +265,80 @@ def grow_search_sphere_facets(n: int, rng) -> tuple:
         _cone(facets, target, w)
         continuation = target[1:] + (w,)
     return tuple(sorted(facets))
+
+
+def is_stacked_sphere(s: Complex, d: int) -> Verdict:
+    """The greedy recogniser on neighbour sets, for a connected closed
+    d-manifold: after each removal it scans the vertices in ascending order
+    for the first of degree d+1."""
+    nbrs = {v: set(s.neighbors(v)) for v in s.vertices}
+    removals = []
+    while len(nbrs) > d + 2:
+        v = next((v for v, around in nbrs.items() if len(around) == d + 1), None)
+        if v is None:
+            return Verdict(False, witness=tuple(removals),
+                           detail=f"no reverse-subdivision vertex at f0={len(nbrs)}")
+        removals.append(v)
+        for u in nbrs.pop(v):
+            nbrs[u].discard(v)
+    return Verdict(True, witness=tuple(removals))
+
+
+# -- search restarts on complexes ------------------------------------------------
+
+def handle_sites(x: Complex) -> list:
+    """The site definition pair by pair: disjoint facets, no edge between."""
+    facets = sorted(x.facets)
+    return [(f1, f2) for i, f1 in enumerate(facets) for f2 in facets[i + 1:]
+            if not set(f1) & set(f2)
+            and not any(w in x.neighbors(v) for v in f1 for w in f2)]
+
+
+def find_admissible_handle(x: Complex, rng):
+    """The site search with neighbour sets intersected afresh for each
+    shuffled bijection of each shuffled site."""
+    sites = handle_sites(x)
+    rng.shuffle(sites)
+    for f1, f2 in sites:
+        ext1 = {v: x.neighbors(v) - set(f1) for v in f1}
+        ext2 = {w: x.neighbors(w) - set(f2) for w in f2}
+        perms = list(itertools.permutations(f2))
+        rng.shuffle(perms)
+        for perm in perms:
+            if all(not (ext1[v] & ext2[w]) for v, w in zip(f1, perm)):
+                return f1, f2, dict(zip(f1, perm))
+    return None
+
+
+def glue(x: Complex, f1: tuple, f2: tuple, bijection: dict) -> Complex:
+    """The handle addition on a complex: no identified pair adjacent, and
+    the f-vector of the rebuilt quotient exactly (4, 6, 4, 2) lower."""
+    if any(w in x.neighbors(v) for v, w in bijection.items()):
+        raise AdmissibilityError("an identified pair is adjacent")
+    rename = {w: v for v, w in bijection.items()}
+    result = Complex.from_facets([[rename.get(u, u) for u in f]
+                                  for f in x.facets if f not in (f1, f2)])
+    if tuple(a - b for a, b in zip(x.f_vector, result.f_vector)) != (4, 6, 4, 2):
+        raise AdmissibilityError("the identification merged extra faces")
+    return result
+
+
+def search_attempt(seed, restart: int, k: int, n: int, field: FieldSpec):
+    """A search restart on complexes: the sphere is built as a ``Complex``,
+    and each of the k handles is found and glued on it as above; the
+    quotient is accepted when it is orientable over the field."""
+    rng = random.Random(f"{seed}:{restart}")
+    sphere = Complex.from_facets(grow_search_sphere_facets(n, rng))
+    current = sphere
+    steps = []
+    for _ in range(k):
+        choice = find_admissible_handle(current, rng)
+        if choice is None:
+            return None
+        current = glue(current, *choice)
+        steps.append(HandleStep.make(*choice))
+    if not is_orientable(current, field):
+        return None
+    cert = Certificate(seed_facets=tuple(sorted(sphere.facets)), steps=tuple(steps),
+                       final_f_vector=current.f_vector, rng_seed=f"{seed}:{restart}")
+    return current, cert

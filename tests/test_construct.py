@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import oracle
 from oracle import grow_search_sphere_facets, stacked_sphere_facets
 from tighttri import (AdmissibilityError, Certificate, Complex, InternalInconsistencyError,
                       PreconditionError, admissible_k, betti, catalog, classify_topology,
@@ -10,8 +12,8 @@ from tighttri import (AdmissibilityError, Certificate, Complex, InternalInconsis
                       is_orientable, is_stacked_sphere, is_tight_fast_3manifold, search_tight,
                       stacked_sphere, verify_closed_manifold, verify_stacked_certificate)
 from tighttri.complexes import _check_closed_manifold
-from tighttri.construct import (HandleStep, _grow_search_sphere, _search_attempt,
-                                candidate_handle_sites)
+from tighttri.construct import (HandleStep, _closed_3_manifold_f_vector, _grow_search_sphere,
+                                _search_attempt, candidate_handle_sites)
 from tighttri.linalg import GF2, QQ, FieldSpec
 
 
@@ -43,7 +45,7 @@ class TestStackedSphereGenerator:
                 assert stacked_sphere(n, d, seed=seed).facets == stacked_sphere_facets(n, d, seed)
             n = 13 + seed % 14
             rng, ref = random.Random(f"{seed}:0"), random.Random(f"{seed}:0")
-            assert _grow_search_sphere(n, rng).facets == grow_search_sphere_facets(n, ref)
+            assert tuple(_grow_search_sphere(n, rng)) == grow_search_sphere_facets(n, ref)
             assert rng.getstate() == ref.getstate()
 
     def test_links_are_stacked_2_spheres(self):
@@ -148,17 +150,10 @@ class TestHandleAddition:
             handle_addition(catalog.icosahedron(), (0, 1, 2), (6, 7, 8), {0: 6, 1: 7, 2: 8})
 
 
-def pairwise_sites(x):
-    """The site definition pair by pair: disjoint facets, no edge between."""
-    facets = sorted(x.facets)
-    return [(f1, f2) for i, f1 in enumerate(facets) for f2 in facets[i + 1:]
-            if not set(f1) & set(f2)
-            and not any(w in x.neighbors(v) for v in f1 for w in f2)]
-
-
 def test_candidate_sites_match_pairwise_definition():
     spheres = [stacked_sphere(18 + s % 13, 3, seed=s) for s in range(40)]
-    search_spheres = [_grow_search_sphere(13 + s % 8, random.Random(f"{s}:0")) for s in range(40)]
+    search_spheres = [Complex.from_facets(_grow_search_sphere(13 + s % 8, random.Random(f"{s}:0")))
+                      for s in range(40)]
     quotients = []
     for s, x in enumerate(spheres + search_spheres):
         choice = find_admissible_handle(x, random.Random(s))
@@ -174,7 +169,7 @@ def test_candidate_sites_match_pairwise_definition():
         relabelled.append(Complex.from_facets([[rename[v] for v in f] for f in x.facets]))
     found = 0
     for x in spheres + search_spheres + quotients + relabelled:
-        want = pairwise_sites(x)
+        want = oracle.handle_sites(x)
         assert candidate_handle_sites(x) == want
         found += len(want)
     assert found > 0
@@ -188,16 +183,37 @@ def assert_recorded_verdict(x: Complex) -> None:
     assert verify_closed_manifold(x).ok
 
 
+def test_facet_list_f_vector_matches_the_complex():
+    """The f-vector that a search restart reads off its sphere's facet
+    list, with f2 = 2 f3 and f1 = f0 + f3, is the f-vector of the complex
+    on those facets; so is that of each quotient."""
+    for n in range(13, 27):
+        for seed in range(5):
+            rng = random.Random(f"{seed}:{n}")
+            facets = _grow_search_sphere(n, rng)
+            assert _closed_3_manifold_f_vector(facets) == Complex._from_faces(facets).f_vector
+            choice = find_admissible_handle(Complex.from_facets(facets), rng)
+            if choice is not None:
+                quotient = handle_addition(Complex.from_facets(facets), *choice)
+                assert _closed_3_manifold_f_vector(quotient.facets) == quotient.f_vector
+
+
 def test_recorded_verdicts_match_the_check():
-    """Stacked 2- and 3-spheres, search spheres, k = 1 and k = 2 handle
-    quotients, and the quotients of certificate replays."""
+    """Stacked 2- and 3-spheres, k = 1 and k = 2 handle quotients, and the
+    quotients of search restarts and of certificate replays.  A search
+    sphere is only a facet list, which must be a closed 3-manifold, as the
+    restart's gluing assumes without a check."""
     quotients = {1: 0, 2: 0}
     for s in range(60):
         for d in (2, 3):
             assert_recorded_verdict(stacked_sphere(d + 2 + s % 17, d, seed=s))
         rng = random.Random(f"{s}:0")
-        x = _grow_search_sphere(13 + s % 14, rng) if s % 2 else stacked_sphere(20 + s % 9, 3, seed=s)
-        assert_recorded_verdict(x)
+        if s % 2:
+            x = Complex.from_facets(_grow_search_sphere(13 + s % 14, rng))
+            assert verify_closed_manifold(x).ok and x.is_connected()
+        else:
+            x = stacked_sphere(20 + s % 9, 3, seed=s)
+            assert_recorded_verdict(x)
         for k in (1, 2):
             choice = find_admissible_handle(x, rng)
             if choice is None:
@@ -211,6 +227,7 @@ def test_recorded_verdicts_match_the_check():
         found = _search_attempt(7, restart, 1, 13, GF2)
         if found is None:
             continue
+        assert_recorded_verdict(found[0])
         cert = found[1]
         current = cert.seed_complex()
         for step in cert.steps:
@@ -221,29 +238,14 @@ def test_recorded_verdicts_match_the_check():
     assert replays >= 5
 
 
-def pairwise_find_admissible_handle(x, rng):
-    """The earlier site search: neighbour sets intersected afresh for each
-    shuffled bijection of each site."""
-    sites = candidate_handle_sites(x)
-    rng.shuffle(sites)
-    for f1, f2 in sites:
-        ext1 = {v: x.neighbors(v) - set(f1) for v in f1}
-        ext2 = {w: x.neighbors(w) - set(f2) for w in f2}
-        perms = list(itertools.permutations(f2))
-        rng.shuffle(perms)
-        for perm in perms:
-            if all(not (ext1[v] & ext2[w]) for v, w in zip(f1, perm)):
-                return f1, f2, dict(zip(f1, perm))
-    return None
-
-
 def test_clash_table_matches_pairwise_search():
     """Same triple and same generator state afterwards, on stacked 3- and
     2-spheres, search spheres, quotients, relabelled copies and complexes
     with facets of two sizes."""
     spheres = [stacked_sphere(18 + s % 13, 3, seed=s) for s in range(150)]
     spheres += [stacked_sphere(12 + s % 15, 2, seed=s) for s in range(100)]
-    spheres += [_grow_search_sphere(13 + s % 8, random.Random(f"{s}:0")) for s in range(150)]
+    spheres += [Complex.from_facets(_grow_search_sphere(13 + s % 8, random.Random(f"{s}:0")))
+                for s in range(150)]
     rng = random.Random(5)
     extra = []
     for i, x in enumerate(spheres[::10]):
@@ -260,7 +262,7 @@ def test_clash_table_matches_pairwise_search():
         for seed in (i, i + 1000):
             mine, theirs = random.Random(seed), random.Random(seed)
             got = find_admissible_handle(x, mine)
-            assert got == pairwise_find_admissible_handle(x, theirs)
+            assert got == oracle.find_admissible_handle(x, theirs)
             assert mine.getstate() == theirs.getstate()
             if got is not None:
                 found[len(got[0])] += 1
@@ -275,7 +277,7 @@ def criterion_attempt(seed, restart: int, k: int, n: int, field):
     neighbourly, and accepted on the polynomial criterion.  Returns its
     outcome and the quotient it built, or None if it built none."""
     rng = random.Random(f"{seed}:{restart}")
-    sphere = _grow_search_sphere(n, rng)
+    sphere = Complex.from_facets(_grow_search_sphere(n, rng))
     current = sphere
     steps = []
     for _ in range(k):
@@ -350,6 +352,24 @@ class TestSearch:
                     built += 1
                     assert quotient.is_neighbourly() and betti(quotient, field)[1] == 1
         assert built >= 100
+
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_restarts_match_the_complex_reference(self, field):
+        """A restart on facet lists and masks returns what the restart on
+        complexes, with sites and gluing checked pair by pair, returns: the
+        same quotient and certificate, or None.  Over GF(2) every quotient
+        is orientable, so each one built is compared."""
+        seeds = [7, 11, *range(6), *range(1000, 1006), *range(2_000_000, 2_000_004),
+                 *range(3_000_000, 3_000_006)]
+        found = Counter()
+        for seed in seeds:
+            for restart in range(8):
+                for k, n in ((1, 13), (2, 17), (2, 21)):
+                    got = _search_attempt(seed, restart, k, n, field)
+                    assert got == oracle.search_attempt(seed, restart, k, n, field), (seed, restart, k, n)
+                    found[k] += got is not None
+        if field == GF2:
+            assert found[1] >= 40 and found[2] >= 8, found
 
     @pytest.mark.parametrize("confirm_max", [12, 0])
     def test_a_quotient_that_is_not_tight_raises(self, monkeypatch, confirm_max):

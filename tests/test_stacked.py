@@ -11,6 +11,7 @@ from tighttri import (Complex, PreconditionError, Verdict, catalog, connected_su
 from tighttri.construct import Certificate, HandleStep
 from tighttri.stacked import HypothesisViolationError
 from corpus import random_ti_sum
+import oracle
 from oracle import empty_triangle, split_at_triangle
 
 
@@ -157,6 +158,33 @@ class TestCountingRecognition:
             assert got == reference_is_stacked_sphere(x, d), (x.facets, d)
             verdicts[got.ok] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_heap_matches_the_greedy_scan(self, quotient_bank):
+        """The heap of degree-(d+1) vertices gives the greedy scan's verdict,
+        removal sequence and failure witness, on large stacked spheres, on
+        shuffled labels, and on spheres and manifolds where the removals
+        stop part-way: T/I sums with icosahedra, and stacked 3-spheres
+        summed with a quotient."""
+        rng = random.Random(3)
+        cases = [(x, 2) for x in acceptance_sums()[:60]]
+        cases += [(stacked_sphere(n, d, seed=seed), d)
+                  for d in (2, 3) for n in (50, 300, 1200) for seed in range(2)]
+        for d in (2, 3):
+            x = stacked_sphere(400, d, seed=5)
+            labels = rng.sample(range(3 * x.num_vertices), x.num_vertices)
+            rename = dict(zip(x.vertices, labels))
+            cases.append((Complex.from_facets([[rename[v] for v in f] for f in x.facets]), d))
+        for i, (m, _) in enumerate(quotient_bank[:3]):
+            cases.append((m, 3))
+            x = stacked_sphere(60 + 20 * i, 3, seed=i)
+            fx, fm = sorted(x.facets)[i], sorted(m.facets)[0]
+            cases.append((connected_sum(x, m, fx, fm, dict(zip(fm, fx))), 3))
+        verdicts = Counter()
+        for x, d in cases:
+            got = is_stacked_sphere(x, d)
+            assert got == oracle.is_stacked_sphere(x, d), (x.f_vector, d)
+            verdicts[got.ok, bool(got.witness)] += 1
+        assert verdicts[True, True] >= 10 and verdicts[False, True] >= 10, verdicts
 
     def test_counts_recognise_the_summands(self):
         tetra, icosa = catalog.boundary_simplex(3), catalog.icosahedron()
