@@ -259,6 +259,18 @@ class Complex:
         return _check_closed_manifold(self)
 
     @cached_property
+    def _face_masks(self) -> tuple:
+        """:func:`_face_masks`, kept here for the chain data of every field."""
+        return _face_masks(self)
+
+    @cached_property
+    def _windows(self) -> tuple:
+        """Per degree, where its window of the masks in :attr:`_face_masks`
+        starts, and the mask that cuts it out."""
+        f = self.f_vector
+        return tuple((off, (1 << fk) - 1) for off, fk in zip(itertools.accumulate(f, initial=0), f))
+
+    @cached_property
     def _dual_tree(self) -> tuple:
         """:func:`_dual_tree`, kept here for the chain data of every field."""
         return _dual_tree(self)
@@ -440,6 +452,22 @@ def _require_closed_manifold(x: Complex, d: int, prefix: str, *, connected: bool
     else:
         return
     raise PreconditionError(f"{prefix}: {reason}")
+
+
+def _face_masks(x: Complex) -> tuple:
+    """Per vertex position, the mask of the faces through that vertex in
+    every degree at once: the k-faces take the bits from
+    ``f_0 + ... + f_{k-1}`` on, and bit j of that window is set iff the
+    j-th k-face contains the vertex."""
+    pos = x._vertex_position
+    masks = [0] * x.num_vertices
+    bit = 1
+    for k in range(x.dim + 1):
+        for f in x.faces(k):
+            for v in f:
+                masks[pos[v]] |= bit
+            bit <<= 1
+    return tuple(masks)
 
 
 def _dual_tree(x: Complex) -> tuple:

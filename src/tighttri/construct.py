@@ -174,10 +174,16 @@ class _FacetMasks:
 
     def sites(self) -> List[tuple]:
         """Index pairs (i, j), i < j, ascending, of facets with no edge
-        between them: the mask of facet j misses the closed neighbourhood
-        of facet i, so the two are also disjoint.  Facet j then lies among
-        the vertices outside that neighbourhood, so a facet i with fewer of
-        those than the smallest facet has vertices has no site."""
+        between them: the handle sites.  Any edge running between the two
+        facets would merge with a facet edge under the identification, so
+        these are the only sites where a handle keeps the f-vector
+        bookkeeping exact.
+
+        (i, j) is a site exactly when the mask of facet j misses the closed
+        neighbourhood of facet i, the union of its vertices' ones, so the
+        two are also disjoint.  Facet j then lies among the vertices outside
+        that neighbourhood, so a facet i with fewer of those than the
+        smallest facet has vertices has no site."""
         closed, masks = self.closed, self.masks
         full = (1 << len(closed)) - 1
         least = min(map(len, self.facets), default=0)
@@ -357,19 +363,6 @@ def _vertex_count_for_k(k: int) -> int:
         raise ValueError(
             f"k={k} is outside the realized family: f0 = {f0} is not 9 (mod 20)")
     return f0
-
-
-def candidate_handle_sites(x: Complex) -> List[tuple]:
-    """Disjoint facet pairs with no edges between them, sorted.
-
-    Any edge running between the two facets would merge with a facet edge
-    under the identification, so these are the only sites where a handle can
-    keep the f-vector bookkeeping exact.  Each facet gets its vertex mask
-    and the union of its vertices' closed neighbourhoods; (f1, f2) is a site
-    exactly when the mask of f2 misses the closed neighbourhood of f1.
-    """
-    facets = sorted(x.facets)
-    return [(facets[i], facets[j]) for i, j in _FacetMasks(facets).sites()]
 
 
 def find_admissible_handle(x: Complex, rng: random.Random):

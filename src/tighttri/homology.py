@@ -39,7 +39,8 @@ from typing import Iterable, Optional
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
                         UnknownVertexError, Verdict, _closed_surface_or_3_manifold,
                         bit_positions, component_masks, verify_closed_manifold)
-from .linalg import FMatrix, FieldSpec, echelon_row, kernel_rows, row_basis
+from .linalg import (FMatrix, FieldSpec, echelon_row, items_row, kernel_rows, row_basis,
+                     row_items, signed_rows)
 
 
 class ChainData:
@@ -47,13 +48,13 @@ class ChainData:
     the reduced bases of their row spaces, each eliminated once, and the
     Betti numbers, computed once: the complex is immutable, and so is this.
 
-    Boundary rows are built straight from the faces in the row bases' own
-    format: bit masks over GF(2), ``{column: ±1 mod p}`` dicts over GF(p)
-    and ``{column: ±1}`` dicts over Q, with columns in ascending order.
-    :meth:`boundary` is an :class:`~tighttri.linalg.FMatrix` view of them.
-    :attr:`through` holds, per vertex, the mask of the faces through it,
-    ``_collapse`` the basis of the 2-complex a closed 3-manifold collapses
-    onto, and ``_cocycles`` a basis of H^1 read off that 2-complex.
+    It holds only what depends on the field; what does not, the face masks,
+    the dual tree, the collapse and its forest, is kept on the complex and
+    shared by every field.  Boundary rows are built by
+    :func:`~tighttri.linalg.signed_rows`, and :meth:`boundary` is an
+    :class:`~tighttri.linalg.FMatrix` view of them.  ``_collapse`` holds
+    the basis of the 2-complex a closed 3-manifold collapses onto, and
+    ``_cocycles`` a basis of H^1 read off that 2-complex.
     """
 
     def __init__(self, x: Complex, field: FieldSpec):
@@ -67,30 +68,6 @@ class ChainData:
         if k not in self._rows:
             self._rows[k] = _boundary_rows(self.complex, k, self.field)
         return self._rows[k]
-
-    @cached_property
-    def through(self) -> tuple:
-        """Per vertex position, the mask of the faces through that vertex in
-        every degree at once: the k-faces take the bits from
-        ``f_0 + ... + f_{k-1}`` on, and bit j of that window is set iff the
-        j-th k-face contains the vertex.  Built on first use."""
-        x = self.complex
-        pos = x._vertex_position
-        masks = [0] * x.num_vertices
-        bit = 1
-        for k in range(x.dim + 1):
-            for f in x.faces(k):
-                for v in f:
-                    masks[pos[v]] |= bit
-                bit <<= 1
-        return tuple(masks)
-
-    @cached_property
-    def _windows(self) -> tuple:
-        """Per degree, where its window of the masks in :attr:`through`
-        starts, and the mask that cuts it out."""
-        f = self.complex.f_vector
-        return tuple((off, (1 << fk) - 1) for off, fk in zip(itertools.accumulate(f, initial=0), f))
 
     def boundary(self, k: int) -> FMatrix:
         """The k-th boundary map over the field, for k in 0..dim."""
@@ -141,22 +118,21 @@ class ChainData:
         """``(pairs, kept, basis)``: the complex's ``_collapse`` onto K, and
         the reduced basis of the rows of K's triangles over all edges, which
         is ``basis(2)`` where nothing collapses."""
-        x, p = self.complex, self.field.char
+        x = self.complex
         pairs, kept, triangles = x._collapse
         if triangles is None:
             return pairs, kept, self.basis(2)
         basis = row_basis(self.field, len(x.faces(1)))
-        minus = -1 % p if p else -1
-        for e0, e1, e2 in triangles:
-            basis.add(1 << e0 | 1 << e1 | 1 << e2 if p == 2 else {e0: 1, e1: minus, e2: 1})
+        for r in signed_rows(self.field, triangles):
+            basis.add(r)
         return pairs, kept, basis
 
     @cached_property
     def _cocycles(self) -> list:
-        """A basis of H^1(X; F), as rows over the edges, integer multiples
-        of cocycles over Q: the cocycles of the 2-complex K of
-        :attr:`_collapse` that vanish on the edges of a spanning forest of
-        K, extended back through the collapsed edges.
+        """A basis of H^1(X; F), each the list of its values on the edges,
+        integer multiples of cocycles over Q: the cocycles of the 2-complex
+        K of :attr:`_collapse` that vanish on the edges of a spanning forest
+        of K, extended back through the collapsed edges.
 
         A cocycle vanishes on B_1(K).  The basis of B_1(K), with the
         forest's unit rows added, spans a space meeting no cocycle but 0,
@@ -180,47 +156,28 @@ class ChainData:
         if len(kept) - (x.num_vertices - len(x.components())) == remainder.dim:
             return []  # beta_1 = 0
         basis = row_basis(field, n)
-        for e in x._forest:
-            basis.add(1 << e if p == 2 else {e: 1})
-        for r in remainder.rows_at(range(n)):
+        for r in signed_rows(field, [(e,) for e in x._forest]) + remainder.rows_at(range(n)):
             basis.add(r)
-        rows = basis.rows_at(range(n))
-        if p == 2:
-            pivots = sum(r & -r for r in rows)
-            cocycles = {j: 1 << j for j in kept if not pivots >> j & 1}
-            for r in rows:
-                pivot = r & -r
-                for j in bit_positions(r ^ pivot):
-                    cocycles[j] |= pivot
-            out = []
-            for m in cocycles.values():
-                for e, (e0, e1, e2) in reversed(pairs):
-                    if (m >> e0 ^ m >> e1 ^ m >> e2) & 1:
-                        m |= 1 << e
-                out.append(m)
-            return out
-        pivots = {min(r) for r in rows}
+        rows = [row_items(field, r) for r in basis.rows_at(range(n))]
+        pivots = {r[0][0] for r in rows}
         terms: dict = {j: [] for j in kept if j not in pivots}
-        for r in rows:
-            pivot = min(r)
-            for j, v in r.items():
-                if j != pivot:
-                    terms[j].append((pivot, v, r[pivot]))
+        for (pivot, d), *rest in rows:
+            for j, v in rest:
+                terms[j].append((pivot, v, d))
         cocycles = []
         for j, column in terms.items():
             # the pivot entries are 1 over GF(p); over Q their lcm clears denominators
             scale = lcm(1, *(d for _, _, d in column))
-            cocycle = {j: scale}
+            cocycle = [0] * n
+            cocycle[j] = scale
             for pivot, v, d in column:
-                cocycle[pivot] = -v * (scale // d) % p if p else -v * (scale // d)
+                value = -v * (scale // d)
+                cocycle[pivot] = value % p if p else value
             for e, (e0, e1, e2) in reversed(pairs):
                 # the value at e is 0 so far; the boundary's signs are +, -, +
-                total = cocycle.get(e0, 0) - cocycle.get(e1, 0) + cocycle.get(e2, 0)
+                total = cocycle[e0] - cocycle[e1] + cocycle[e2]
                 value = total if e == e1 else -total
-                if p:
-                    value %= p
-                if value:
-                    cocycle[e] = value
+                cocycle[e] = value % p if p else value
             cocycles.append(cocycle)
         return cocycles
 
@@ -237,74 +194,63 @@ class ChainData:
         slot by slot mod p over GF(p), and ``defect(e, q)`` is e - q as a
         row over the cocycles in the field's row format.
         """
-        x, p = self.complex, self.field.char
+        x, field, p = self.complex, self.field, self.field.char
         cocycles = self._cocycles
         beta = len(cocycles)
         if p == 2:
-            values = [[c >> j & 1 for c in cocycles] for j in range(len(x.faces(1)))]
-            s = 1
+            # one bit per slot: packed vectors add by XOR, and the XOR of two
+            # is their difference as a GF(2) row over the cocycles
+            s, add, defect = 1, operator.xor, operator.xor
         else:
-            values = [[c.get(j, 0) for c in cocycles] for j in range(len(x.faces(1)))]
             if p:
                 # a slot holds a sum of two residues, below 2p, and a bit above it
                 s = (2 * p).bit_length() + 1
+                # a slot of a sum is at most 2p - 2 < 2**(s-1); adding 2**(s-1) - p
+                # to it sets bit s-1 exactly when it is p or more
+                high = sum(1 << (s * i + s - 1) for i in range(beta))
+                offset = high - sum(p << s * i for i in range(beta))
+
+                def add(a: int, b: int) -> int:
+                    t = a + b
+                    return t - (((t + offset) & high) >> s - 1) * p
             else:
                 # a potential sums the values on at most f_0 - 1 edges, and adds one more
-                s = (x.num_vertices * max(abs(v) for c in cocycles for v in c.values())).bit_length() + 1
+                s = (x.num_vertices * max(abs(v) for c in cocycles for v in c)).bit_length() + 1
+                add = operator.add
+            half, full = 1 << s - 1, (1 << s) - 1
+
+            def unpack(v: int) -> list:
+                out = []
+                for _ in range(beta):
+                    c = ((v + half) & full) - half
+                    out.append(c)
+                    v = (v - c) >> s
+                return out
+
+            def defect(e: int, q: int):
+                diff = ((a - b) % p if p else a - b for a, b in zip(unpack(e), unpack(q)))
+                return items_row(field, ((i, d) for i, d in enumerate(diff) if d))
 
         def pack(cs) -> int:
             return sum(c << s * i for i, c in enumerate(cs))
 
         pos = x._vertex_position
         steps: list = [{} for _ in range(x.num_vertices)]
-        for (a, b), cs in zip(x.faces(1), values):
+        for (a, b), cs in zip(x.faces(1), zip(*cocycles)):
             for u, v, value in ((a, b, pack(cs)), (b, a, pack([-c % p if p else -c for c in cs]))):
                 out = steps[pos[u]]
                 out[value] = out.get(value, 0) | 1 << pos[v]
         steps = tuple(tuple(out.items()) for out in steps)
-
-        if p == 2:
-            return steps, operator.xor, operator.xor
-        if p:
-            # a slot of a sum is at most 2p - 2 < 2**(s-1); adding 2**(s-1) - p
-            # to it sets bit s-1 exactly when it is p or more
-            high = sum(1 << (s * i + s - 1) for i in range(beta))
-            offset = high - sum(p << s * i for i in range(beta))
-
-            def add(a: int, b: int) -> int:
-                t = a + b
-                return t - (((t + offset) & high) >> s - 1) * p
-        else:
-            add = operator.add
-        half, full = 1 << s - 1, (1 << s) - 1
-
-        def unpack(v: int) -> list:
-            out = []
-            for _ in range(beta):
-                c = ((v + half) & full) - half
-                out.append(c)
-                v = (v - c) >> s
-            return out
-
-        def defect(e: int, q: int) -> dict:
-            diff = ((a - b) % p if p else a - b for a, b in zip(unpack(e), unpack(q)))
-            return {i: d for i, d in enumerate(diff) if d}
-
         return steps, add, defect
 
 
 def _boundary_rows(x: Complex, k: int, field: FieldSpec) -> list:
-    kfaces = x.faces(k)
-    p = field.char
     if k == 0:
-        return [0 if p == 2 else {} for _ in kfaces]
-    cols = {g: j for j, g in enumerate(x.faces(k - 1))}
+        return signed_rows(field, [()] * x.num_vertices)
+    col = {g: j for j, g in enumerate(x.faces(k - 1))}.__getitem__
     # combinations(f, k) drops the vertices of f from the last to the first,
     # so the columns come out ascending and vertex i carries (-1)**i
-    if p == 2:
-        return [sum(1 << cols[g] for g in itertools.combinations(f, k)) for f in kfaces]
-    signs = [(-1) ** i % p if p else (-1) ** i for i in range(k, -1, -1)]
-    return [{cols[g]: s for g, s in zip(itertools.combinations(f, k), signs)} for f in kfaces]
+    return signed_rows(field, [tuple(map(col, itertools.combinations(f, k))) for f in x.faces(k)])
 
 
 @lru_cache(maxsize=256)
@@ -381,7 +327,7 @@ def injectivity_on_mask(cd: ChainData, wmask: int, top: int) -> Verdict:
     the induced subcomplex Y of X = ``cd.complex`` on the vertex positions
     set in ``wmask``, over ``cd.field``.  The caller looks ``cd`` up once,
     not per subset.  Y's faces are the ambient ones through no vertex
-    outside ``wmask``, read off :attr:`ChainData.through` by
+    outside ``wmask``, read off the complex's per-vertex face masks by
     :func:`_faces_inside` as one mask over the ambient faces of every
     degree.
 
@@ -421,9 +367,9 @@ def injectivity_on_mask(cd: ChainData, wmask: int, top: int) -> Verdict:
     if top < 1:
         return Verdict(True)
     v0 = (wmask & -wmask).bit_length() - 1
-    inside = _faces_inside(cd, wmask)
-    star = inside & cd.through[v0]
-    windows = cd._windows
+    inside = _faces_inside(x, wmask)
+    star = inside & x._face_masks[v0]
+    windows = x._windows
     off, ones = windows[1]
     ymask = inside >> off & ones
     # rank of d_k on Y's k-faces; d_1's is |Y_0| minus Y's component count
@@ -515,11 +461,8 @@ def _meet_witness(cd: ChainData, k: int, ymask: int, by) -> Optional[tuple]:
     # iff only rows pivoting there enter and their parts outside Y's faces
     # cancel
     meet_rows = cd.basis(k + 1).rows_at(ycols)
-    if field.char == 2:
-        outside = [r & ~ymask for r in meet_rows]
-    else:
-        inside = set(ycols)
-        outside = [{j: v for j, v in r.items() if j not in inside} for r in meet_rows]
+    outside = [items_row(field, [(j, v) for j, v in row_items(field, r) if not ymask >> j & 1])
+               for r in meet_rows]
     n = len(cd.complex.faces(k))
     outside_basis = row_basis(field, n)
     for r in outside:
@@ -538,14 +481,14 @@ def _meet_witness(cd: ChainData, k: int, ymask: int, by) -> Optional[tuple]:
         f"degree {k}: no cycle of C(Y) ∩ B(X) outside B(Y) despite the dimension gap")
 
 
-def _faces_inside(cd: ChainData, wmask: int) -> int:
-    """The faces of the subcomplex induced on the vertex positions set in
-    ``wmask``, those through no vertex outside it, as a mask in the layout of
-    :attr:`ChainData.through`, every degree in one pass over the outside
+def _faces_inside(x: Complex, wmask: int) -> int:
+    """The faces of the subcomplex of ``x`` induced on the vertex positions
+    set in ``wmask``, those through no vertex outside it, as a mask in the
+    layout of ``x._face_masks``, every degree in one pass over the outside
     vertices.  The bits past the last face are set too: read it by windows."""
-    through = cd.through
+    through = x._face_masks
     hit = 0
-    for i in bit_positions(cd._windows[0][1] ^ wmask):
+    for i in bit_positions(x._windows[0][1] ^ wmask):
         hit |= through[i]
     return ~hit
 
@@ -572,6 +515,4 @@ def _rows_basis(cd: ChainData, k: int, mask: int, cap: int):
 
 
 def _decode_chain(vec, faces: tuple, field: FieldSpec) -> tuple:
-    if field.char == 2:
-        return tuple((faces[j], 1) for j in bit_positions(vec))
-    return tuple((faces[j], vec[j]) for j in sorted(vec))
+    return tuple((faces[j], c) for j, c in row_items(field, vec))

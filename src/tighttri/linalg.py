@@ -2,7 +2,9 @@
 
 A row is a bit mask over GF(2) (bit j is column j) and a ``{column: entry}``
 dict of its nonzero entries otherwise: ints in ``[1, p)`` over GF(p) and
-ints over Q.
+ints over Q.  This is the only module that knows the format: elsewhere
+rows are built by :func:`signed_rows` and :func:`items_row` and read by
+:func:`row_items`, whatever the field.
 
 Reduced row bases keep the reduced row echelon form with each row stored
 under its pivot, and every row is zero at every other pivot, so a row is
@@ -291,6 +293,39 @@ def echelon_row(field: FieldSpec, row):
     return {j: _ratio(row[j], bp) for j in sorted(row)}
 
 
+def signed_rows(field: FieldSpec, columns: list) -> list:
+    """One row per sequence in ``columns``, with entries ±1 at its columns,
+    alternating in sign with +1 at the last: the boundary of a face whose
+    facets sit at those columns in ``itertools.combinations`` order, which
+    drops the vertices of the face from the last to the first."""
+    p = field.char
+    if p == 2:
+        return [sum(1 << j for j in cols) for cols in columns]
+    minus = p - 1 if p else -1
+    signs = {n: [minus if i & 1 else 1 for i in range(n - 1, -1, -1)] for n in set(map(len, columns))}
+    return [dict(zip(cols, signs[len(cols)])) for cols in columns]
+
+
+def items_row(field: FieldSpec, items: Iterable):
+    """The row with the nonzero entries of the ``(column, entry)`` pairs."""
+    if field.char == 2:
+        return sum(1 << j for j, _ in items)
+    return dict(items)
+
+
+def row_items(field: FieldSpec, row) -> list:
+    """The ``(column, entry)`` pairs of the row's nonzero entries, in
+    ascending column order."""
+    if field.char == 2:
+        out = []
+        while row:
+            low = row & -row
+            out.append((low.bit_length() - 1, 1))
+            row ^= low
+        return out
+    return sorted(row.items())
+
+
 def kernel_rows(field: FieldSpec, pairs: Iterable, n: int, m: int) -> list:
     """The reduced row echelon form of {sum c_i b_i : sum c_i a_i = 0}, for
     pairs (a_i, b_i) of rows on n and m columns, in pivot order; over Q each
@@ -354,10 +389,7 @@ class FMatrix:
         on the pairs (row i | e_i).  Over Q its entries are exact rationals,
         read out by :func:`echelon_row`: rows to read, not to eliminate
         (:meth:`rank` rejects them)."""
-        if self.field.char == 2:
-            pairs = [(r, 1 << i) for i, r in enumerate(self.rows)]
-        else:
-            pairs = [(r, {i: 1}) for i, r in enumerate(self.rows)]
+        units = signed_rows(self.field, [(i,) for i in range(self.nrows)])
         rows = [echelon_row(self.field, r)
-                for r in kernel_rows(self.field, pairs, self.ncols, self.nrows)]
+                for r in kernel_rows(self.field, zip(self.rows, units), self.ncols, self.nrows)]
         return FMatrix(self.field, len(rows), self.nrows, rows)

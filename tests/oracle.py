@@ -170,6 +170,20 @@ def matmul(field: FieldSpec, a, b, ncols: int) -> list:
     return _packed(field, out)
 
 
+def oracle_boundary(x: Complex, k: int) -> list:
+    """Dense integer rows of d_k: dropping vertex i of a face carries (-1)**i."""
+    if k == 0:
+        return [[] for _ in x.faces(0)]
+    cols = {f: j for j, f in enumerate(x.faces(k - 1))}
+    rows = []
+    for f in x.faces(k):
+        row = [0] * len(cols)
+        for i in range(len(f)):
+            row[cols[f[:i] + f[i + 1:]]] = (-1) ** i
+        rows.append(row)
+    return rows
+
+
 # -- chordless cycles and sphere cuts --------------------------------------------
 
 def induced_cycles(g: Complex, max_len: int) -> list:

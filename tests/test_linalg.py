@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import (echelon_rank, entries, is_zero, left_nullspace, library_rows, matmul, rank,
-                    right_nullspace, rref, transpose)
+from corpus import two_handle_quotient
+from oracle import (echelon_rank, entries, is_zero, left_nullspace, library_rows, matmul,
+                    oracle_boundary, rank, right_nullspace, rref, transpose)
 from tighttri import catalog, chain_data
-from tighttri.linalg import GF2, QQ, FMatrix, FieldSpec, echelon_row, kernel_rows
+from tighttri.linalg import (GF2, QQ, FMatrix, FieldSpec, echelon_row, items_row, kernel_rows,
+                             row_items, signed_rows)
 
 FIELDS = [QQ, GF2, FieldSpec.gf(3), FieldSpec.gf(5), FieldSpec.gf(7)]
 
@@ -309,3 +312,38 @@ def test_kernel_rows_give_the_meets_of_corpus_members(corpus3, field):
                 assert same_rows(field, got, oracle_kernel(field, off, d, n, n), n)
                 assert all(not any(v[j] for j in range(n) if j not in ycols)
                            for v in entries(field, got, n))
+
+
+# -- building and reading rows against the dense oracle -------------------------
+
+ROW_FIELDS = [GF2, FieldSpec.gf(3), FieldSpec.gf(5), QQ]
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+def test_signed_rows_are_the_boundary_matrices(corpus3, field):
+    """Every boundary matrix of the corpus and the two-handle quotient, from
+    the columns of each face's facets in ``combinations`` order; read back
+    by :func:`row_items` as its nonzero entries, ascending, and rebuilt from
+    them by :func:`items_row`."""
+    for name, x in list(corpus3) + [("two-handle", two_handle_quotient())]:
+        for k in range(x.dim + 1):
+            cols = {g: j for j, g in enumerate(x.faces(k - 1))}
+            columns = [[cols[g] for g in itertools.combinations(f, k)] if k else ()
+                       for f in x.faces(k)]
+            rows = signed_rows(field, columns)
+            assert rows == library_rows(field, oracle_boundary(x, k)), (name, k)
+            want = [[(j, c) for j, c in enumerate(r) if c]
+                    for r in entries(field, rows, len(cols))]
+            assert [row_items(field, r) for r in rows] == want, (name, k)
+            assert [items_row(field, row_items(field, r)) for r in rows] == rows, (name, k)
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+def test_signed_rows_take_columns_in_any_order(field):
+    """+1 at the last column and alternating back from it, as the collapse's
+    triangles (b, c), (a, c), (a, b) and the forest's single edges use them."""
+    rows = signed_rows(field, [(5, 2, 0), (3,), (), (1, 4, 0, 2)])
+    assert rows == library_rows(field, [[1, 0, -1, 0, 0, 1], [0, 0, 0, 1, 0, 0], [0] * 6,
+                                        [-1, -1, 1, 0, 1, 0]])
+    assert [row_items(field, r) for r in rows] == \
+        [[(j, c) for j, c in enumerate(r) if c] for r in entries(field, rows, 6)]
