@@ -153,18 +153,24 @@ def _tightness_json(name: str, x: Complex, report: TightnessReport,
     }
 
 
-def _emit(args, doc: dict, human: str) -> None:
-    """``doc`` as JSON under ``--json`` or when its verdict is false, else
-    the text ``human``."""
-    if getattr(args, "json", False) or not doc.get("verdict", True):
+def _output(args, doc, text: Optional[str]) -> int:
+    """Write a handler's result and return its exit code: ``doc`` as JSON
+    when there is no ``text``, under ``--json`` or when the document's
+    ``verdict`` or ``found`` is false, else ``text``; 1 exactly when that
+    ``verdict`` or ``found`` is false, else 0."""
+    ok = not isinstance(doc, dict) or (doc.get("verdict", True) and doc.get("found", True))
+    if text is None or getattr(args, "json", False) or not ok:
         sys.stdout.write(dumps(doc))
     else:
-        print(human)
+        print(text)
+    return 0 if ok else 1
 
 
 # -- subcommand handlers -------------------------------------------------------
+# Each returns ``(document, text)`` for :func:`_output`; ``text`` is None
+# where the command always prints its document.
 
-def _cmd_check_tight(args) -> int:
+def _cmd_check_tight(args):
     name, x = load_complex(args.complex)
     field = parse_field(args.field)
     mode = args.mode
@@ -178,12 +184,11 @@ def _cmd_check_tight(args) -> int:
     else:
         report = is_tight_bruteforce(x, field, allow_exponential=args.i_know_this_is_exponential,
                                      jobs=args.jobs)
-    doc = _tightness_json(name, x, report)
-    _emit(args, doc, f"{name}: {str(field)}-tight = {report.verdict} (method={report.method})")
-    return 0 if report.verdict else 1
+    return (_tightness_json(name, x, report),
+            f"{name}: {str(field)}-tight = {report.verdict} (method={report.method})")
 
 
-def _cmd_check_manifold(args) -> int:
+def _cmd_check_manifold(args):
     name, x = load_complex(args.complex)
     if x.dim > 3:
         raise InputError(f"manifold verification supports dimension <= 3, got {x.dim}")
@@ -191,57 +196,50 @@ def _cmd_check_manifold(args) -> int:
     doc = {"name": name, "verdict": v.ok, "dim": x.dim, "detail": v.detail,
            "witness": v.witness if not v.ok else None,
            "f_vector": list(x.f_vector)}
-    _emit(args, doc, f"{name}: closed {x.dim}-manifold = {v.ok}")
-    return 0 if v.ok else 1
+    return doc, f"{name}: closed {x.dim}-manifold = {v.ok}"
 
 
-def _cmd_check_stacked_sphere(args) -> int:
+def _cmd_check_stacked_sphere(args):
     name, x = load_complex(args.complex)
     d = args.dim if args.dim is not None else x.dim
     v = is_stacked_sphere(x, d)
     doc = {"name": name, "verdict": v.ok, "dim": d,
            "removal_sequence": list(v.witness) if v.witness is not None else None,
            "detail": v.detail}
-    _emit(args, doc, f"{name}: stacked {d}-sphere = {v.ok}")
-    return 0 if v.ok else 1
+    return doc, f"{name}: stacked {d}-sphere = {v.ok}"
 
 
-def _cmd_check_locally_stacked(args) -> int:
+def _cmd_check_locally_stacked(args):
     name, x = load_complex(args.complex)
     v = is_locally_stacked(x)
     doc = {"name": name, "verdict": v.ok, "witness": v.witness, "detail": v.detail}
-    _emit(args, doc, f"{name}: locally stacked = {v.ok}")
-    return 0 if v.ok else 1
+    return doc, f"{name}: locally stacked = {v.ok}"
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args):
     name, x = load_complex(args.complex)
     field = parse_field(args.field)
     doc = {"name": name, "field": str(field), "f_vector": list(x.f_vector),
            "betti": list(betti(x, field))}
-    _emit(args, doc, f"{name}: f-vector {tuple(x.f_vector)}, betti {tuple(doc['betti'])} over {field}")
-    return 0
+    return doc, f"{name}: f-vector {tuple(x.f_vector)}, betti {tuple(doc['betti'])} over {field}"
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     name, x = load_complex(args.complex)
     try:
         summands = decompose_ti(x)
     except HypothesisViolationError as e:
         witness = getattr(e, "witness", None)
-        doc = {"name": name, "verdict": False, "error": str(e),
-               "witness": list(witness.vertices) if witness is not None else None}
-        _emit(args, doc, "")  # a false verdict always prints the document
-        return 1
+        return {"name": name, "verdict": False, "error": str(e),
+                "witness": list(witness.vertices) if witness is not None else None}, None
     doc = {"name": name, "summands": summands.as_dict(),
            "cuts": [{"triangle": list(t), "sides": [list(a), list(b)]}
                     for t, (a, b) in summands.cuts]}
-    _emit(args, doc, f"{name}: T^{summands.tetrahedra} # I^{summands.icosahedra} "
-                     f"({len(summands.cuts)} cuts)")
-    return 0
+    return doc, (f"{name}: T^{summands.tetrahedra} # I^{summands.icosahedra} "
+                 f"({len(summands.cuts)} cuts)")
 
 
-def _cmd_cycles(args) -> int:
+def _cmd_cycles(args):
     name, x = load_complex(args.complex)
     g = x.one_skeleton()
     max_len = args.max_len if args.max_len is not None else g.num_vertices
@@ -250,8 +248,7 @@ def _cmd_cycles(args) -> int:
         doc = {"name": name, "verdict": v.ok,
                "witness": (None if v.ok else {"vertices": list(v.witness.vertices),
                                               "length": v.witness.length})}
-        _emit(args, doc, f"{name}: no chordless cycle of length 1 mod 3 = {v.ok}")
-        return 0 if v.ok else 1
+        return doc, f"{name}: no chordless cycle of length 1 mod 3 = {v.ok}"
     # the default bound, the vertex count, is below 3 only on graphs without cycles
     cycles = induced_cycles(g, max_len) if max_len >= 3 else []
     doc = {"name": name, "max_len": max_len,
@@ -259,18 +256,16 @@ def _cmd_cycles(args) -> int:
                        "residue": c.residue} for c in cycles]}
     lines = [f"{name}: {len(cycles)} chordless cycles up to length {max_len}"]
     lines += [f"  {c.vertices} length={c.length} residue={c.residue}" for c in cycles]
-    _emit(args, doc, "\n".join(lines))
-    return 0
+    return doc, "\n".join(lines)
 
 
-def _cmd_gen_stacked_sphere(args) -> int:
+def _cmd_gen_stacked_sphere(args):
     seed = args.seed if args.seed is not None else _env_seed()
     x = stacked_sphere(args.n, args.dim, seed=seed)
-    sys.stdout.write(dumps(complex_document(f"stacked-{args.dim}-sphere-{args.n}-s{seed}", x)))
-    return 0
+    return complex_document(f"stacked-{args.dim}-sphere-{args.n}-s{seed}", x), None
 
 
-def _cmd_gen_handle(args) -> int:
+def _cmd_gen_handle(args):
     name, x = load_complex(args.complex)
     try:
         i, j = (int(t) for t in args.facets.split(","))
@@ -287,24 +282,21 @@ def _cmd_gen_handle(args) -> int:
     except ValueError:
         raise InputError("--bijection expects v:w pairs, comma-separated") from None
     out = handle_addition(x, facets[i], facets[j], bijection)
-    sys.stdout.write(dumps(complex_document(f"{name}-handle", out)))
-    return 0
+    return complex_document(f"{name}-handle", out), None
 
 
-def _cmd_search_tight(args) -> int:
+def _cmd_search_tight(args):
     field = parse_field(args.field)
     seed = args.seed if args.seed is not None else _env_seed()
     t0 = time.perf_counter()
     result = search_tight(args.k, field, budget=args.budget, seed=seed, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
     if result is None:
-        sys.stdout.write(dumps({"found": False, "k": args.k, "field": str(field),
-                                "budget": args.budget, "seed": seed,
-                                "wall_time_s": round(elapsed, 6)}))
-        return 1
+        return {"found": False, "k": args.k, "field": str(field), "budget": args.budget,
+                "seed": seed, "wall_time_s": round(elapsed, 6)}, None
     x, cert = result
     report = is_tight_fast_3manifold(x, field)
-    doc = {
+    return {
         "found": True,
         "k": args.k,
         "field": str(field),
@@ -313,12 +305,10 @@ def _cmd_search_tight(args) -> int:
         "certificate": cert.to_dict(),
         "report": _tightness_json(f"tight-k{args.k}", x, report, seed=seed),
         "wall_time_s": round(elapsed, 6),
-    }
-    sys.stdout.write(dumps(doc))
-    return 0
+    }, None
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     name, x = load_complex(args.complex)
     try:
         with open(args.cert, "r", encoding="utf-8") as fh:
@@ -334,18 +324,13 @@ def _cmd_classify(args) -> int:
         topo = classify_topology(x, cert)
     except (PreconditionError, KeyError, ValueError) as e:
         raise InputError(f"certificate does not verify: {e}") from None
-    _emit(args, {"name": name, "kind": topo.kind, "k": topo.k}, f"{name}: {topo}")
-    return 0
+    return {"name": name, "kind": topo.kind, "k": topo.k}, f"{name}: {topo}"
 
 
-def _cmd_admissible_k(args) -> int:
+def _cmd_admissible_k(args):
     table = admissible_k(args.limit)
-    if args.json:
-        sys.stdout.write(dumps([{"k": a.k, "f0": a.f0} for a in table]))
-    else:
-        for a in table:
-            print(f"{a.k} {a.f0}")
-    return 0
+    return ([{"k": a.k, "f0": a.f0} for a in table],
+            "\n".join(f"{a.k} {a.f0}" for a in table))
 
 
 def _env_seed() -> int:
@@ -469,7 +454,7 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return _output(args, *args.func(args))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -91,16 +91,20 @@ def is_stacked_sphere(s: Complex, d: int) -> Verdict:
     _require_closed_manifold(s, d, f"not a closed {d}-manifold")
     if not s.is_connected():
         return Verdict(False, detail="disconnected, hence not a sphere")
+    return _reverse_subdivisions(s, d)
+
+
+def _reverse_subdivisions(s: Complex, d: int) -> Verdict:
+    """The removals of :func:`is_stacked_sphere` on ``s``, which must be a
+    connected closed d-manifold.  The vertices of degree d+1 wait in a heap
+    keyed by label, sorted to begin with; degrees only fall, so a vertex
+    enters it once, when its degree reaches d+1.  No entry goes stale: each
+    move leaves a closed d-manifold, whose vertices all keep at least d+1
+    neighbours, and the vertex removed is the one just popped."""
     nbrs = {v: set(s.neighbors(v)) for v in s.vertices}
-    # a heap of the vertices of degree d+1, keyed by label, and sorted to
-    # begin with; degrees only fall, so a vertex enters it once, when its
-    # degree reaches d+1, and an entry is stale once the vertex is removed
-    # or its degree falls below
     ready = [v for v, around in nbrs.items() if len(around) == d + 1]
     removals: List[int] = []
     while len(nbrs) > d + 2:
-        while ready and len(nbrs.get(ready[0], ())) != d + 1:
-            heapq.heappop(ready)
         if not ready:
             return Verdict(False, witness=tuple(removals),
                            detail=f"no reverse-subdivision vertex at f0={len(nbrs)}")
@@ -195,10 +199,12 @@ def _mod3_witness(s: Complex, within: int) -> Optional[CycleWitness]:
 
 
 def is_locally_stacked(m: Complex) -> Verdict:
-    """Every vertex link is a stacked 2-sphere; witness is the first offender."""
+    """Every vertex link is a stacked 2-sphere; witness is the first offender.
+    The closed-3-manifold check has shown every link a 2-sphere, so the
+    links go straight to the removals."""
     _require_closed_manifold(m, 3, "not a closed 3-manifold")
     for v in m.vertices:
-        if not is_stacked_sphere(m.link(v), 2).ok:
+        if not _reverse_subdivisions(m.link(v), 2).ok:
             return Verdict(False, witness=v, detail=f"link of vertex {v} is not stacked")
     return Verdict(True)
 

@@ -94,14 +94,20 @@ def _run(block):
     return _task(block)
 
 
+def _workers(jobs: int) -> int:
+    """The processes a first-hit loop asked for ``jobs`` runs on:
+    min(jobs, cores)."""
+    return min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
+
+
 def _first_hit(task, blocks, jobs: int):
-    """The first non-None ``task(block)`` in block order.  With one worker,
-    min(jobs, cores), the blocks run in this process; otherwise on a pool
+    """The first non-None ``task(block)`` in block order.  With one worker
+    (see :func:`_workers`) the blocks run in this process; otherwise on a pool
     whose initializer hands each worker ``task`` once, so only blocks
     travel, at most two per worker queued.  It returns as soon as the hit
     is known: leaving the pool terminates its workers, so the blocks still
     running or queued behind it are dropped, not waited for."""
-    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
+    workers = _workers(jobs)
     if workers == 1:
         return next((hit for hit in map(task, blocks) if hit is not None), None)
     blocks = iter(blocks)
@@ -160,7 +166,7 @@ def is_tight_bruteforce(x: Complex, field: FieldSpec, *,
         last, top = n - 1, x.dim - 1
     visits = sum(math.comb(n, size) for size in range(2, last + 1))
     masks = _subset_masks(n, last)
-    if jobs > 1 and visits >= PARALLEL_MIN_SUBSETS:
+    if _workers(jobs) > 1 and visits >= PARALLEL_MIN_SUBSETS:
         blocks = ((start, list(itertools.islice(masks, _CHUNK)))
                   for start in range(0, visits, _CHUNK))
     else:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -342,6 +343,9 @@ BRANCH_FILES = {
     "deep_json": '{"facets": ' + "[" * 100_000,
     "deep_cert": "[" * 100_000,
     "two_spheres": "0 1 2\n0 1 3\n0 2 3\n1 2 3\n4 5 6\n4 5 7\n4 6 7\n5 6 7\n",
+    "cert_text_label": '{"seed_facets": [[0, 1, 2, "3"]], "final_f_vector": [5]}',
+    "cert_steps": '{"seed_facets": [[0, 1, 2, 3]], "steps": [5], "final_f_vector": [5]}',
+    "cert_params": '{"seed_facets": [[0, 1, 2, 3]], "seed_params": 5, "final_f_vector": [5]}',
 }
 
 # (argv, environment, the start of the one line on stderr): every one exits
@@ -363,6 +367,8 @@ BRANCH_ERRORS = [
     (["check", "tight", "{no_faces}"], {}, "error: tightness needs a nonempty complex"),
     (["check", "tight", "{deep_json}"], {}, "error: invalid JSON: "),
     (["homology", "builtin:rp2-6", "--field", "0"], {}, "error: bad field '0': 0 is not prime"),
+    (["check", "tight", "builtin:rp2-6", "--field", "9"], {},
+     "error: bad field '9': 9 is not prime"),
     (["homology", "builtin:rp2-6", "--field", "p:0"], {},
      "error: bad field 'p:0': 0 is not prime"),
     (["check", "manifold", "{dim4}"], {},
@@ -379,6 +385,13 @@ BRANCH_ERRORS = [
      "error: invalid certificate JSON: "),
     (["classify", "builtin:boundary-delta4", "--cert", "{deep_cert}"], {},
      "error: invalid certificate JSON: "),
+    (["classify", "builtin:boundary-delta4", "--cert", "{cert_text_label}"], {},
+     "error: certificate does not verify: certificate field 'seed_facets' must be a list of "
+     "integers"),
+    (["classify", "builtin:boundary-delta4", "--cert", "{cert_steps}"], {},
+     "error: certificate does not verify: certificate field 'steps' must be a list of objects"),
+    (["classify", "builtin:boundary-delta4", "--cert", "{cert_params}"], {},
+     "error: certificate does not verify: certificate field 'seed_params' must be a list"),
     (["gen", "stacked-sphere", "--n", "6", "--dim", "2"], {"TIGHTTRI_SEED": "abc"},
      "error: TIGHTTRI_SEED must be an integer"),
     (["homology", "builtin:complete:0"], {}, "error: complete graphs need at least one vertex"),
@@ -543,6 +556,39 @@ class TestDeterminism:
         d1.pop("wall_time_s"); d2.pop("wall_time_s")
         d1["report"].pop("wall_time_s"); d2["report"].pop("wall_time_s")
         assert d1 == d2
+
+
+class TestOneOutputPath:
+    """``main`` hands each handler's document to ``_output``, the one
+    function of the CLI that writes to stdout and picks exit code 0 or 1."""
+
+    @staticmethod
+    def writes_stdout(node) -> bool:
+        if isinstance(node, ast.Attribute) and node.attr == "stdout":
+            return True
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+                and not any(k.arg == "file" for k in node.keywords))
+
+    def test_only_output_writes_and_handlers_return_documents(self):
+        import tighttri.cli
+        tree = ast.parse(Path(tighttri.cli.__file__).read_text(encoding="utf-8"))
+        writers, handlers = set(), 0
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if any(self.writes_stdout(node) for node in ast.walk(fn)):
+                writers.add(fn.name)
+            if fn.name.startswith("_cmd_"):
+                handlers += 1
+                assert not (isinstance(fn.returns, ast.Name) and fn.returns.id == "int"), fn.name
+                for ret in (n for n in ast.walk(fn) if isinstance(n, ast.Return)):
+                    assert not (isinstance(ret.value, ast.Constant)
+                                and type(ret.value.value) is int), (fn.name, ret.lineno)
+                    assert isinstance(ret.value, ast.Tuple) and len(ret.value.elts) == 2, \
+                        (fn.name, ret.lineno)
+        assert writers == {"_output"}
+        assert handlers >= 12
 
 
 class TestParserReuse:

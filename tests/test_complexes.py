@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import small_complexes
 from tighttri import (Complex, MalformedComplexError, PreconditionError,
-                      UnknownVertexError, UnsupportedDimensionError, catalog,
+                      UnknownVertexError, UnsupportedDimensionError, Verdict, catalog,
                       connected_sum, is_isomorphic,
                       stacked_sphere, verify_closed_manifold)
 from tighttri.complexes import vertex_links
@@ -72,6 +72,14 @@ class TestFromFacets:
         with pytest.raises(MalformedComplexError, match="a facet has 17 vertices"):
             Complex.from_facets([[0, 1], range(17)])
 
+    def test_empty_facet_rejected(self):
+        with pytest.raises(MalformedComplexError, match="faces must be nonempty"):
+            Complex.from_facets([[]])
+
+    def test_direct_construction_refused(self):
+        with pytest.raises(TypeError, match="use Complex.from_facets"):
+            Complex(())
+
     def test_input_order_irrelevant(self):
         a = Complex.from_facets([[3, 1, 2], [4, 2, 1]])
         b = Complex.from_facets([[1, 2, 4], [1, 2, 3]])
@@ -107,6 +115,8 @@ class TestLink:
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
             catalog.cycle_complex(4).link(99)
+        with pytest.raises(UnknownVertexError, match="vertex 99 is not in the complex"):
+            catalog.cycle_complex(4).neighbors(99)
 
 
 def antistar(x, v):
@@ -194,6 +204,8 @@ class TestConnectedSum:
         t = catalog.boundary_simplex(3)
         with pytest.raises(PreconditionError):
             connected_sum(t, t, (0, 1), (0, 1, 2), {0: 0, 1: 1, 2: 2})
+        with pytest.raises(PreconditionError, match="not a facet of the second complex"):
+            connected_sum(t, t, (0, 1, 2), (0, 1), {0: 0, 1: 1})
 
     def test_bad_bijection(self):
         t = catalog.boundary_simplex(3)
@@ -304,3 +316,16 @@ class TestInvariants:
             for g in x.facets:
                 assert f == g or not set(f) < set(g)
         assert Complex.from_facets(x.facets) == x
+
+
+class TestSmallCatalogEntries:
+    def test_simplex_boundary_needs_a_positive_dimension(self):
+        with pytest.raises(MalformedComplexError, match="boundary_simplex needs d >= 1"):
+            catalog.boundary_simplex(0)
+
+    def test_complete_graph_on_one_vertex_is_a_point(self):
+        assert catalog.builtin("complete:1").f_vector == (1,)
+
+
+def test_a_verdict_is_true_exactly_when_ok():
+    assert Verdict(True) and not Verdict(False, witness=0, detail="no")

@@ -7,7 +7,8 @@ import pytest
 import oracle
 from oracle import grow_search_sphere_facets, stacked_sphere_facets
 from tighttri import (AdmissibilityError, Certificate, Complex, InternalInconsistencyError,
-                      PreconditionError, admissible_k, betti, catalog, classify_topology,
+                      MalformedCertificateError, PreconditionError, UnsupportedDimensionError,
+                      admissible_k, betti, catalog, classify_topology,
                       construct, find_admissible_handle, handle_addition, is_isomorphic,
                       is_orientable, is_stacked_sphere, is_tight_fast_3manifold, search_tight,
                       stacked_sphere, verify_closed_manifold, verify_stacked_certificate)
@@ -21,6 +22,10 @@ class TestStackedSphereGenerator:
     def test_minimal_is_simplex_boundary(self):
         assert is_isomorphic(stacked_sphere(5, 3), catalog.boundary_simplex(4)) is not None
         assert is_isomorphic(stacked_sphere(4, 2), catalog.boundary_simplex(3)) is not None
+
+    def test_dimension_support(self):
+        with pytest.raises(UnsupportedDimensionError):
+            stacked_sphere(6, 4)
 
     def test_thirteen_vertex_f_vector(self):
         assert stacked_sphere(13, 3, seed=11).f_vector == (13, 42, 58, 29)
@@ -391,6 +396,16 @@ class TestSearch:
     def test_certificate_roundtrips_through_json(self, tight9):
         _, cert = tight9
         assert Certificate.from_dict(cert.to_dict()) == cert
+
+    @pytest.mark.parametrize("change,message", [
+        ({"seed_facets": [[0, 1, 2, "3"]]}, "'seed_facets' must be a list of integers"),
+        ({"steps": [[0, 1]]}, "'steps' must be a list of objects"),
+        ({"seed_params": 5}, "'seed_params' must be a list"),
+    ])
+    def test_malformed_certificates_rejected(self, tight9, change, message):
+        doc = dict(tight9[1].to_dict(), **change)
+        with pytest.raises(MalformedCertificateError, match=message):
+            Certificate.from_dict(doc)
 
 
 class TestClassify:

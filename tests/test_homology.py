@@ -405,6 +405,10 @@ class TestInducedMapInjective:
         x = catalog.projective_plane_6()
         assert induced_map_injective(x, x.vertex_set, GF2).ok
 
+    def test_empty_subset_rejected(self):
+        with pytest.raises(PreconditionError, match="the induced subcomplex is empty"):
+            induced_map_injective(catalog.projective_plane_6(), [], GF2)
+
     def test_three_vertices_of_tetrahedron_boundary(self):
         # every 3-subset induces a solid triangle (the 2-face is a face), so
         # the map is injective; the boundary of the tetrahedron is tight

@@ -67,6 +67,12 @@ class TestFieldSpec:
             FieldSpec(2 ** 31)
         assert FieldSpec.gf(2 ** 31 - 1).char == 2 ** 31 - 1
 
+    def test_odd_composite_characteristics_rejected(self):
+        with pytest.raises(ValueError, match="9 is not prime"):
+            FieldSpec(9)
+        with pytest.raises(ValueError, match="15 is not prime"):
+            FieldSpec.gf(15)
+
     def test_str(self):
         assert str(QQ) == "Q"
         assert str(GF2) == "GF(2)"

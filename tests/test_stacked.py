@@ -8,9 +8,10 @@ from tighttri import (Complex, PreconditionError, Verdict, catalog, connected_su
                       decompose_ti, induced_cycles, is_isomorphic,
                       is_locally_stacked, is_stacked_sphere, mod3_obstruction,
                       stacked_sphere, verify_closed_manifold, verify_stacked_certificate)
+from tighttri import complexes
 from tighttri.construct import Certificate, HandleStep
 from tighttri.stacked import HypothesisViolationError
-from corpus import random_ti_sum
+from corpus import random_ti_sum, two_handle_quotient
 import oracle
 from oracle import empty_triangle, split_at_triangle
 
@@ -300,6 +301,33 @@ class TestLocallyStacked:
     def test_rejects_surfaces(self):
         with pytest.raises(PreconditionError):
             is_locally_stacked(catalog.icosahedron())
+
+    def test_matches_the_per_link_recognition(self, corpus3):
+        cases = [m for _, m in corpus3]
+        cases += [two_handle_quotient(), catalog.suspension(catalog.icosahedron())]
+        verdicts = Counter()
+        for m in cases:
+            bad = next((v for v in m.vertices if not is_stacked_sphere(m.link(v), 2).ok), None)
+            want = Verdict(True) if bad is None else \
+                Verdict(False, witness=bad, detail=f"link of vertex {bad} is not stacked")
+            assert is_locally_stacked(m) == want, m.f_vector
+            verdicts[want.ok] += 1
+        assert verdicts[True] > 10 and verdicts[False] >= 2, verdicts
+
+    def test_checks_the_manifold_once_and_not_its_links(self, monkeypatch, tight9):
+        checked = []
+        check = complexes._check_closed_manifold
+
+        def spy(x):
+            checked.append(x)
+            return check(x)
+
+        monkeypatch.setattr(complexes, "_check_closed_manifold", spy)
+        for m in (Complex.from_facets(tight9[0].facets),
+                  catalog.suspension(catalog.icosahedron())):
+            checked.clear()
+            is_locally_stacked(m)
+            assert len(checked) == 1 and checked[0] is m
 
 
 class TestDecomposition:

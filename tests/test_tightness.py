@@ -202,6 +202,28 @@ class TestBruteForce:
         par = search_tight(1, GF2, budget=2000, seed=0, jobs=4)
         assert par[0] == tight9[0] and par[1] == tight9[1]
 
+    def test_one_core_scans_one_lazy_block(self, monkeypatch):
+        # the path on 16 vertices: 2**16 - 18 subsets, above the parallel
+        # threshold, and it fails at its first non-edge {0, 2}
+        path = Complex.from_facets([(i, i + 1) for i in range(15)])
+        seq = is_tight_bruteforce(path, GF2, jobs=1)
+        blocks = []
+        first_failure = tightness._first_failure
+
+        def spy(x, field, top, block):
+            blocks.append(block)
+            return first_failure(x, field, top, block)
+
+        monkeypatch.setattr(tightness, "_first_failure", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        par = is_tight_bruteforce(path, GF2, jobs=4)
+        assert len(blocks) == 1
+        start, masks = blocks[0]
+        assert start == 0 and iter(masks) is masks
+        assert par.witness == ((0, 2), 0) and par.subsets_scanned == 2
+        assert (seq.verdict, seq.witness, seq.subsets_scanned) == \
+            (par.verdict, par.witness, par.subsets_scanned)
+
     def test_large_scans_are_serial_by_default(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
