@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Collection, Iterable, Iterator, Optional
 
 
 class MalformedComplexError(ValueError):
@@ -81,6 +81,14 @@ def _as_face(vertices: Iterable[int]) -> Face:
     return face
 
 
+def _closure_by_size(faces: Collection[Face]) -> list:
+    """The downward closure of the given faces: for each size 1, 2, ... up
+    to the largest face, the set of faces on that many vertices."""
+    # a face with fewer than ``size`` vertices has no such subsets
+    return [set(itertools.chain.from_iterable(map(itertools.combinations, faces, itertools.repeat(size))))
+            for size in range(1, max(map(len, faces), default=0) + 1)]
+
+
 class Complex:
     """A finite abstract simplicial complex.
 
@@ -109,15 +117,16 @@ class Complex:
         """:meth:`from_facets` on faces the package built itself, which are
         sorted tuples of distinct non-negative ints and are not re-validated."""
         given = set(faces)
-        by_dim = []
-        for size in range(1, max(map(len, given), default=0) + 1):
-            # a face with fewer than ``size`` vertices has no such subsets
-            subsets = itertools.chain.from_iterable(
-                map(itertools.combinations, given, itertools.repeat(size)))
-            by_dim.append(tuple(sorted(set(subsets))))
-        out = cls(tuple(by_dim), _closed=True)
-        if len({len(f) for f in given}) == 1:
-            out.facets = tuple(sorted(given))
+        return cls._from_closure(_closure_by_size(given), pure=len({len(f) for f in given}) == 1)
+
+    @classmethod
+    def _from_closure(cls, by_size: Iterable[set], pure: bool) -> "Complex":
+        """The complex whose faces on 1, 2, ... vertices are the given sets,
+        which are closed downward; if it is ``pure``, its largest faces are
+        kept as its :attr:`facets`."""
+        out = cls(tuple(tuple(sorted(faces)) for faces in by_size), _closed=True)
+        if pure:
+            out.facets = out._faces[-1]
         return out
 
     def _record_closed_manifold(self) -> "Complex":

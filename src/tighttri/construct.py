@@ -12,12 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (Complex, InternalInconsistencyError, PreconditionError,
-                        UnsupportedDimensionError, Verdict, _require_closed_manifold, is_isomorphic)
+                        UnsupportedDimensionError, Verdict, _closure_by_size,
+                        _require_closed_manifold, is_isomorphic)
 from .homology import is_orientable
 from .linalg import QQ, FieldSpec
 from .stacked import _subdivide, is_stacked_sphere
@@ -33,6 +35,9 @@ BRUTE_CONFIRM_MAX_VERTICES = 12
 _SEARCH_BLOCK = 16
 # Chance that a search sphere's subdivision extends its newest branch.
 _BRANCH_BIAS = 0.85
+# The boundary of the 4-simplex [0, ..., 4], ascending, with the sign
+# (-1)^j of the facet without vertex j, whose labels sum to 10 - j.
+_SIMPLEX_BOUNDARY = {f: (-1) ** (10 - sum(f)) for f in itertools.combinations(range(5), 4)}
 
 
 class AdmissibilityError(ValueError):
@@ -145,6 +150,20 @@ def stacked_sphere(n: int, d: int, seed=0) -> Complex:
     return Complex._from_faces(facets)._record_closed_manifold()
 
 
+def _sort_sign(t: Sequence[int]) -> int:
+    """The sign of the permutation that sorts the four distinct entries of
+    t: -1 iff an odd number of pairs is out of order."""
+    a, b, c, d = t
+    return -1 if ((a > b) + (a > c) + (a > d) + (b > c) + (b > d) + (c > d)) & 1 else 1
+
+
+# The orders of four vertex positions, all of them in the order of
+# itertools.permutations and split by their sign: the bijections of one
+# tetrahedron onto another.
+_PERMS = tuple(itertools.permutations(range(4)))
+_PERMS_OF_SIGN = {sign: tuple(p for p in _PERMS if _sort_sign(p) == sign) for sign in (1, -1)}
+
+
 class _FacetMasks:
     """A complex as its sorted facet list and vertex bit masks, on which a
     search restart lists its handle sites and reads their clash tables
@@ -154,13 +173,14 @@ class _FacetMasks:
     the mask of the closed neighbourhood of vertex v: v and every vertex
     that shares a facet with it, which are its neighbours, as every edge of
     a complex lies in a facet.  ``masks[i]`` is the vertex mask of
-    ``facets[i]``.
+    ``facets[i]``.  ``tables`` keeps the clash tables read so far, by site.
     """
 
-    __slots__ = ("facets", "closed", "masks")
+    __slots__ = ("facets", "closed", "masks", "tables")
 
     def __init__(self, facets: Sequence[tuple]):
         self.facets = facets
+        self.tables: Dict[tuple, List[list]] = {}
         bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*facets)))}
         closed = self.closed = dict.fromkeys(bit, 0)
         masks = self.masks = []
@@ -201,25 +221,50 @@ class _FacetMasks:
                     out.append((i, j))
         return out
 
-    def find_handle(self, rng: random.Random):
-        """:func:`find_admissible_handle` on these masks: the sites in
-        shuffled order, each with its clash table and shuffled bijections."""
-        facets, closed, masks = self.facets, self.closed, self.masks
-        sites = self.sites()
-        rng.shuffle(sites)
-        for i1, i2 in sites:
-            f1, f2 = facets[i1], facets[i2]
+    def clash_table(self, i1: int, i2: int) -> List[list]:
+        """The clash table of the site (i1, i2): entry [a][b] says whether
+        vertex a of facet i1 and vertex b of facet i2 have no common
+        neighbour outside the two facets, and so may be identified."""
+        table = self.tables.get((i1, i2))
+        if table is None:
+            facets, closed, masks = self.facets, self.closed, self.masks
             # a vertex of f1 lies in its own closed neighbourhood, so
             # masking out f1 leaves its neighbours outside f1
             outside1, outside2 = ~masks[i1], ~masks[i2]
-            ext2 = [closed[w] & outside2 for w in f2]
-            fits = [[not (closed[v] & outside1 & e2) for e2 in ext2] for v in f1]
-            perms = list(itertools.permutations(range(len(f2))))
+            ext2 = [closed[w] & outside2 for w in facets[i2]]
+            table = [[not (closed[v] & outside1 & e2) for e2 in ext2] for v in facets[i1]]
+            self.tables[i1, i2] = table
+        return table
+
+    def admits(self, sites: List[tuple], signs: Optional[Dict[tuple, int]]) -> bool:
+        """Whether one of the ``sites`` of a closed 3-manifold admits a
+        bijection that passes its clash table, decided without a draw.
+        Given facet ``signs`` that orient the manifold, the bijection must
+        also keep the orientation: its sign must be -s(f1) s(f2), see
+        :func:`_glue`."""
+        facets = self.facets
+        for i1, i2 in sites:
+            t0, t1, t2, t3 = self.clash_table(i1, i2)
+            perms = _PERMS if signs is None else _PERMS_OF_SIGN[-signs[facets[i1]] * signs[facets[i2]]]
+            if any(t0[a] and t1[b] and t2[c] and t3[d] for a, b, c, d in perms):
+                return True
+        return False
+
+    def find_handle(self, rng: random.Random, sites: List[tuple]):
+        """:func:`find_admissible_handle` on these masks and their
+        :meth:`sites`: the sites in shuffled order, each with its clash
+        table and shuffled bijections."""
+        facets = self.facets
+        rng.shuffle(sites)
+        for i1, i2 in sites:
+            f1, f2 = facets[i1], facets[i2]
+            fits = self.clash_table(i1, i2)
+            perms = list(_PERMS if len(f2) == 4 else itertools.permutations(range(len(f2))))
             rng.shuffle(perms)
             if len(f1) == len(f2) and not (all(map(any, fits)) and all(map(any, zip(*fits)))):
                 continue
             for perm in perms:
-                if all(row[j] for row, j in zip(fits, perm)):
+                if all(map(list.__getitem__, fits, perm)):
                     return f1, f2, dict(zip(f1, (f2[j] for j in perm)))
         return None
 
@@ -233,16 +278,28 @@ def _closed_3_manifold_f_vector(facets: Sequence[tuple]) -> tuple:
     return (f0, f0 + f3, 2 * f3, f3)
 
 
-def _glue(facets: Sequence[tuple], facet1: Sequence[int], facet2: Sequence[int],
-          bijection: Dict[int, int]) -> Complex:
-    """The handle addition on the facet list of a closed 3-manifold,
-    with every admissibility check of :func:`handle_addition` and its
-    messages: both sites are facets, they are disjoint, the bijection maps
-    one onto the other, and no identified pair shares a facet, which is to
-    say an edge.  Then the quotient is built, and its f-vector must be
-    :func:`_closed_3_manifold_f_vector` of the facets minus exactly
-    (4, 6, 4, 2).  The quotient's closed-manifold verdict is recorded by
-    the lemma in :func:`handle_addition`."""
+def _glue(facets: Dict[tuple, int], facet1: Sequence[int], facet2: Sequence[int],
+          bijection: Dict[int, int]) -> Tuple[Dict[tuple, int], list]:
+    """The handle addition on the facets of a closed 3-manifold, each with
+    its sign, with every admissibility check of :func:`handle_addition` and
+    its messages: both sites are facets, they are disjoint, the bijection
+    maps one onto the other, and no identified pair shares a facet, which
+    is to say an edge.  The quotient's f-vector, counted on its facet list,
+    must be :func:`_closed_3_manifold_f_vector` of the facets minus exactly
+    (4, 6, 4, 2); it is then a closed 3-manifold by the lemma in
+    :func:`handle_addition`.  Returns the quotient's facets, ascending, each
+    with its sign, and their downward closure by size, from which
+    :meth:`Complex._from_closure` builds the quotient.
+
+    The signs carry an orientation.  Let the sign s(f) of a sorted facet f
+    say that the orientation restricted to f is s(f) [f].  Removing f1 and
+    f2 leaves their boundaries with the induced orientations, and the
+    bijection p maps s(f1) [f1] to s(f1) parity(p) [f2], where parity(p) is
+    the sign of p read against the sorted facets.  The gluing keeps the
+    orientation iff that is -s(f2) [f2], iff parity(p) = -s(f1) s(f2).  A
+    kept facet keeps its sign, times the parity of the sort that its
+    renamed vertices need.  Signs that are not an orientation, such as all
+    0, are carried along and mean nothing."""
     f1 = tuple(sorted(facet1))
     f2 = tuple(sorted(facet2))
     if f1 not in facets or f2 not in facets:
@@ -256,14 +313,31 @@ def _glue(facets: Sequence[tuple], facet1: Sequence[int], facet2: Sequence[int],
             if v in f and w in f:
                 raise AdmissibilityError(f"vertices {v} and {w} are adjacent; gluing would collapse an edge")
     rename = {w: v for v, w in bijection.items()}
-    result = Complex._from_faces(tuple(sorted(rename.get(u, u) for u in f))
-                                 for f in facets if f != f1 and f != f2)
+    glued = []
+    for f, sign in facets.items():
+        if f == f1 or f == f2:
+            continue
+        if not rename.keys().isdisjoint(f):
+            f = [rename.get(u, u) for u in f]
+            sign *= _sort_sign(f)
+            f = tuple(sorted(f))
+        glued.append((f, sign))
+    glued.sort()
+    signed = dict(glued)
+    by_size = _closure_by_size(signed)
     f = _closed_3_manifold_f_vector(facets)
     expected = (f[0] - 4, f[1] - 6, f[2] - 4, f[3] - 2)
-    if result.f_vector != expected:
-        raise AdmissibilityError(
-            f"identification merged extra faces: f-vector {result.f_vector}, expected {expected}")
-    return result._record_closed_manifold()
+    got = tuple(map(len, by_size))
+    if got != expected:
+        raise AdmissibilityError(f"identification merged extra faces: f-vector {got}, expected {expected}")
+    return signed, by_size
+
+
+def _keeps_orientation(signs: Dict[tuple, int], f1: tuple, f2: tuple, bijection: Dict[int, int]) -> bool:
+    """Whether the handle on the sorted facets f1 and f2 keeps the
+    orientation that the facet signs give: parity(p) = -s(f1) s(f2), the
+    rule of :func:`_glue`."""
+    return _sort_sign([bijection[v] for v in f1]) == -signs[f1] * signs[f2]
 
 
 def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
@@ -296,7 +370,8 @@ def handle_addition(x: Complex, facet1: Sequence[int], facet2: Sequence[int],
     """
     _require_closed_manifold(x, 3, "handle addition needs a connected closed 3-manifold",
                              connected=True)
-    return _glue(x.facets, facet1, facet2, bijection)
+    _, by_size = _glue(dict.fromkeys(x.facets, 0), facet1, facet2, bijection)
+    return Complex._from_closure(by_size, pure=True)._record_closed_manifold()
 
 
 def verify_stacked_certificate(m: Complex, cert: Certificate) -> Verdict:
@@ -378,44 +453,63 @@ def find_admissible_handle(x: Complex, rng: random.Random):
     the other facet admits no bijection and is passed over, after the
     shuffle, so that the generator's draws stay the same.
     """
-    return _FacetMasks(sorted(x.facets)).find_handle(rng)
+    masks = _FacetMasks(sorted(x.facets))
+    return masks.find_handle(rng, masks.sites())
 
 
-def _grow_search_sphere(n: int, rng: random.Random) -> List[tuple]:
-    """The sorted facet list of a stacked 3-sphere biased toward elongated
-    simplex trees.
+def _grow_search_sphere(n: int, rng: random.Random) -> Dict[tuple, int]:
+    """The facets of a stacked 3-sphere biased toward elongated simplex
+    trees, ascending, each with its sign in an orientation of the sphere.
 
     A handle needs two facets with no edges between them, and at the tight
     13-vertex scale only near-path trees have such far-apart ends; uniform
     facet choice essentially never produces them.  With probability
     ``_BRANCH_BIAS`` each subdivision extends the newest branch, otherwise
     it hits a uniform random facet.  Its vertices are 0 to n - 1.
+
+    The sphere starts as the boundary of the 4-simplex [0, ..., 4], in
+    which the facet without vertex j has sign (-1)^j.  Subdividing a facet
+    [a, b, c, d] of sign s at w gives it the cone from w over its boundary;
+    the facet with w in place of its i-th vertex has sign s, and moving w
+    past the 3 - i vertices after it gives the sorted facet sign
+    s (-1)^(3 - i).
     """
-    facets = list(itertools.combinations(range(5), 4))
+    # (facet, sign) pairs, ascending by facet
+    signed = list(_SIMPLEX_BOUNDARY.items())
     continuation = None
     for w in range(5, n):
         # the newest branch's facet is one the last subdivision made
         if continuation and rng.random() < _BRANCH_BIAS:
             target = continuation
         else:
-            target = facets[rng.randrange(len(facets))]
-        _subdivide(facets, target, w)
-        continuation = target[1:] + (w,)
-    return facets
+            target = signed[rng.randrange(len(signed))][0]
+        # the subdivision of stacked.py's _subdivide, on the pairs: (target,)
+        # sorts just before target's pair, and the facet without target[i]
+        # gets target's sign times (-1)^(3 - i)
+        sign = signed.pop(bisect_left(signed, (target,)))[1]
+        a, b, c, d = target
+        continuation = (b, c, d, w)
+        insort(signed, (continuation, -sign))
+        insort(signed, ((a, c, d, w), sign))
+        insort(signed, ((a, b, d, w), -sign))
+        insort(signed, ((a, b, c, w), sign))
+    return dict(signed)
 
 
 def _search_attempt(seed, restart: int, k: int, n: int, field: FieldSpec):
     """One restart: a fresh search sphere on n = f0 + 4k vertices, k random
     handles, then acceptance on orientability over the field.  Returns
-    (complex, certificate), or None when a step finds no handle site.
+    (complex, certificate), or None when a step finds no handle site or,
+    over an odd field, no handle that keeps the orientation.
 
-    The sphere stays a sorted facet list.  Each step lists the sites and
-    reads their clash tables on :class:`_FacetMasks`, and :func:`_glue`
-    runs every admissibility check of :func:`handle_addition` and the exact
-    f-vector drop on the facet list; so the first :class:`Complex` is the
-    quotient that :func:`_glue` builds.  Only the closed-manifold
-    precondition is skipped, which the stacked sphere and each quotient
-    meet by construction.  A later step works on the quotient's facets.
+    The sphere stays a facet list with a sign for each facet, an
+    orientation (see :func:`_grow_search_sphere`).  Each step lists the
+    sites and reads their clash tables on :class:`_FacetMasks`, and
+    :func:`_glue` runs every admissibility check of :func:`handle_addition`
+    and the exact f-vector drop on the facet list, and carries the signs on
+    to the quotient.  The only :class:`Complex` is the quotient the restart
+    accepts.  The closed-manifold precondition is skipped, which the
+    stacked sphere and each quotient meet by construction.
 
     By the paper's theorem, as :func:`is_tight_fast_3manifold` reads it, a
     quotient is tight iff it is orientable and (f0-4)(f0-5) = 20 beta_1.
@@ -427,20 +521,38 @@ def _search_attempt(seed, restart: int, k: int, n: int, field: FieldSpec):
     the sphere's 4n - 10 edges, leaving 4 f0 - 10 + 10k = C(f0, 2): the
     quotient is neighbourly.  Each handle is a connected sum with an
     S^2-bundle over S^1, so beta_1 = k over every field, and tightness is
-    orientability, an orientation flood with no elimination.
+    F-orientability.  Over GF(2) every quotient is orientable.  Over an
+    odd field F-orientability is orientability, and the quotient is
+    orientable iff every handle keeps the orientation of the sphere, which
+    is the sign rule of :func:`_glue`: a handle that breaks it leaves a
+    non-orientable manifold, which no later handle mends.  So the restart
+    stops at its first such handle.
+
+    Before the draws of each step, :meth:`_FacetMasks.admits` asks whether
+    any site admits a bijection that passes its clash table and, over an
+    odd field, keeps the orientation.  If none does, every draw would end
+    in None, and the restart returns None without drawing; its generator
+    is its own, so no other restart sees the difference.  Walkup showed
+    that the orientable S^2-bundle over S^1 needs 10 vertices, so every
+    9-vertex k = 1 quotient is non-orientable, and over an odd field every
+    k = 1 restart ends there.
     """
     rng = random.Random(f"{seed}:{restart}")
-    facets = sphere = _grow_search_sphere(n, rng)
+    signed = sphere = _grow_search_sphere(n, rng)
+    # over a field of characteristic 2 every closed manifold is orientable
+    orient = field.char != 2
     steps: List[HandleStep] = []
     for _ in range(k):
-        choice = _FacetMasks(facets).find_handle(rng)
-        if choice is None:
+        masks = _FacetMasks(list(signed))
+        sites = masks.sites()
+        if not masks.admits(sites, signed if orient else None):
             return None
-        current = _glue(facets, *choice)
-        facets = current.facets
-        steps.append(HandleStep.make(*choice))
-    if not is_orientable(current, field):
-        return None
+        f1, f2, bijection = masks.find_handle(rng, sites)
+        if orient and not _keeps_orientation(signed, f1, f2, bijection):
+            return None
+        signed, by_size = _glue(signed, f1, f2, bijection)
+        steps.append(HandleStep.make(f1, f2, bijection))
+    current = Complex._from_closure(by_size, pure=True)._record_closed_manifold()
     cert = Certificate(
         seed_facets=tuple(sphere),
         steps=tuple(steps),

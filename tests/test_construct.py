@@ -13,8 +13,8 @@ from tighttri import (AdmissibilityError, Certificate, Complex, InternalInconsis
                       is_orientable, is_stacked_sphere, is_tight_fast_3manifold, search_tight,
                       stacked_sphere, verify_closed_manifold, verify_stacked_certificate)
 from tighttri.complexes import _check_closed_manifold
-from tighttri.construct import (HandleStep, _closed_3_manifold_f_vector, _FacetMasks,
-                                _grow_search_sphere, _search_attempt)
+from tighttri.construct import (HandleStep, _closed_3_manifold_f_vector, _FacetMasks, _glue,
+                                _grow_search_sphere, _keeps_orientation, _search_attempt)
 from tighttri.linalg import GF2, QQ, FieldSpec
 
 
@@ -276,6 +276,83 @@ def test_clash_table_matches_pairwise_search():
     assert found[3] >= 20 and found[4] >= 50
 
 
+def coherent(signed: dict) -> bool:
+    """Whether the facet signs orient the closed 3-manifold on the facets:
+    the boundaries of the signed facets cancel on every triangle."""
+    total = Counter()
+    for f, sign in signed.items():
+        for i in range(4):
+            total[f[:i] + f[i + 1:]] += sign * (-1) ** i
+    return not any(total.values())
+
+
+def test_search_sphere_signs_are_an_orientation():
+    for n in range(5, 40):
+        for seed in range(5):
+            signed = _grow_search_sphere(n, random.Random(f"{seed}:{n}"))
+            assert set(signed.values()) == {1, -1} and coherent(signed)
+            flipped = dict(signed)
+            flipped[next(iter(flipped))] *= -1
+            assert not coherent(flipped)
+
+
+def test_sign_verdict_matches_orientability_at_k1():
+    """Every quotient that restarts 0-1999 of three seeds reach at k = 1:
+    the sign rule says whether the handle keeps the orientation exactly
+    when the quotient is orientable over GF(3) and Q, which it never is,
+    since the orientable S^2-bundle over S^1 needs 10 vertices (Walkup).
+    So the restart's look-ahead finds no handle that keeps the
+    orientation, and finds one that passes the clash table exactly when
+    the draw does."""
+    reached = 0
+    for seed in (7, 11, 12):
+        for restart in range(2000):
+            rng = random.Random(f"{seed}:{restart}")
+            signed = _grow_search_sphere(13, rng)
+            masks = _FacetMasks(list(signed))
+            sites = masks.sites()
+            assert not masks.admits(sites, signed)
+            drawable = masks.admits(sites, None)
+            choice = masks.find_handle(rng, sites)
+            assert drawable == (choice is not None)
+            if choice is None:
+                continue
+            quotient, by_size = _glue(signed, *choice)
+            x = Complex._from_closure(by_size, pure=True)
+            assert x == Complex.from_facets(quotient)
+            keeps = _keeps_orientation(signed, *choice)
+            assert keeps == is_orientable(x, FieldSpec.gf(3)) == is_orientable(x, QQ) == coherent(quotient)
+            assert not keeps
+            reached += 1
+    assert reached >= 2000
+
+
+def test_sign_verdict_matches_orientability_along_handles():
+    """Two to four handles drawn the way ``corpus.two_handle_quotient``
+    draws them, on the complex: after each, the quotient is orientable
+    over GF(3) and Q exactly when every handle so far kept the
+    orientation by the sign rule, and then the carried signs orient it.
+    The spheres have 45 vertices, on which four handles often fit."""
+    steps = Counter()
+    for seed in range(160):
+        rng = random.Random(seed)
+        signed = _grow_search_sphere(45, rng)
+        x = Complex.from_facets(signed)
+        kept = True
+        for handles in range(1, 5):
+            choice = find_admissible_handle(x, rng)
+            if choice is None:
+                break
+            kept = kept and _keeps_orientation(signed, *choice)
+            signed, _ = _glue(signed, *choice)
+            x = handle_addition(x, *choice)
+            assert x.facets == tuple(signed)
+            assert is_orientable(x, FieldSpec.gf(3)) == is_orientable(x, QQ) == kept
+            assert coherent(signed) == kept
+            steps[handles, kept] += 1
+    assert all(steps[h, kept] >= 5 for h in (2, 3, 4) for kept in (True, False)), steps
+
+
 def criterion_attempt(seed, restart: int, k: int, n: int, field):
     """A search restart as it was before it accepted on orientability: it
     gave up on a failed handle addition and on a quotient that is not
@@ -342,6 +419,10 @@ class TestSearch:
     def test_k1_over_q_finds_nothing(self):
         assert search_tight(1, QQ, budget=120, seed=0) is None
 
+    def test_k1_over_gf3_finds_nothing(self):
+        # a closed manifold is GF(3)-orientable iff it is orientable
+        assert search_tight(1, FieldSpec.gf(3), budget=120, seed=0) is None
+
     @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
     def test_restarts_match_the_criterion_acceptance(self, field):
         """Accepting on orientability gives the outcome that skipping failed
@@ -359,28 +440,60 @@ class TestSearch:
         assert built >= 100
 
     @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
-    def test_restarts_match_the_complex_reference(self, field):
+    def test_restarts_match_the_complex_reference(self, field, monkeypatch):
         """A restart on facet lists and masks returns what the restart on
         complexes, with sites and gluing checked pair by pair, returns: the
         same quotient and certificate, or None.  Over GF(2) every quotient
-        is orientable, so each one built is compared."""
+        is orientable, so each one built is compared.
+
+        A restart ends in one of three ways, counted here: before drawing,
+        as no site admits a handle (over an odd field, one that keeps the
+        orientation); over an odd field, on a drawn handle that breaks the
+        orientation although one that keeps it exists; or accepted.  The
+        pinned k = 2 restarts are accepted over every field."""
+        admits, keeps = _FacetMasks.admits, construct._keeps_orientation
+        last = []
+
+        def spy(name, decide):
+            def call(*args):
+                last.append((name, decide(*args)))
+                return last[-1][1]
+            return call
+
+        monkeypatch.setattr(_FacetMasks, "admits", spy("admits", admits))
+        monkeypatch.setattr(construct, "_keeps_orientation", spy("keeps", keeps))
         seeds = [7, 11, *range(6), *range(1000, 1006), *range(2_000_000, 2_000_004),
                  *range(3_000_000, 3_000_006)]
-        found = Counter()
-        for seed in seeds:
-            for restart in range(8):
-                for k, n in ((1, 13), (2, 17), (2, 21)):
-                    got = _search_attempt(seed, restart, k, n, field)
-                    assert got == oracle.search_attempt(seed, restart, k, n, field), (seed, restart, k, n)
-                    found[k] += got is not None
+        # the pair-by-pair reference takes seconds at 37 vertices
+        cases = [(seed, restart, k, n) for seed in seeds
+                 for k, n, restarts in ((1, 13, 8), (2, 17, 8), (2, 21, 8), (3, 29, 3), (4, 37, 2))
+                 for restart in range(restarts)]
+        pins = [(12, 83, 2, 21), (12, 85, 2, 21)]
+        ends = Counter()
+        for case in cases + pins:
+            last.clear()
+            got = _search_attempt(*case, field)
+            assert got == oracle.search_attempt(*case, field), case
+            end = "accepted" if got else "before drawing" if last[-1] == ("admits", False) else "not drawn"
+            ends[case[2], end] += 1
+            assert end == "accepted" or case not in pins
+        # per k: accepted, returned before drawing, drawn handle not kept
         if field == GF2:
-            assert found[1] >= 40 and found[2] >= 8, found
+            want = {1: (68, 124, 0), 2: (13, 373, 0), 3: (4, 68, 0), 4: (5, 43, 0)}
+        else:
+            want = {1: (0, 192, 0), 2: (3, 213, 170), 3: (1, 15, 56), 4: (0, 4, 44)}
+        assert {k: (ends[k, "accepted"], ends[k, "before drawing"], ends[k, "not drawn"])
+                for k in want} == want, ends
 
     @pytest.mark.parametrize("confirm_max", [12, 0])
     def test_a_quotient_that_is_not_tight_raises(self, monkeypatch, confirm_max):
         """If a restart accepted a non-orientable quotient, the check before
-        returning (definitional, or polynomial above the cut-off) raises."""
-        monkeypatch.setattr(construct, "is_orientable", lambda x, field: True)
+        returning (definitional, or polynomial above the cut-off) raises.
+        Each restart here accepts as it would over GF(2), where every
+        quotient is orientable."""
+        attempt = construct._search_attempt
+        monkeypatch.setattr(construct, "_search_attempt",
+                            lambda seed, restart, k, n, field: attempt(seed, restart, k, n, GF2))
         monkeypatch.setattr(construct, "BRUTE_CONFIRM_MAX_VERTICES", confirm_max)
         with pytest.raises(InternalInconsistencyError):
             search_tight(1, QQ, budget=40, seed=0)
